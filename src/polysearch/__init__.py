@@ -12,7 +12,6 @@ from .decomposition import (
     Rectangle,
     Rectangulation,
     allocate_robots,
-    junctions,
     rectangulate,
 )
 from .errors import PolySearchError
@@ -20,7 +19,6 @@ from .geometry import (
     Cell,
     GridGraph,
     OrthoPolygon,
-    neighbors,
     polygon_from_cells,
     rasterize,
     read_polygon_file,
@@ -37,7 +35,7 @@ from .harness import (
     summarize,
     write_csv,
 )
-from .planning import CostMap, astar, bump_cost, costs_to_target, dijkstra, hungarian
+from .planning import CostMap, costs_to_target, hungarian
 from .plots import bar_chart, line_plot, write_svg
 from .polygen import (
     ThreePartitionInstance,
@@ -48,7 +46,7 @@ from .polygen import (
     simulate_comb_sweep,
     verify_partition_schedule,
 )
-from .sfc import Curve, assign_segments, gilbert_curve, place_curve, repair_curve
+from .sfc import gilbert_curve, place_curve, repair_curve
 from .sim import (
     INTRUDER_MODELS,
     STRATEGIES,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Cell",
     "CostMap",
-    "Curve",
     "GridGraph",
     "INTRUDER_MODELS",
     "InstanceSpec",
@@ -82,23 +79,17 @@ __all__ = [
     "ThreePartitionInstance",
     "TrialResult",
     "allocate_robots",
-    "assign_segments",
-    "astar",
     "bar_chart",
     "build_comb",
-    "bump_cost",
     "comb_polygon",
     "costs_to_target",
     "count_spikes",
-    "dijkstra",
     "gilbert_curve",
     "hungarian",
     "inflate_cut",
     "init_trial",
-    "junctions",
     "line_plot",
     "min_robots",
-    "neighbors",
     "place_curve",
     "polygon_from_cells",
     "rasterize",

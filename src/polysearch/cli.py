@@ -14,8 +14,14 @@ import os
 import sys
 
 from .decomposition import rectangulate
-from .errors import BadEnvironment, PolySearchError
-from .geometry import rasterize, read_polygon_file, validate_polygon, write_polygon_file
+from .errors import BadEnvironment, IoError, PolySearchError
+from .geometry import (
+    rasterize,
+    read_json,
+    read_polygon_file,
+    validate_polygon,
+    write_polygon_file,
+)
 from .harness import (
     PRESETS,
     InstanceSpec,
@@ -79,9 +85,9 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 def _cmd_curve(args: argparse.Namespace) -> int:
     curve = gilbert_curve(args.width, args.height)
     if args.json:
-        print(json.dumps([list(c) for c in curve.cells]))
+        print(json.dumps([list(c) for c in curve]))
     else:
-        print(" ".join(f"({c.col},{c.row})" for c in curve.cells))
+        print(" ".join(f"({c.col},{c.row})" for c in curve))
     return 0
 
 
@@ -121,35 +127,41 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _load_spec(path: str) -> SweepSpec:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    instances = []
-    for inst in raw["instances"]:
-        if "file" in inst:
-            poly, _ = read_polygon_file(inst["file"])
-        else:
-            poly = validate_polygon(inst["polygon"])
-        instances.append(InstanceSpec(inst["id"], poly, inst.get("rect_seed", 0)))
-    return SweepSpec(
-        instances=tuple(instances),
-        strategies=tuple(raw["strategies"]),
-        ks=tuple(raw["ks"]),
-        intruders=tuple(raw.get("intruders", ["static"])),
-        trials=raw.get("trials", 100),
-        base_seed=raw.get("base_seed", 0),
-        max_steps=raw.get("max_steps"),
-    )
+    raw = read_json(path)
+    try:
+        instances = []
+        for inst in raw["instances"]:
+            if "file" in inst:
+                poly, _ = read_polygon_file(inst["file"])
+            else:
+                poly = validate_polygon(inst["polygon"])
+            instances.append(InstanceSpec(inst["id"], poly, inst.get("rect_seed", 0)))
+        return SweepSpec(
+            instances=tuple(instances),
+            strategies=tuple(raw["strategies"]),
+            ks=tuple(raw["ks"]),
+            intruders=tuple(raw.get("intruders", ["static"])),
+            trials=raw.get("trials", 100),
+            base_seed=raw.get("base_seed", 0),
+            max_steps=raw.get("max_steps"),
+        )
+    except (KeyError, TypeError) as exc:
+        raise IoError(f"{path} is not a valid sweep spec: {type(exc).__name__} {exc}") from None
 
 
 def _effective_workers(flag_value: int) -> int:
     """Worker count for a sweep; POLYSEARCH_WORKERS wins over the flag."""
     raw = os.environ.get("POLYSEARCH_WORKERS")
     if raw is None:
-        return flag_value
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadEnvironment(f"POLYSEARCH_WORKERS must be an integer, got {raw!r}") from None
+        workers = flag_value
+    else:
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise BadEnvironment(f"POLYSEARCH_WORKERS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise BadEnvironment(f"worker count must be at least 1, got {workers}")
+    return workers
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

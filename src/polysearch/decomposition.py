@@ -55,18 +55,6 @@ class Rectangulation:
     rects: tuple[Rectangle, ...]
     juncs: tuple[Junction, ...]
 
-    @staticmethod
-    def from_rectangles(g: GridGraph, rects: Sequence[Rectangle]) -> "Rectangulation":
-        seen: set[Cell] = set()
-        for r in rects:
-            for c in r.cells():
-                if c in seen:
-                    raise ValueError(f"cell {tuple(c)} covered twice")
-                seen.add(c)
-        if seen != set(g.cells):
-            raise ValueError("rectangles do not cover the grid exactly")
-        return Rectangulation(tuple(rects), _find_junctions(rects))
-
 
 def rectangulate(g: GridGraph, seed: int) -> Rectangulation:
     """Cover the grid greedily with maximal rectangles around random cells.
@@ -183,11 +171,6 @@ def _find_junctions(rects: Sequence[Rectangle]) -> tuple[Junction, ...]:
         if run:
             juncs.append(Junction(a, b, tuple(run)))
     return tuple(juncs)
-
-
-def junctions(r: Rectangulation) -> list[Junction]:
-    """All maximal shared segments between rectangle pairs."""
-    return list(r.juncs)
 
 
 def allocate_robots(r: Rectangulation, k_s: int) -> list[int]:

@@ -90,6 +90,10 @@ class NegativeEntry(PolySearchError):
     """Assignment cost matrix entries must be non-negative."""
 
 
+class InvalidConfig(PolySearchError, ValueError):
+    """A sweep, trial or assignment parameter is out of range or unknown."""
+
+
 class EmptyInput(PolySearchError):
     """An aggregate was requested over zero results."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     CellOutsideGraph,
@@ -171,12 +171,11 @@ class GridGraph:
     treated as immutable; `cache` is scratch for memoized derived structures.
     """
 
-    __slots__ = ("cells", "cell_set", "index", "adjacency", "cols", "rows", "bounds", "cache")
+    __slots__ = ("cells", "index", "adjacency", "cols", "rows", "bounds", "cache")
 
     def __init__(self, cells: Iterable[Cell], bounds: tuple[int, int]):
         ordered = sorted(set(Cell(*c) for c in cells), key=lambda c: (c.row, c.col))
         self.cells: tuple[Cell, ...] = tuple(ordered)
-        self.cell_set: frozenset[Cell] = frozenset(ordered)
         self.index: dict[Cell, int] = {c: i for i, c in enumerate(ordered)}
         self.cols: tuple[int, ...] = tuple(c.col for c in ordered)
         self.rows: tuple[int, ...] = tuple(c.row for c in ordered)
@@ -196,19 +195,13 @@ class GridGraph:
         return len(self.cells)
 
     def __contains__(self, cell: Cell) -> bool:
-        return cell in self.cell_set
+        return cell in self.index
 
     def require(self, cell: Cell) -> int:
         try:
             return self.index[Cell(*cell)]
         except KeyError:
             raise CellOutsideGraph(f"cell {tuple(cell)} is not in the grid") from None
-
-
-def neighbors(g: GridGraph, cell: Cell) -> list[Cell]:
-    """In-graph 4-neighbors of `cell` in N, E, S, W order."""
-    i = g.require(cell)
-    return [g.cells[j] for j in g.adjacency[i]]
 
 
 def rasterize(poly: OrthoPolygon) -> GridGraph:
@@ -323,13 +316,22 @@ def polygon_from_cells(cells: Iterable[Cell]) -> OrthoPolygon:
     return validate_polygon(verts)
 
 
-def read_polygon_file(path: str) -> tuple[OrthoPolygon, float]:
-    """Load {"vertices": [[x, y], ...], "cell_size_m": s} from JSON."""
+def read_json(path: str):
+    """Parse a JSON file; unreadable or malformed files raise IoError."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
         raise IoError(str(exc)) from exc
+    except ValueError as exc:
+        raise IoError(f"{path} is not valid JSON: {exc}") from None
+
+
+def read_polygon_file(path: str) -> tuple[OrthoPolygon, float]:
+    """Load {"vertices": [[x, y], ...], "cell_size_m": s} from JSON."""
+    data = read_json(path)
+    if not isinstance(data, dict) or "vertices" not in data:
+        raise InvalidPolygon(f"{path} has no \"vertices\" list")
     poly = validate_polygon(data["vertices"])
     return poly, float(data.get("cell_size_m", 5.0))
 

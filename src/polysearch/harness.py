@@ -18,8 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import EmptyInput
-from .geometry import Cell, GridGraph, OrthoPolygon, polygon_from_cells, rasterize, validate_polygon
+from .errors import EmptyInput, InvalidConfig
+from .geometry import GridGraph, OrthoPolygon, rasterize, validate_polygon
 from .polygen import comb_polygon
 from .sim import INTRUDER_MODELS, STRATEGIES, SimConfig, TrialResult, min_robots, run_trial
 
@@ -94,12 +94,12 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
         raise EmptyInput("sweep needs at least one instance, strategy and team size")
     for s in spec.strategies:
         if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
+            raise InvalidConfig(f"unknown strategy {s!r}")
     for m in spec.intruders:
         if m not in INTRUDER_MODELS:
-            raise ValueError(f"unknown intruder model {m!r}")
+            raise InvalidConfig(f"unknown intruder model {m!r}")
     if spec.trials < 1:
-        raise ValueError("trials must be positive")
+        raise InvalidConfig("trials must be positive")
     cells = []
     index = 0
     for inst in spec.instances:
@@ -202,6 +202,7 @@ def run_sweep(
     cells = expand_cells(spec)
     jobs = [(c, spec.trials, spec.base_seed, spec.max_steps) for c in cells]
     rows: list[SummaryRow | None] = [None] * len(cells)
+    workers = min(workers, len(cells))
     if workers <= 1:
         for i, job in enumerate(jobs):
             rows[job[0].index] = run_cell(*job)
@@ -281,33 +282,9 @@ def _scaled(poly: OrthoPolygon, num: int, den: int) -> OrthoPolygon:
     verts = []
     for x, y in poly.vertices:
         if (x * num) % den or (y * num) % den:
-            raise ValueError(f"scale {num}/{den} breaks integrality at ({x}, {y})")
+            raise InvalidConfig(f"scale {num}/{den} breaks integrality at ({x}, {y})")
         verts.append((x * num // den, y * num // den))
     return validate_polygon(verts)
-
-
-def _two_sided_comb(
-    base_width: int,
-    base_height: int,
-    spike_width: int,
-    spike_gap: int,
-    up: Sequence[int],
-    down: Sequence[int],
-) -> OrthoPolygon:
-    """Comb with teeth on both long sides; a zero depth skips that slot."""
-    cells = {Cell(x, y) for x in range(base_width) for y in range(base_height)}
-    period = spike_width + spike_gap
-    for slot, depth in enumerate(up):
-        x0 = spike_gap + slot * period
-        for x in range(x0, x0 + spike_width):
-            for y in range(base_height, base_height + depth):
-                cells.add(Cell(x, y))
-    for slot, depth in enumerate(down):
-        x0 = spike_gap + slot * period
-        for x in range(x0, x0 + spike_width):
-            for y in range(-depth, 0):
-                cells.add(Cell(x, y))
-    return polygon_from_cells(cells)
 
 
 def preset_spikes4() -> SweepSpec:
@@ -326,7 +303,9 @@ def preset_shapes() -> SweepSpec:
     """Three equal-area combs (176 cells) with different tooth layouts."""
     p0 = comb_polygon((8, 10, 8, 10, 8), spike_width=2, base_height=4, spike_gap=2)
     p1 = comb_polygon((4, 14, 8, 14, 4), spike_width=2, base_height=4, spike_gap=2)
-    p2 = _two_sided_comb(22, 4, 2, 2, up=(10, 0, 10, 0, 10), down=(0, 7, 0, 7, 0))
+    p2 = comb_polygon(
+        (10, 0, 10, 0, 10), spike_width=2, base_height=4, spike_gap=2, down=(0, 7, 0, 7, 0)
+    )
     return SweepSpec(
         instances=(
             InstanceSpec("shape0", p0),

@@ -13,9 +13,8 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import CellOutsideGraph, NegativeEntry, NonSquare, Unreachable
-from .geometry import Cell, GridGraph
-from .sfc import Curve
+from .errors import InvalidConfig, NegativeEntry, NonSquare, Unreachable
+from .geometry import GridGraph
 
 VISIT_COST = 0.05
 
@@ -27,36 +26,19 @@ class CostMap:
     cell i, so planners read it without recomputing.
     """
 
-    __slots__ = ("grid", "counts", "entry")
+    __slots__ = ("counts", "entry")
 
     def __init__(self, grid: GridGraph):
-        self.grid = grid
         self.counts = [0] * len(grid)
         self.entry = [1.0] * len(grid)
-
-    def cost(self, cell: Cell) -> float:
-        return VISIT_COST * self.counts[self.grid.require(cell)]
-
-    def snapshot(self) -> list[float]:
-        return [VISIT_COST * c for c in self.counts]
 
     def bump_index(self, i: int) -> None:
         self.counts[i] += 1
         self.entry[i] = 1.0 + VISIT_COST * self.counts[i]
 
 
-def bump_cost(cm: CostMap, cell: Cell) -> None:
-    """Record one visit to `cell`."""
-    cm.bump_index(cm.grid.require(cell))
-
-
-def path_cost(path: Curve, cm: CostMap) -> float:
-    """Total cost of traversing `path`: entered cells only, start free."""
-    return sum(cm.entry[cm.grid.require(c)] for c in path.cells[1:])
-
-
 def _search(g: GridGraph, entry: Sequence[float] | None, start: int, goal: int, heuristic: bool) -> list[int]:
-    """Deterministic best-first search shared by astar and dijkstra.
+    """Deterministic best-first search: A* over `entry`, or unit-cost Dijkstra.
 
     Ties break on lower f, then lower h, then earliest push; pushes happen in
     N, E, S, W neighbor order, so the whole expansion is reproducible.
@@ -98,27 +80,16 @@ def _search(g: GridGraph, entry: Sequence[float] | None, start: int, goal: int, 
     raise Unreachable(f"no path from {tuple(g.cells[start])} to {tuple(g.cells[goal])}")
 
 
-def astar(g: GridGraph, cm: CostMap, start: Cell, goal: Cell) -> Curve:
-    """Minimum-cost path under the cost map; start == goal gives a 1-cell path."""
-    s, t = g.require(start), g.require(goal)
-    idx_path = _search(g, cm.entry, s, t, heuristic=True)
-    return Curve(tuple(g.cells[i] for i in idx_path))
-
-
-def dijkstra(g: GridGraph, start: Cell, goal: Cell) -> Curve:
-    """Unweighted shortest path with the same deterministic tie-breaking."""
-    s, t = g.require(start), g.require(goal)
-    idx_path = _search(g, None, s, t, heuristic=False)
-    return Curve(tuple(g.cells[i] for i in idx_path))
-
-
 def plan_indices(g: GridGraph, cm: CostMap, start: int, goal: int) -> list[int]:
-    """astar on raw cell indices; the simulation loop lives in index space."""
+    """Minimum-cost path of cell indices under the cost map.
+
+    The path includes both ends; start == goal gives a 1-cell path.
+    """
     return _search(g, cm.entry, start, goal, heuristic=True)
 
 
 def shortest_indices(g: GridGraph, start: int, goal: int) -> tuple[int, ...]:
-    """dijkstra on raw cell indices, memoized per grid.
+    """Unweighted shortest path of cell indices, memoized per grid.
 
     Pursuit replans from the same (position, target) pairs over and over,
     so the path table pays for itself within a few trials.
@@ -131,14 +102,13 @@ def shortest_indices(g: GridGraph, start: int, goal: int) -> tuple[int, ...]:
     return hit
 
 
-def costs_to_target(g: GridGraph, cm: CostMap, target: Cell) -> list[float]:
-    """Cost of the cheapest path from every cell to `target`.
+def costs_to_target(g: GridGraph, cm: CostMap, t: int) -> list[float]:
+    """Cost of the cheapest path from every cell to cell index `t`.
 
     One reverse relaxation pass: leaving u toward the target through v costs
-    entry[v] plus the remaining cost from v, which reproduces the astar
-    objective for every source at once.
+    entry[v] plus the remaining cost from v, which reproduces the
+    plan_indices objective for every source at once.
     """
-    t = g.require(target)
     n = len(g.cells)
     entry = cm.entry
     dist = [float("inf")] * n
@@ -175,7 +145,7 @@ def hungarian(cost_matrix: Sequence[Sequence[float]]) -> Assignment:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise NonSquare(f"cost matrix shape {m.shape} is not square")
     if not np.all(np.isfinite(m)):
-        raise ValueError("cost matrix entries must be finite")
+        raise InvalidConfig("cost matrix entries must be finite")
     if np.any(m < 0):
         raise NegativeEntry("cost matrix entries must be non-negative")
 

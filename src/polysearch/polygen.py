@@ -11,6 +11,7 @@ import random
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -31,17 +32,22 @@ _NE, _NW, _SE, _SW = 1, 2, 4, 8
 _PINCH_MASKS = (_NE | _SW, _NW | _SE)
 
 
-def _corner_scan(cells: set[Cell]) -> tuple[int, bool]:
-    """(number of polygon vertices, whether the set pinches at a point)."""
+def _corner_masks(cells: Iterable[Cell]) -> dict[tuple[int, int], int]:
+    """Incidence bits of the cells around each lattice point they touch."""
     around: dict[tuple[int, int], int] = defaultdict(int)
     for c, r in cells:
         around[(c, r)] |= _NE
         around[(c + 1, r)] |= _NW
         around[(c, r + 1)] |= _SE
         around[(c + 1, r + 1)] |= _SW
+    return around
+
+
+def _corner_scan(cells: set[Cell]) -> tuple[int, bool]:
+    """(number of polygon vertices, whether the set pinches at a point)."""
     vertices = 0
     pinch = False
-    for mask in around.values():
+    for mask in _corner_masks(cells).values():
         n = bin(mask).count("1")
         if n in (1, 3):
             vertices += 1
@@ -50,10 +56,8 @@ def _corner_scan(cells: set[Cell]) -> tuple[int, bool]:
     return vertices, pinch
 
 
-def _connected_cells(cells: set[Cell]) -> bool:
-    if not cells:
-        return False
-    start = next(iter(cells))
+def _component_size(start: Cell, cells: set[Cell]) -> int:
+    """Cells 4-connected to `start` within `cells`, start included."""
     seen = {start}
     stack = [start]
     while stack:
@@ -62,7 +66,11 @@ def _connected_cells(cells: set[Cell]) -> bool:
             if nb in cells and nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
-    return len(seen) == len(cells)
+    return len(seen)
+
+
+def _connected_cells(cells: set[Cell]) -> bool:
+    return bool(cells) and _component_size(next(iter(cells)), cells) == len(cells)
 
 
 def _simply_connected(cells: set[Cell]) -> bool:
@@ -78,16 +86,7 @@ def _simply_connected(cells: set[Cell]) -> bool:
         for r in range(lo_r, hi_r + 1)
         if Cell(c, r) not in cells
     }
-    start = Cell(lo_c, lo_r)
-    seen = {start}
-    stack = [start]
-    while stack:
-        c, r = stack.pop()
-        for nb in (Cell(c, r + 1), Cell(c + 1, r), Cell(c, r - 1), Cell(c - 1, r)):
-            if lo_c <= nb.col <= hi_c and lo_r <= nb.row <= hi_r and nb in outside and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(outside)
+    return _component_size(Cell(lo_c, lo_r), outside) == len(outside)
 
 
 def _stretch(cells: set[Cell], at: Cell) -> set[Cell]:
@@ -127,13 +126,8 @@ def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
             inflated = _stretch(cells, at)
             center = (at.col + 1, at.row + 1)
 
-            around: dict[tuple[int, int], int] = defaultdict(int)
-            for c, r in inflated:
-                around[(c, r)] |= _NE
-                around[(c + 1, r)] |= _NW
-                around[(c, r + 1)] |= _SE
-                around[(c + 1, r + 1)] |= _SW
-            convex = sorted(p for p, mask in around.items() if bin(mask).count("1") == 1)
+            masks = _corner_masks(inflated)
+            convex = sorted(p for p, mask in masks.items() if bin(mask).count("1") == 1)
             v = convex[rng.randrange(len(convex))]
 
             x0, x1 = min(v[0], center[0]), max(v[0], center[0])
@@ -193,19 +187,26 @@ def comb_cells(
     spike_width: int = 1,
     base_height: int = 1,
     spike_gap: int = 1,
+    down: Sequence[int] = (),
 ) -> set[Cell]:
-    """Cell set of a comb: a full-width base with one upward spike per entry."""
+    """Cell set of a comb: a full-width base with one upward spike per entry.
+
+    `down` hangs teeth below the base (at negative rows) in the same slots,
+    left to right; a zero depth on either side leaves that slot flat.
+    """
     n = len(spike_lengths)
     if n < 1 or spike_width < 1 or base_height < 1 or spike_gap < 1:
         raise InstanceInvalid("comb dimensions must be positive")
-    if any(s < 1 for s in spike_lengths):
-        raise InstanceInvalid("spike lengths must be positive")
+    if len(down) > n:
+        raise InstanceInvalid(f"{len(down)} bottom teeth for {n} slots")
+    if any(s < 0 for s in (*spike_lengths, *down)):
+        raise InstanceInvalid("spike lengths must be nonnegative")
     width = n * (spike_width + spike_gap) + spike_gap
     cells = {Cell(c, r) for c in range(width) for r in range(base_height)}
-    for i, depth in enumerate(spike_lengths):
+    for i, (up, dn) in enumerate(zip_longest(spike_lengths, down, fillvalue=0)):
         x0 = spike_gap + i * (spike_width + spike_gap)
         for c in range(x0, x0 + spike_width):
-            for r in range(base_height, base_height + depth):
+            for r in range(-dn, base_height + up):
                 cells.add(Cell(c, r))
     return cells
 
@@ -215,8 +216,9 @@ def comb_polygon(
     spike_width: int = 1,
     base_height: int = 1,
     spike_gap: int = 1,
+    down: Sequence[int] = (),
 ) -> OrthoPolygon:
-    return polygon_from_cells(comb_cells(spike_lengths, spike_width, base_height, spike_gap))
+    return polygon_from_cells(comb_cells(spike_lengths, spike_width, base_height, spike_gap, down))
 
 
 def build_comb(
@@ -346,7 +348,7 @@ def count_spikes(poly: OrthoPolygon) -> int:
     rectangle reports 0. Protrusions with unequal walls (flush against a
     larger block) are conservatively not counted.
     """
-    cells = rasterize(poly).cell_set
+    cells = rasterize(poly).index
     verts = poly.vertices
     n = len(verts)
 

@@ -8,26 +8,11 @@ repair_curve at the cost of revisiting one cell.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .decomposition import Rectangle
 from .errors import DimensionMismatch, TooManyRobots
 from .geometry import Cell, GridGraph
-
-
-@dataclass(frozen=True)
-class Curve:
-    cells: tuple[Cell, ...]
-
-    def __len__(self) -> int:
-        return len(self.cells)
-
-    def __iter__(self) -> Iterator[Cell]:
-        return iter(self.cells)
-
-    def __getitem__(self, i: int) -> Cell:
-        return self.cells[i]
 
 
 def _sgn(x: int) -> int:
@@ -80,7 +65,7 @@ def _generate(x: int, y: int, ax: int, ay: int, bx: int, by: int) -> Iterator[Ce
         )
 
 
-def gilbert_curve(width: int, height: int) -> Curve:
+def gilbert_curve(width: int, height: int) -> tuple[Cell, ...]:
     """Space-filling visit order for a width x height rectangle at (0, 0).
 
     Every cell appears exactly once; consecutive cells are king-move
@@ -89,20 +74,18 @@ def gilbert_curve(width: int, height: int) -> Curve:
     if width < 1 or height < 1:
         raise DimensionMismatch(f"rectangle {width}x{height} has no cells")
     if width >= height:
-        cells = tuple(_generate(0, 0, width, 0, 0, height))
-    else:
-        cells = tuple(_generate(0, 0, 0, height, width, 0))
-    return Curve(cells)
+        return tuple(_generate(0, 0, width, 0, 0, height))
+    return tuple(_generate(0, 0, 0, height, width, 0))
 
 
-def repair_curve(c: Curve, g: GridGraph) -> Curve:
+def repair_curve(c: tuple[Cell, ...], g: GridGraph) -> tuple[Cell, ...]:
     """Replace diagonal steps with an L-detour through an in-graph cell.
 
     The horizontal intermediate is preferred; the detour revisits one cell,
     so the result can be longer than the input but is 4-adjacent throughout.
     """
-    out: list[Cell] = [c.cells[0]]
-    for nxt in c.cells[1:]:
+    out: list[Cell] = [c[0]]
+    for nxt in c[1:]:
         cur = out[-1]
         dx, dy = nxt.col - cur.col, nxt.row - cur.row
         if abs(dx) + abs(dy) == 1:
@@ -120,19 +103,19 @@ def repair_curve(c: Curve, g: GridGraph) -> Curve:
             out.append(nxt)
             continue
         raise DimensionMismatch(f"curve jumps from {tuple(cur)} to {tuple(nxt)}")
-    return Curve(tuple(out))
+    return tuple(out)
 
 
-def place_curve(rect: Rectangle, c: Curve) -> Curve:
+def place_curve(rect: Rectangle, c: tuple[Cell, ...]) -> tuple[Cell, ...]:
     """Translate a rectangle-local curve onto the rectangle's grid cells."""
-    cols = [cell.col for cell in c.cells]
-    rows = [cell.row for cell in c.cells]
+    cols = [cell.col for cell in c]
+    rows = [cell.row for cell in c]
     if min(cols) != 0 or min(rows) != 0 or max(cols) != rect.width - 1 or max(rows) != rect.height - 1:
         raise DimensionMismatch(
             f"curve spans {max(cols) + 1}x{max(rows) + 1}, rectangle is {rect.width}x{rect.height}"
         )
     dc, dr = rect.anchor.col, rect.anchor.row
-    return Curve(tuple(Cell(col + dc, row + dr) for col, row in c.cells))
+    return tuple(Cell(col + dc, row + dr) for col, row in c)
 
 
 def segment_bounds(n: int, count: int) -> list[tuple[int, int]]:
@@ -148,13 +131,3 @@ def segment_bounds(n: int, count: int) -> list[tuple[int, int]]:
     starts = [i * n // count for i in range(count)]
     stops = starts[1:] + [n]
     return list(zip(starts, stops))
-
-
-def assign_segments(c: Curve, count: int) -> list[int]:
-    """Start indices of `count` contiguous patrol segments along the curve."""
-    return [start for start, _ in segment_bounds(len(c.cells), count)]
-
-
-def curve_segments(c: Curve, count: int) -> list[tuple[int, int]]:
-    """(start, stop) index pairs of the patrol segments; stop is exclusive."""
-    return segment_bounds(len(c.cells), count)

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .decomposition import Rectangulation, allocate_robots, rectangulate
-from .errors import TooFewRobots
+from .errors import InvalidConfig, TooFewRobots
 from .geometry import Cell, GridGraph, OrthoPolygon, rasterize
 from .planning import (
     CostMap,
@@ -100,12 +100,6 @@ class SimState:
 
 
 @dataclass(frozen=True)
-class StepEvents:
-    captured: bool
-    via_swap: bool
-
-
-@dataclass(frozen=True)
 class TrialResult:
     captured: bool
     steps: int
@@ -142,7 +136,7 @@ def sfc_layout(grid: GridGraph, rect_seed: int = 0) -> SfcLayout:
     for rect in r.rects:
         local = gilbert_curve(rect.width, rect.height)
         routed = repair_curve(place_curve(rect, local), grid)
-        curves.append(tuple(grid.require(cell) for cell in routed.cells))
+        curves.append(tuple(grid.require(cell) for cell in routed))
     guards = tuple(grid.require(j.pairs[0][0]) for j in r.juncs)
     layout = SfcLayout(rectangulation=r, curves=tuple(curves), guards=guards)
     grid.cache[key] = layout
@@ -165,13 +159,13 @@ def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
     the intruder), so a config and its seed pin the whole trial.
     """
     if cfg.strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {cfg.strategy!r}")
+        raise InvalidConfig(f"unknown strategy {cfg.strategy!r}")
     if cfg.intruder not in INTRUDER_MODELS:
-        raise ValueError(f"unknown intruder model {cfg.intruder!r}")
+        raise InvalidConfig(f"unknown intruder model {cfg.intruder!r}")
     if cfg.k < 1:
         raise TooFewRobots("at least one robot is required")
     if cfg.max_steps is not None and cfg.max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
+        raise InvalidConfig("max_steps must be nonnegative")
     if grid is None:
         grid = rasterize(cfg.polygon)
     n = len(grid.cells)
@@ -181,7 +175,7 @@ def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
     robots: list[Robot] = []
     if cfg.strategy in ("sfc", "sfc_g"):
         if cfg.robot_positions is not None:
-            raise ValueError("robot_positions only apply to rs, crs and baseline")
+            raise InvalidConfig("robot_positions only apply to rs, crs and baseline")
         layout = sfc_layout(grid, cfg.rect_seed)
         guards = layout.guards if cfg.strategy == "sfc_g" else ()
         k_s = cfg.k - len(guards)
@@ -207,7 +201,7 @@ def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
     else:
         if cfg.robot_positions is not None:
             if len(cfg.robot_positions) != cfg.k:
-                raise ValueError(f"{cfg.k} robots but {len(cfg.robot_positions)} positions")
+                raise InvalidConfig(f"{cfg.k} robots but {len(cfg.robot_positions)} positions")
             starts = [grid.require(cell) for cell in cfg.robot_positions]
         else:
             starts = [rng.randrange(n) for _ in range(cfg.k)]
@@ -306,8 +300,8 @@ _POLICIES = {
 def intruder_move(state: SimState) -> Cell:
     """Advance the intruder one step under its model.
 
-    static: never moves. random: uniform over staying and all neighbors.
-    walk: uniform over neighbors only (stays only if boxed into one cell).
+    static: never moves. random: uniform over staying and every adjacent
+    cell. walk: uniform over adjacent cells only (stays only if boxed in).
     """
     g, intr = state.grid, state.intruder
     if intr.model == "static":
@@ -322,7 +316,7 @@ def intruder_move(state: SimState) -> Cell:
     return g.cells[intr.idx]
 
 
-def step(state: SimState) -> StepEvents:
+def step(state: SimState) -> None:
     """One synchronous step: searchers, cost bumps, intruder, capture test.
 
     Guards never move. Capture is co-location after the intruder's move, or
@@ -330,7 +324,7 @@ def step(state: SimState) -> StepEvents:
     trial is a no-op.
     """
     if state.captured or state.t >= state.max_steps:
-        return StepEvents(state.captured, state.via_swap)
+        return
     robots = state.robots
     prev = [r.idx for r in robots]
     policy = _POLICIES[state.cfg.strategy]
@@ -354,7 +348,6 @@ def step(state: SimState) -> StepEvents:
         state.captured = True
         state.via_swap = swapped and not co_located
     _record(state)
-    return StepEvents(state.captured, state.via_swap)
 
 
 def run_trial(cfg: SimConfig, grid: GridGraph | None = None) -> TrialResult:
@@ -401,7 +394,7 @@ def _draw_target(state: SimState, current: int) -> int:
 def _crs_assign(state: SimState) -> None:
     g, cm = state.grid, state.cost
     targets = [_draw_target(state, robot.idx) for robot in state.robots]
-    remaining = [costs_to_target(g, cm, g.cells[t]) for t in targets]
+    remaining = [costs_to_target(g, cm, t) for t in targets]
     matrix = [[col[robot.idx] for col in remaining] for robot in state.robots]
     assignment = hungarian(matrix)
     for robot, j in zip(state.robots, assignment.targets):

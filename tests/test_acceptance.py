@@ -30,7 +30,7 @@ from polysearch.harness import (
     rows_to_csv,
     run_sweep,
 )
-from polysearch.planning import CostMap, astar, bump_cost, hungarian, path_cost
+from polysearch.planning import CostMap, hungarian, plan_indices
 from polysearch.polygen import (
     ThreePartitionInstance,
     inflate_cut,
@@ -81,15 +81,14 @@ def test_criterion_01_curve_correctness():
     ok = True
     for w in range(1, 13):
         for h in range(1, 13):
-            curve = gilbert_curve(w, h)
-            cells = curve.cells
+            cells = gilbert_curve(w, h)
             ok &= sorted(cells) == sorted(Cell(c, r) for c in range(w) for r in range(h))
             ok &= all(
                 max(abs(a.col - b.col), abs(a.row - b.row)) == 1
                 for a, b in zip(cells, cells[1:])
             )
             grid = rasterize(P((0, 0), (w, 0), (w, h), (0, h)))
-            fixed = repair_curve(curve, grid).cells
+            fixed = repair_curve(cells, grid)
             ok &= all(
                 abs(a.col - b.col) + abs(a.row - b.row) == 1
                 for a, b in zip(fixed, fixed[1:])
@@ -180,15 +179,15 @@ def test_criterion_03_planner_optimality():
         grid = rasterize(poly)
         cm = CostMap(grid)
         for _ in range(rng.randrange(0, 3 * len(grid.cells))):
-            bump_cost(cm, grid.cells[rng.randrange(len(grid.cells))])
+            cm.bump_index(rng.randrange(len(grid.cells)))
         s = rng.randrange(len(grid.cells))
         t = rng.randrange(len(grid.cells))
-        path = astar(grid, cm, grid.cells[s], grid.cells[t])
-        got = path_cost(path, cm)
+        path = plan_indices(grid, cm, s, t)
+        got = sum(cm.entry[i] for i in path[1:])
         want = _oracle_cheapest(grid, cm.entry, s, t)
-        legal = path.cells[0] == grid.cells[s] and path.cells[-1] == grid.cells[t] and all(
-            abs(a.col - b.col) + abs(a.row - b.row) == 1
-            for a, b in zip(path.cells, path.cells[1:])
+        cells = [grid.cells[i] for i in path]
+        legal = path[0] == s and path[-1] == t and all(
+            abs(a.col - b.col) + abs(a.row - b.row) == 1 for a, b in zip(cells, cells[1:])
         )
         if abs(got - want) > 1e-9 or not legal:
             ok, detail = False, f"astar case {i}: {got} vs {want}"

@@ -97,12 +97,23 @@ def test_workers_env_var_overrides_flag(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--spec", str(spec_path), "-o", str(pooled)]) == 2
     assert "POLYSEARCH_WORKERS" in capsys.readouterr().err
 
+    monkeypatch.setenv("POLYSEARCH_WORKERS", "-3")
+    assert main(["sweep", "--spec", str(spec_path), "-o", str(pooled)]) == 2
+    assert "worker count" in capsys.readouterr().err
+
 
 def test_cli_reports_domain_errors(tmp_path, capsys):
     poly_path = str(tmp_path / "poly.json")
     assert main(["generate", "--vertices", "7", "--seed", "0", "-o", poly_path]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_curve_json_output(capsys):
+    assert main(["curve", "3", "2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == [
+        [0, 0], [0, 1], [1, 1], [2, 1], [2, 0], [1, 0]
+    ]
 
 
 def test_simulate_trace_is_json(tmp_path, capsys):
@@ -114,3 +125,47 @@ def test_simulate_trace_is_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["trace"][0]["t"] == 0
     assert len(payload["trace"]) == payload["steps"] + 1
+
+
+def _write(tmp_path, name: str, text: str) -> str:
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _spec(**overrides) -> str:
+    spec = {
+        "instances": [{"id": "strip", "polygon": [[0, 0], [4, 0], [4, 1], [0, 1]]}],
+        "strategies": ["rs"],
+        "ks": [1],
+        "trials": 1,
+    }
+    spec.update(overrides)
+    return json.dumps({k: v for k, v in spec.items() if v is not None})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["decompose", "{bad}"], id="decompose-malformed-json"),
+        pytest.param(["simulate", "{bad}", "--strategy", "rs", "-k", "1"], id="simulate-malformed-json"),
+        pytest.param(["decompose", "{novertices}"], id="polygon-without-vertices"),
+        pytest.param(["sweep", "--spec", "{missing}", "-o", "{out}"], id="spec-file-missing"),
+        pytest.param(["sweep", "--spec", "{nokey}", "-o", "{out}"], id="spec-key-missing"),
+        pytest.param(["sweep", "--spec", "{zzz}", "-o", "{out}"], id="spec-unknown-strategy"),
+        pytest.param(["sweep", "--spec", "{spec}", "--workers", "0", "-o", "{out}"], id="workers-flag-zero"),
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    paths = {
+        "bad": _write(tmp_path, "bad.json", "{not json"),
+        "novertices": _write(tmp_path, "novertices.json", '{"cell_size_m": 5.0}'),
+        "missing": str(tmp_path / "missing.json"),
+        "nokey": _write(tmp_path, "nokey.json", _spec(ks=None)),
+        "zzz": _write(tmp_path, "zzz.json", _spec(strategies=["zzz"])),
+        "spec": _write(tmp_path, "spec.json", _spec()),
+        "out": str(tmp_path / "out.csv"),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")

@@ -8,8 +8,8 @@ from polysearch.decomposition import (
     Junction,
     Rectangle,
     Rectangulation,
+    _find_junctions,
     allocate_robots,
-    junctions,
     rectangulate,
 )
 from polysearch.errors import TooFewRobots
@@ -63,9 +63,10 @@ class TestJunctions:
     def test_stacked_rectangles(self):
         g = rasterize(P((0, 0), (2, 0), (2, 2), (0, 2)))
         rects = [Rectangle(Cell(0, 0), 2, 1), Rectangle(Cell(0, 1), 2, 1)]
-        r = Rectangulation.from_rectangles(g, rects)
-        assert len(r.juncs) == 1
-        j = r.juncs[0]
+        check_partition(g, Rectangulation(tuple(rects), ()))
+        juncs = _find_junctions(rects)
+        assert len(juncs) == 1
+        j = juncs[0]
         assert (j.a, j.b) == (0, 1)
         assert j.pairs == ((Cell(0, 0), Cell(0, 1)), (Cell(1, 0), Cell(1, 1)))
 
@@ -76,20 +77,21 @@ class TestJunctions:
             Rectangle(Cell(0, 1), 1, 1),
             Rectangle(Cell(2, 1), 1, 1),
         ]
-        r = Rectangulation.from_rectangles(g, rects)
-        assert junctions(r) == [
+        check_partition(g, Rectangulation(tuple(rects), ()))
+        assert _find_junctions(rects) == (
             Junction(0, 1, ((Cell(0, 0), Cell(0, 1)),)),
             Junction(0, 2, ((Cell(2, 0), Cell(2, 1)),)),
-        ]
+        )
 
     def test_split_runs_are_maximal(self):
         # two columns side by side: one junction with as many pairs as rows
         g = rasterize(P((0, 0), (2, 0), (2, 4), (0, 4)))
         rects = [Rectangle(Cell(0, 0), 1, 4), Rectangle(Cell(1, 0), 1, 4)]
-        r = Rectangulation.from_rectangles(g, rects)
-        assert len(r.juncs) == 1
-        assert len(r.juncs[0].pairs) == 4
-        rows = [pa.row for pa, _ in r.juncs[0].pairs]
+        check_partition(g, Rectangulation(tuple(rects), ()))
+        juncs = _find_junctions(rects)
+        assert len(juncs) == 1
+        assert len(juncs[0].pairs) == 4
+        rows = [pa.row for pa, _ in juncs[0].pairs]
         assert rows == sorted(rows)
 
     def test_junction_pairs_are_adjacent_cross_rect(self, staircase):

@@ -15,7 +15,6 @@ from polysearch.errors import (
 from polysearch.geometry import (
     Cell,
     GridGraph,
-    neighbors,
     polygon_from_cells,
     rasterize,
     read_polygon_file,
@@ -136,37 +135,42 @@ class TestRasterize:
     def test_graph_is_connected(self, l_shape, u_shape, staircase):
         for poly in (l_shape, u_shape, staircase):
             g = rasterize(poly)
-            seen = {g.cells[0]}
-            stack = [g.cells[0]]
+            seen = {0}
+            stack = [0]
             while stack:
-                c = stack.pop()
-                for nb in neighbors(g, c):
-                    if nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            assert seen == set(g.cells)
+                i = stack.pop()
+                for j in g.adjacency[i]:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            assert seen == set(range(len(g)))
 
 
 class TestGridGraph:
+    @staticmethod
+    def neighbors(g, cell):
+        return [g.cells[j] for j in g.adjacency[g.require(cell)]]
+
     def test_neighbor_order_nesw(self):
         g = rasterize(P((0, 0), (3, 0), (3, 3), (0, 3)))
-        assert neighbors(g, Cell(1, 1)) == [Cell(1, 2), Cell(2, 1), Cell(1, 0), Cell(0, 1)]
+        assert self.neighbors(g, Cell(1, 1)) == [Cell(1, 2), Cell(2, 1), Cell(1, 0), Cell(0, 1)]
 
     def test_boundary_cell_neighbors(self, l_shape):
         g = rasterize(l_shape)
-        assert neighbors(g, Cell(0, 0)) == [Cell(0, 1), Cell(1, 0)]
-        assert neighbors(g, Cell(1, 0)) == [Cell(0, 0)]
+        assert self.neighbors(g, Cell(0, 0)) == [Cell(0, 1), Cell(1, 0)]
+        assert self.neighbors(g, Cell(1, 0)) == [Cell(0, 0)]
 
     def test_outside_cell_raises(self, l_shape):
         g = rasterize(l_shape)
         with pytest.raises(CellOutsideGraph):
-            neighbors(g, Cell(1, 1))
+            g.require(Cell(1, 1))
+        assert Cell(1, 1) not in g
 
     def test_neighbor_symmetry(self, staircase):
         g = rasterize(staircase)
-        for c in g.cells:
-            for nb in neighbors(g, c):
-                assert c in neighbors(g, nb)
+        for i, adj in enumerate(g.adjacency):
+            for j in adj:
+                assert i in g.adjacency[j]
 
     def test_row_major_order(self, staircase):
         g = rasterize(staircase)

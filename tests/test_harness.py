@@ -7,11 +7,13 @@ per-trial seeds depend only on the sweep layout.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from polysearch import harness
 from polysearch.errors import EmptyInput
 from polysearch.harness import (
     InstanceSpec,
@@ -25,10 +27,12 @@ from polysearch.harness import (
     trial_seed,
     write_csv,
     PRESETS,
+    preset_shapes,
+    preset_spikes4,
 )
 from polysearch.plots import bar_chart, line_plot
 from polysearch.polygen import comb_polygon
-from polysearch.sim import TrialResult
+from polysearch.sim import INTRUDER_MODELS, STRATEGIES, TrialResult
 
 from conftest import P
 
@@ -144,6 +148,33 @@ def test_worker_counts_agree_byte_for_byte():
     assert serial == parallel
 
 
+def test_pool_is_capped_at_cell_count(monkeypatch):
+    pools = []
+
+    class InlinePool:
+        """Stands in for ProcessPoolExecutor without starting processes."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    spec = tiny_spec(trials=1)
+    pooled = run_sweep(spec, workers=64)
+    assert pools == [12]
+    assert rows_to_csv(pooled) == rows_to_csv(run_sweep(spec))
+    run_sweep(SweepSpec(spec.instances, ("rs",), (1,), trials=1), workers=4)
+    assert pools == [12]  # one cell runs inline, no pool
+
+
 def test_progress_callback_sees_every_cell():
     spec = tiny_spec(trials=2)
     seen = []
@@ -157,6 +188,25 @@ def test_presets_expand():
         cells = expand_cells(spec)
         assert len(cells) > 0
         assert all(c.instance.id for c in cells)
+
+
+def test_golden_sweep_csv_hash():
+    # Behaviour lock: every strategy and intruder model on the spikes4 comb
+    # and the two-sided shape2 comb. Refactors must keep these bytes; a
+    # deliberate change updates the pin and says why.
+    shape2 = next(i for i in preset_shapes().instances if i.id == "shape2")
+    spec = SweepSpec(
+        instances=(preset_spikes4().instances[0], shape2),
+        strategies=STRATEGIES,
+        ks=(8, 20),
+        intruders=INTRUDER_MODELS,
+        trials=3,
+        base_seed=7,
+    )
+    rows = run_sweep(spec)
+    assert len(rows) == 60 and sum(not r.feasible for r in rows) == 6
+    digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+    assert digest == "c4458d31ddb475bef35d3f4131f8cc3f5c2a9a5041dd3d9622123f5f63521649"
 
 
 # ---------------------------------------------------------------- CSV

@@ -9,14 +9,13 @@ import pytest
 from polysearch.errors import CellOutsideGraph, NegativeEntry, NonSquare, Unreachable
 from polysearch.geometry import Cell, GridGraph, rasterize
 from polysearch.planning import (
+    VISIT_COST,
     Assignment,
     CostMap,
-    astar,
-    bump_cost,
     costs_to_target,
-    dijkstra,
     hungarian,
-    path_cost,
+    plan_indices,
+    shortest_indices,
 )
 
 from conftest import P
@@ -36,7 +35,7 @@ def ref_weighted_cost(g, entry, start: Cell, goal: Cell) -> float:
             return d
         for dx, dy in ((0, 1), (1, 0), (0, -1), (-1, 0)):
             nb = Cell(c.col + dx, c.row + dy)
-            if nb in g.cell_set and nb not in done:
+            if nb in g and nb not in done:
                 nd = d + entry[nb]
                 if nd < dist.get(nb, float("inf")):
                     dist[nb] = nd
@@ -55,7 +54,7 @@ def ref_bfs_steps(g, start: Cell, goal: Cell) -> int:
         for c in frontier:
             for dx, dy in ((0, 1), (1, 0), (0, -1), (-1, 0)):
                 nb = Cell(c.col + dx, c.row + dy)
-                if nb in g.cell_set and nb not in seen:
+                if nb in g and nb not in seen:
                     seen.add(nb)
                     nxt.append(nb)
         frontier = nxt
@@ -83,80 +82,90 @@ def random_polygon_grid(rng: random.Random):
     return rasterize(shapes[rng.randrange(len(shapes))])
 
 
+def path_cost(cm: CostMap, path) -> float:
+    """Cost of walking an index path: entered cells only, start free."""
+    return sum(cm.entry[i] for i in path[1:])
+
+
 class TestCostMap:
     def test_fresh_map_zero(self):
         g = rasterize(P((0, 0), (3, 0), (3, 3), (0, 3)))
         cm = CostMap(g)
-        assert all(cm.cost(c) == 0.0 for c in g.cells)
+        assert all(VISIT_COST * n == 0.0 for n in cm.counts)
+        assert cm.entry == [1.0] * len(g)
 
     def test_bump_increments(self):
         g = rasterize(P((0, 0), (2, 0), (2, 2), (0, 2)))
         cm = CostMap(g)
-        bump_cost(cm, Cell(1, 1))
-        assert cm.cost(Cell(1, 1)) == 0.05
-        bump_cost(cm, Cell(1, 1))
-        assert cm.cost(Cell(1, 1)) == 0.05 * 2
-        bump_cost(cm, Cell(1, 1))
-        assert cm.cost(Cell(1, 1)) == pytest.approx(0.15)
-        assert cm.cost(Cell(0, 0)) == 0.0
+        i = g.require(Cell(1, 1))
+        cm.bump_index(i)
+        assert VISIT_COST * cm.counts[i] == 0.05
+        cm.bump_index(i)
+        assert VISIT_COST * cm.counts[i] == 0.05 * 2
+        cm.bump_index(i)
+        assert VISIT_COST * cm.counts[i] == pytest.approx(0.15)
+        assert cm.entry[i] == 1.0 + VISIT_COST * 3
+        assert cm.counts[g.require(Cell(0, 0))] == 0
 
     def test_bump_outside_raises(self):
         g = rasterize(P((0, 0), (2, 0), (2, 2), (0, 2)))
         with pytest.raises(CellOutsideGraph):
-            bump_cost(CostMap(g), Cell(5, 5))
+            g.require(Cell(5, 5))
 
     def test_path_cost_counts_entered_cells(self):
         g = rasterize(P((0, 0), (4, 0), (4, 1), (0, 1)))
         cm = CostMap(g)
-        p = astar(g, cm, Cell(0, 0), Cell(3, 0))
-        assert path_cost(p, cm) == pytest.approx(3.0)
-        bump_cost(cm, Cell(0, 0))  # start cell cost never charged
-        assert path_cost(p, cm) == pytest.approx(3.0)
-        bump_cost(cm, Cell(1, 0))
-        assert path_cost(p, cm) == pytest.approx(3.05)
+        p = plan_indices(g, cm, g.require(Cell(0, 0)), g.require(Cell(3, 0)))
+        assert path_cost(cm, p) == pytest.approx(3.0)
+        cm.bump_index(g.require(Cell(0, 0)))  # start cell cost never charged
+        assert path_cost(cm, p) == pytest.approx(3.0)
+        cm.bump_index(g.require(Cell(1, 0)))
+        assert path_cost(cm, p) == pytest.approx(3.05)
 
 
 class TestAstar:
     def test_start_equals_goal(self):
         g = rasterize(P((0, 0), (3, 0), (3, 3), (0, 3)))
-        p = astar(g, CostMap(g), Cell(1, 1), Cell(1, 1))
-        assert list(p.cells) == [Cell(1, 1)]
-        assert path_cost(p, CostMap(g)) == 0.0
+        i = g.require(Cell(1, 1))
+        p = plan_indices(g, CostMap(g), i, i)
+        assert p == [i]
+        assert path_cost(CostMap(g), p) == 0.0
 
     def test_unweighted_cost_is_manhattan(self):
         g = rasterize(P((0, 0), (5, 0), (5, 5), (0, 5)))
         cm = CostMap(g)
-        p = astar(g, cm, Cell(0, 0), Cell(4, 3))
-        assert path_cost(p, cm) == pytest.approx(7.0)
+        p = plan_indices(g, cm, g.require(Cell(0, 0)), g.require(Cell(4, 3)))
+        assert path_cost(cm, p) == pytest.approx(7.0)
         assert len(p) == 8
 
     def test_avoids_expensive_cell(self):
         g = rasterize(P((0, 0), (3, 0), (3, 3), (0, 3)))
         cm = CostMap(g)
         for _ in range(10):
-            bump_cost(cm, Cell(1, 1))
-        p = astar(g, cm, Cell(0, 0), Cell(2, 2))
-        assert Cell(1, 1) not in p.cells
-        assert path_cost(p, cm) == pytest.approx(4.0)
+            cm.bump_index(g.require(Cell(1, 1)))
+        p = plan_indices(g, cm, g.require(Cell(0, 0)), g.require(Cell(2, 2)))
+        assert g.require(Cell(1, 1)) not in p
+        assert path_cost(cm, p) == pytest.approx(4.0)
 
     def test_path_is_4_adjacent_and_in_graph(self):
         g = rasterize(P((0, 0), (4, 0), (4, 2), (2, 2), (2, 4), (0, 4)))
-        p = astar(g, CostMap(g), Cell(3, 1), Cell(1, 3))
-        for a, b in zip(p.cells, p.cells[1:]):
+        p = plan_indices(g, CostMap(g), g.require(Cell(3, 1)), g.require(Cell(1, 3)))
+        cells = [g.cells[i] for i in p]
+        for a, b in zip(cells, cells[1:]):
             assert abs(a.col - b.col) + abs(a.row - b.row) == 1
-            assert b in g.cell_set
+            assert b in g
 
     def test_deterministic(self):
         g = rasterize(P((0, 0), (5, 0), (5, 5), (0, 5)))
         cm = CostMap(g)
-        p1 = astar(g, cm, Cell(0, 0), Cell(4, 4))
-        p2 = astar(g, cm, Cell(0, 0), Cell(4, 4))
-        assert p1.cells == p2.cells
+        p1 = plan_indices(g, cm, g.require(Cell(0, 0)), g.require(Cell(4, 4)))
+        p2 = plan_indices(g, cm, g.require(Cell(0, 0)), g.require(Cell(4, 4)))
+        assert p1 == p2
 
     def test_unreachable(self):
         g = GridGraph([Cell(0, 0), Cell(2, 0)], (3, 1))
         with pytest.raises(Unreachable):
-            astar(g, CostMap(g), Cell(0, 0), Cell(2, 0))
+            plan_indices(g, CostMap(g), g.require(Cell(0, 0)), g.require(Cell(2, 0)))
 
     def test_matches_weighted_oracle_random(self):
         rng = random.Random(101)
@@ -164,12 +173,13 @@ class TestAstar:
             g = random_polygon_grid(rng)
             cm = CostMap(g)
             for _ in range(rng.randrange(0, 30)):
-                bump_cost(cm, g.cells[rng.randrange(len(g))])
-            start = g.cells[rng.randrange(len(g))]
-            goal = g.cells[rng.randrange(len(g))]
-            p = astar(g, cm, start, goal)
-            entry = {c: 1.0 + cm.cost(c) for c in g.cells}
-            assert path_cost(p, cm) == pytest.approx(ref_weighted_cost(g, entry, start, goal))
+                cm.bump_index(rng.randrange(len(g)))
+            s = rng.randrange(len(g))
+            t = rng.randrange(len(g))
+            p = plan_indices(g, cm, s, t)
+            entry = {c: 1.0 + VISIT_COST * cm.counts[i] for i, c in enumerate(g.cells)}
+            want = ref_weighted_cost(g, entry, g.cells[s], g.cells[t])
+            assert path_cost(cm, p) == pytest.approx(want)
 
 
 class TestDijkstra:
@@ -177,10 +187,10 @@ class TestDijkstra:
         rng = random.Random(7)
         for _ in range(100):
             g = random_polygon_grid(rng)
-            start = g.cells[rng.randrange(len(g))]
-            goal = g.cells[rng.randrange(len(g))]
-            p = dijkstra(g, start, goal)
-            assert len(p) - 1 == ref_bfs_steps(g, start, goal)
+            s = rng.randrange(len(g))
+            t = rng.randrange(len(g))
+            p = shortest_indices(g, s, t)
+            assert len(p) - 1 == ref_bfs_steps(g, g.cells[s], g.cells[t])
 
 
 class TestCostsToTarget:
@@ -190,11 +200,11 @@ class TestCostsToTarget:
             g = random_polygon_grid(rng)
             cm = CostMap(g)
             for _ in range(rng.randrange(0, 40)):
-                bump_cost(cm, g.cells[rng.randrange(len(g))])
-            target = g.cells[rng.randrange(len(g))]
-            dist = costs_to_target(g, cm, target)
-            for i, c in enumerate(g.cells):
-                expect = path_cost(astar(g, cm, c, target), cm)
+                cm.bump_index(rng.randrange(len(g)))
+            t = rng.randrange(len(g))
+            dist = costs_to_target(g, cm, t)
+            for i in range(len(g)):
+                expect = path_cost(cm, plan_indices(g, cm, i, t))
                 assert dist[i] == pytest.approx(expect)
 
 

@@ -101,6 +101,19 @@ class TestComb:
         # base 10 wide x 3 tall, two 2x2 spikes
         assert len(cells) == 30 + 8
 
+    def test_bottom_teeth_and_flat_slots(self):
+        cells = comb_cells((2, 0), spike_width=1, base_height=1, spike_gap=1, down=(0, 3))
+        # base 5x1; slot 0 (col 1) rises 2 cells, slot 1 (col 3) hangs 3 below
+        assert len(cells) == 5 + 2 + 3
+        assert Cell(1, 2) in cells and Cell(3, 1) not in cells
+        assert Cell(3, -3) in cells and Cell(1, -1) not in cells
+
+    def test_negative_depth_rejected(self):
+        with pytest.raises(InstanceInvalid):
+            comb_cells((2, -1))
+        with pytest.raises(InstanceInvalid):
+            comb_cells((2, 2), down=(0, -1))
+
     def test_spike_depths_ordered_left_to_right(self):
         inst = quiet_instance((4, 5, 7, 4, 5, 7), 2, 16)
         with warnings.catch_warnings():

@@ -5,14 +5,7 @@ import pytest
 from polysearch.decomposition import Rectangle
 from polysearch.errors import DimensionMismatch, TooManyRobots
 from polysearch.geometry import Cell, rasterize
-from polysearch.sfc import (
-    Curve,
-    assign_segments,
-    curve_segments,
-    gilbert_curve,
-    place_curve,
-    repair_curve,
-)
+from polysearch.sfc import gilbert_curve, place_curve, repair_curve, segment_bounds
 
 from conftest import P
 
@@ -21,22 +14,22 @@ def full_rect_grid(w: int, h: int):
     return rasterize(P((0, 0), (w, 0), (w, h), (0, h)))
 
 
-def steps(c: Curve):
-    return [(b.col - a.col, b.row - a.row) for a, b in zip(c.cells, c.cells[1:])]
+def steps(c: tuple[Cell, ...]):
+    return [(b.col - a.col, b.row - a.row) for a, b in zip(c, c[1:])]
 
 
 class TestGilbert:
     def test_single_column(self):
         c = gilbert_curve(1, 5)
-        assert list(c.cells) == [Cell(0, r) for r in range(5)]
+        assert list(c) == [Cell(0, r) for r in range(5)]
 
     def test_single_row(self):
         c = gilbert_curve(5, 1)
-        assert list(c.cells) == [Cell(col, 0) for col in range(5)]
+        assert list(c) == [Cell(col, 0) for col in range(5)]
 
     def test_2x2(self):
         c = gilbert_curve(2, 2)
-        assert len(set(c.cells)) == 4
+        assert len(set(c)) == 4
         for dx, dy in steps(c):
             assert abs(dx) + abs(dy) == 1
 
@@ -45,16 +38,16 @@ class TestGilbert:
         # steps, so repair leaves the curve unchanged.
         c = gilbert_curve(3, 3)
         assert len(c) == 9
-        assert len(set(c.cells)) == 9
+        assert len(set(c)) == 9
         assert all(abs(dx) + abs(dy) == 1 for dx, dy in steps(c))
-        assert repair_curve(c, full_rect_grid(3, 3)).cells == c.cells
+        assert repair_curve(c, full_rect_grid(3, 3)) == c
 
     def test_exhaustive_up_to_12(self):
         for w in range(1, 13):
             for h in range(1, 13):
                 c = gilbert_curve(w, h)
                 assert len(c) == w * h
-                assert set(c.cells) == {Cell(col, row) for col in range(w) for row in range(h)}
+                assert set(c) == {Cell(col, row) for col in range(w) for row in range(h)}
                 diagonals = 0
                 for dx, dy in steps(c):
                     assert max(abs(dx), abs(dy)) == 1
@@ -71,7 +64,7 @@ class TestRepair:
     def test_identity_when_no_diagonal(self):
         g = full_rect_grid(4, 4)
         c = gilbert_curve(4, 4)
-        assert repair_curve(c, g).cells == c.cells
+        assert repair_curve(c, g) == c
 
     def test_4x5_diagonal_removed(self):
         c = gilbert_curve(4, 5)
@@ -79,32 +72,32 @@ class TestRepair:
         r = repair_curve(c, full_rect_grid(4, 5))
         assert len(r) == len(c) + 1
         assert all(abs(dx) + abs(dy) == 1 for dx, dy in steps(r))
-        assert set(r.cells) == set(c.cells)
+        assert set(r) == set(c)
 
     def test_horizontal_intermediate_preferred(self):
         g = full_rect_grid(2, 2)
-        c = Curve((Cell(0, 0), Cell(1, 1)))
+        c = (Cell(0, 0), Cell(1, 1))
         r = repair_curve(c, g)
-        assert list(r.cells) == [Cell(0, 0), Cell(1, 0), Cell(1, 1)]
+        assert list(r) == [Cell(0, 0), Cell(1, 0), Cell(1, 1)]
 
     def test_vertical_fallback(self):
         # L-shaped grid without the horizontal intermediate cell
         g = rasterize(P((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)))
-        c = Curve((Cell(0, 0), Cell(1, 1)))
+        c = (Cell(0, 0), Cell(1, 1))
         r = repair_curve(c, g)
-        assert list(r.cells) == [Cell(0, 0), Cell(0, 1), Cell(1, 1)]
+        assert list(r) == [Cell(0, 0), Cell(0, 1), Cell(1, 1)]
 
     def test_gap_rejected(self):
         g = full_rect_grid(4, 1)
         with pytest.raises(DimensionMismatch):
-            repair_curve(Curve((Cell(0, 0), Cell(2, 0))), g)
+            repair_curve((Cell(0, 0), Cell(2, 0)), g)
 
     def test_exhaustive_repaired_up_to_12(self):
         for w in range(1, 13):
             for h in range(1, 13):
                 g = full_rect_grid(w, h)
                 r = repair_curve(gilbert_curve(w, h), g)
-                assert set(r.cells) == set(g.cells)
+                assert set(r) == set(g.cells)
                 assert len(r) <= w * h + 1
                 assert all(abs(dx) + abs(dy) == 1 for dx, dy in steps(r))
 
@@ -114,7 +107,7 @@ class TestPlace:
         rect = Rectangle(Cell(3, 2), 2, 2)
         c = gilbert_curve(2, 2)
         placed = place_curve(rect, c)
-        assert set(placed.cells) == set(rect.cells())
+        assert set(placed) == set(rect.cells())
         assert steps(placed) == steps(c)
 
     def test_dimension_mismatch(self):
@@ -124,27 +117,30 @@ class TestPlace:
 
 
 class TestSegments:
+    def starts(self, c, count):
+        return [start for start, _ in segment_bounds(len(c), count)]
+
     def test_even_split(self):
         c = gilbert_curve(3, 3)
-        assert assign_segments(c, 4) == [0, 2, 4, 6]
+        assert self.starts(c, 4) == [0, 2, 4, 6]
 
     def test_one_robot(self):
         c = gilbert_curve(2, 3)
-        assert assign_segments(c, 1) == [0]
-        assert curve_segments(c, 1) == [(0, 6)]
+        assert self.starts(c, 1) == [0]
+        assert segment_bounds(len(c), 1) == [(0, 6)]
 
     def test_robot_per_cell(self):
         c = gilbert_curve(2, 2)
-        assert assign_segments(c, 4) == [0, 1, 2, 3]
+        assert self.starts(c, 4) == [0, 1, 2, 3]
 
     def test_too_many(self):
         with pytest.raises(TooManyRobots):
-            assign_segments(gilbert_curve(2, 2), 5)
+            segment_bounds(len(gilbert_curve(2, 2)), 5)
 
     def test_segments_partition_curve(self):
         c = gilbert_curve(5, 4)
         for count in range(1, len(c) + 1):
-            segs = curve_segments(c, count)
+            segs = segment_bounds(len(c), count)
             assert segs[0][0] == 0
             assert segs[-1][1] == len(c)
             for (_, stop), (start, _) in zip(segs, segs[1:]):
