@@ -9,8 +9,10 @@ an edge.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -83,12 +85,19 @@ def _shoelace(vertices: Sequence[Point]) -> int:
 def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
     """Check a vertex loop and normalize it (CCW, min corner at origin).
 
-    Raises subclasses of InvalidPolygon: NonIntegralVertex, OddVertexCount,
-    DegenerateEdge, NonOrthogonalEdge, CollinearEdges, SelfIntersection.
+    Raises InvalidPolygon when a vertex is not a pair of finite numbers, and
+    its subclasses NonIntegralVertex, OddVertexCount, DegenerateEdge,
+    NonOrthogonalEdge, CollinearEdges, SelfIntersection.
     """
+    try:
+        coords = [(v, tuple(v)) for v in vertices]
+    except TypeError:
+        raise InvalidPolygon("vertices must be a list of [x, y] pairs") from None
     pts: list[Point] = []
-    for v in vertices:
-        x, y = v[0], v[1]
+    for v, xy in coords:
+        if len(xy) != 2 or not all(isinstance(c, Real) and math.isfinite(c) for c in xy):
+            raise InvalidPolygon(f"vertex {v!r} is not an [x, y] pair of finite numbers")
+        x, y = xy
         if x != int(x) or y != int(y):
             raise NonIntegralVertex(f"vertex ({x}, {y}) is not on the integer lattice")
         pts.append((int(x), int(y)))
@@ -333,7 +342,10 @@ def read_polygon_file(path: str) -> tuple[OrthoPolygon, float]:
     if not isinstance(data, dict) or "vertices" not in data:
         raise InvalidPolygon(f"{path} has no \"vertices\" list")
     poly = validate_polygon(data["vertices"])
-    return poly, float(data.get("cell_size_m", 5.0))
+    try:
+        return poly, float(data.get("cell_size_m", 5.0))
+    except (TypeError, ValueError):
+        raise InvalidPolygon(f"{path}: \"cell_size_m\" is not a number") from None
 
 
 def write_polygon_file(path: str, poly: OrthoPolygon, cell_size_m: float = 5.0) -> None:

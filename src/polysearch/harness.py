@@ -13,9 +13,11 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Sequence
 
 from .errors import EmptyInput, InvalidConfig
@@ -92,14 +94,22 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     """Canonical cell order: instance, then strategy, intruder, team size."""
     if not spec.instances or not spec.strategies or not spec.ks:
         raise EmptyInput("sweep needs at least one instance, strategy and team size")
+    for inst in spec.instances:
+        if not isinstance(inst.id, str):
+            raise InvalidConfig(f"instance id must be a string, got {inst.id!r}")
     for s in spec.strategies:
         if s not in STRATEGIES:
             raise InvalidConfig(f"unknown strategy {s!r}")
     for m in spec.intruders:
         if m not in INTRUDER_MODELS:
             raise InvalidConfig(f"unknown intruder model {m!r}")
-    if spec.trials < 1:
-        raise InvalidConfig("trials must be positive")
+    if not isinstance(spec.trials, Integral) or spec.trials < 1:
+        raise InvalidConfig(f"trials must be a positive integer, got {spec.trials!r}")
+    for k in spec.ks:
+        if not isinstance(k, Integral):
+            raise InvalidConfig(f"team size must be an integer, got {k!r}")
+    if spec.max_steps is not None and not isinstance(spec.max_steps, Integral):
+        raise InvalidConfig(f"max_steps must be an integer, got {spec.max_steps!r}")
     cells = []
     index = 0
     for inst in spec.instances:
@@ -198,11 +208,14 @@ def run_sweep(
     workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> list[SummaryRow]:
-    """Run every cell; row order and content do not depend on `workers`."""
+    """Run every cell; row order and content do not depend on `workers`.
+
+    The pool never holds more processes than there are cells or CPUs.
+    """
     cells = expand_cells(spec)
     jobs = [(c, spec.trials, spec.base_seed, spec.max_steps) for c in cells]
     rows: list[SummaryRow | None] = [None] * len(cells)
-    workers = min(workers, len(cells))
+    workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers <= 1:
         for i, job in enumerate(jobs):
             rows[job[0].index] = run_cell(*job)

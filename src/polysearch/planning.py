@@ -3,6 +3,10 @@
 Path cost is the sum over entered cells (start excluded) of 1 + cost(cell),
 where cost grows by 0.05 per recorded visit. The Manhattan heuristic stays
 admissible because every entered cell contributes at least 1.
+
+`costs_to_target` gives that objective to many targets in one batched
+Dijkstra call, in exact integer units of VISIT_COST; `hungarian` solves
+once and breaks ties over the tight edges of the recovered duals.
 """
 from __future__ import annotations
 
@@ -12,11 +16,15 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csgraph, csr_matrix
 
 from .errors import InvalidConfig, NegativeEntry, NonSquare, Unreachable
 from .geometry import GridGraph
 
 VISIT_COST = 0.05
+
+#: Cost of entering an unvisited cell in units of VISIT_COST (1 / VISIT_COST).
+STEP_UNITS = 20
 
 
 class CostMap:
@@ -102,31 +110,39 @@ def shortest_indices(g: GridGraph, start: int, goal: int) -> tuple[int, ...]:
     return hit
 
 
-def costs_to_target(g: GridGraph, cm: CostMap, t: int) -> list[float]:
-    """Cost of the cheapest path from every cell to cell index `t`.
+def _reverse_csr(g: GridGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSR structure of the grid with each edge owned by the cell it leaves.
 
-    One reverse relaxation pass: leaving u toward the target through v costs
-    entry[v] plus the remaining cost from v, which reproduces the
-    plan_indices objective for every source at once.
+    Adjacency is symmetric, so the reversed graph has the same structure;
+    only the weights move: edge v -> u of the reversed graph costs the
+    entry of v. Built once per grid and kept in `g.cache`.
     """
+    hit = g.cache.get("reverse_csr")
+    if hit is None:
+        degrees = [len(nbrs) for nbrs in g.adjacency]
+        indptr = np.zeros(len(degrees) + 1, dtype=np.int32)
+        np.cumsum(degrees, out=indptr[1:])
+        indices = np.array([u for nbrs in g.adjacency for u in nbrs], dtype=np.int32)
+        owner = np.repeat(np.arange(len(degrees)), degrees)
+        hit = (indptr, indices, owner)
+        g.cache["reverse_csr"] = hit
+    return hit
+
+
+def costs_to_target(g: GridGraph, cm: CostMap, targets: Sequence[int]) -> np.ndarray:
+    """Cost of the cheapest path from every cell to each of `targets`.
+
+    Row r, column i holds the plan_indices objective from cell i to cell
+    `targets[r]`, in integer units of VISIT_COST: entering a cell costs
+    STEP_UNITS + its visit count. The values are exact in float64, so
+    ties between them are exact. One Dijkstra call over the reversed
+    graph serves every target at once.
+    """
+    indptr, indices, owner = _reverse_csr(g)
     n = len(g.cells)
-    entry = cm.entry
-    dist = [float("inf")] * n
-    dist[t] = 0.0
-    closed = bytearray(n)
-    heap: list[tuple[float, int]] = [(0.0, t)]
-    adjacency = g.adjacency
-    while heap:
-        _, v = heappop(heap)
-        if closed[v]:
-            continue
-        closed[v] = 1
-        step_in = dist[v] + entry[v]
-        for u in adjacency[v]:
-            if not closed[u] and step_in < dist[u]:
-                dist[u] = step_in
-                heappush(heap, (step_in, u))
-    return dist
+    data = (STEP_UNITS + np.asarray(cm.counts, dtype=np.float64))[owner]
+    graph = csr_matrix((data, indices, indptr), shape=(n, n))
+    return csgraph.dijkstra(graph, directed=True, indices=targets)
 
 
 @dataclass(frozen=True)
@@ -139,7 +155,11 @@ def hungarian(cost_matrix: Sequence[Sequence[float]]) -> Assignment:
     """Minimum-cost perfect assignment; lexicographically smallest on ties.
 
     Rows are fixed in order; for each row the smallest column index that
-    still completes to an optimal assignment is chosen.
+    still completes to an optimal assignment is chosen. One
+    linear_sum_assignment solve gives an optimal matching; every optimal
+    matching uses only tight edges (reduced cost <= 1e-9 under the
+    recovered duals), so the lexicographic pass moves along alternating
+    cycles of tight edges and never solves again.
     """
     m = np.asarray(cost_matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
@@ -150,26 +170,58 @@ def hungarian(cost_matrix: Sequence[Sequence[float]]) -> Assignment:
         raise NegativeEntry("cost matrix entries must be non-negative")
 
     k = m.shape[0]
-    rows, cols = linear_sum_assignment(m)
-    optimal = float(m[rows, cols].sum())
+    _, cols = linear_sum_assignment(m)
+    # Column potentials by Bellman-Ford on the residual graph: moving row i
+    # from its column to column j costs m[i, j] - m[i, col(i)].
+    move = m - m[np.arange(k), cols][:, None]
+    pot = np.zeros(k)
+    for _ in range(k):
+        relaxed = np.minimum(pot, (pot[cols][:, None] + move).min(axis=0))
+        if np.array_equal(relaxed, pot):
+            break
+        pot = relaxed
+    tight = move + pot[cols][:, None] - pot[None, :] <= 1e-9
+    adj = [np.flatnonzero(row).tolist() for row in tight]
 
-    eps = 1e-9
-    available = list(range(k))
-    chosen: list[int] = []
-    prefix = 0.0
+    col_of = cols.tolist()
+    row_of = np.argsort(cols).tolist()
     for i in range(k):
-        for pos, j in enumerate(available):
-            rest_rows = np.arange(i + 1, k)
-            rest_cols = [c for c in available if c != j]
-            if len(rest_rows):
-                sub = m[np.ix_(rest_rows, rest_cols)]
-                rr, cc = linear_sum_assignment(sub)
-                rest = float(sub[rr, cc].sum())
-            else:
-                rest = 0.0
-            if prefix + m[i, j] + rest <= optimal + eps:
-                chosen.append(j)
-                prefix += float(m[i, j])
-                available.pop(pos)
+        freed = col_of[i]
+        for j in adj[i]:
+            if j >= freed:
                 break
-    return Assignment(tuple(chosen), float(sum(m[i, chosen[i]] for i in range(k))))
+            if row_of[j] < i:
+                continue  # held by a row already fixed
+            path = _alternating_path(adj, col_of, row_of, i, row_of[j], freed)
+            if path is not None:
+                for r, c in [(i, j)] + path:
+                    col_of[r] = c
+                    row_of[c] = r
+                break
+    return Assignment(tuple(col_of), float(sum(m[i, col_of[i]] for i in range(k))))
+
+
+def _alternating_path(
+    adj: list[list[int]], col_of: list[int], row_of: list[int], fixed: int, start: int, freed: int
+) -> list[tuple[int, int]] | None:
+    """Moves (row, new column) that rehome row `start` over tight edges.
+
+    Breadth-first over rows after `fixed`: each row on the path takes a
+    column held by the next one, and the last takes `freed`. None when
+    no such path exists.
+    """
+    came_from = {start: None}
+    queue = [start]
+    for r in queue:
+        for c in adj[r]:
+            if c == freed:
+                path = [(r, c)]
+                while came_from[r] is not None:
+                    r, c = came_from[r], col_of[r]
+                    path.append((r, c))
+                return path[::-1]
+            nxt = row_of[c]
+            if nxt > fixed and nxt not in came_from:
+                came_from[nxt] = r
+                queue.append(nxt)
+    return None

@@ -394,9 +394,8 @@ def _draw_target(state: SimState, current: int) -> int:
 def _crs_assign(state: SimState) -> None:
     g, cm = state.grid, state.cost
     targets = [_draw_target(state, robot.idx) for robot in state.robots]
-    remaining = [costs_to_target(g, cm, t) for t in targets]
-    matrix = [[col[robot.idx] for col in remaining] for robot in state.robots]
-    assignment = hungarian(matrix)
+    remaining = costs_to_target(g, cm, targets)
+    assignment = hungarian(remaining[:, [robot.idx for robot in state.robots]].T)
     for robot, j in zip(state.robots, assignment.targets):
         robot.plan = plan_indices(g, cm, robot.idx, targets[j])
         robot.plan_pos = 0

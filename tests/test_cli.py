@@ -154,9 +154,17 @@ def _spec(**overrides) -> str:
         pytest.param(["sweep", "--spec", "{nokey}", "-o", "{out}"], id="spec-key-missing"),
         pytest.param(["sweep", "--spec", "{zzz}", "-o", "{out}"], id="spec-unknown-strategy"),
         pytest.param(["sweep", "--spec", "{spec}", "--workers", "0", "-o", "{out}"], id="workers-flag-zero"),
+        pytest.param(["decompose", "{short}"], id="polygon-vertex-not-a-pair"),
+        pytest.param(["decompose", "{cellsize}"], id="polygon-cell-size-not-a-number"),
+        pytest.param(["sweep", "--spec", "{polyobj}", "-o", "{out}"], id="spec-polygon-is-an-object"),
+        pytest.param(["sweep", "--spec", "{trials}", "-o", "{out}"], id="spec-trials-string"),
+        pytest.param(["sweep", "--spec", "{ks}", "-o", "{out}"], id="spec-ks-float"),
+        pytest.param(["sweep", "--spec", "{maxsteps}", "-o", "{out}"], id="spec-max-steps-string"),
+        pytest.param(["sweep", "--spec", "{numid}", "-o", "{out}"], id="spec-instance-id-number"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    strip = [[0, 0], [4, 0], [4, 1], [0, 1]]
     paths = {
         "bad": _write(tmp_path, "bad.json", "{not json"),
         "novertices": _write(tmp_path, "novertices.json", '{"cell_size_m": 5.0}'),
@@ -164,6 +172,17 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         "nokey": _write(tmp_path, "nokey.json", _spec(ks=None)),
         "zzz": _write(tmp_path, "zzz.json", _spec(strategies=["zzz"])),
         "spec": _write(tmp_path, "spec.json", _spec()),
+        "short": _write(tmp_path, "short.json", '{"vertices": [[0, 0], [1], [1, 1], [0, 1]]}'),
+        "cellsize": _write(
+            tmp_path, "cellsize.json", json.dumps({"vertices": strip, "cell_size_m": "5m"})
+        ),
+        "polyobj": _write(
+            tmp_path, "polyobj.json", _spec(instances=[{"id": "s", "polygon": {"vertices": strip}}])
+        ),
+        "trials": _write(tmp_path, "trials.json", _spec(trials="4")),
+        "ks": _write(tmp_path, "ks.json", _spec(ks=[2.5])),
+        "maxsteps": _write(tmp_path, "maxsteps.json", _spec(max_steps="9")),
+        "numid": _write(tmp_path, "numid.json", _spec(instances=[{"id": 5, "polygon": strip}])),
         "out": str(tmp_path / "out.csv"),
     }
     assert main([arg.format(**paths) for arg in argv]) == 2

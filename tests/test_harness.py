@@ -148,14 +148,14 @@ def test_worker_counts_agree_byte_for_byte():
     assert serial == parallel
 
 
-def test_pool_is_capped_at_cell_count(monkeypatch):
-    pools = []
+@pytest.fixture
+def pools(monkeypatch) -> list[int]:
+    """Pool sizes run_sweep asks for; the pool maps inline, starting no process."""
+    sizes: list[int] = []
 
     class InlinePool:
-        """Stands in for ProcessPoolExecutor without starting processes."""
-
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -167,12 +167,25 @@ def test_pool_is_capped_at_cell_count(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def test_pool_is_capped_at_cell_count(monkeypatch, pools):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
     spec = tiny_spec(trials=1)
     pooled = run_sweep(spec, workers=64)
     assert pools == [12]
     assert rows_to_csv(pooled) == rows_to_csv(run_sweep(spec))
     run_sweep(SweepSpec(spec.instances, ("rs",), (1,), trials=1), workers=4)
     assert pools == [12]  # one cell runs inline, no pool
+
+
+@pytest.mark.parametrize("cpus, expect", [(3, [3]), (1, []), (None, [])])
+def test_pool_is_capped_at_cpu_count(monkeypatch, pools, cpus, expect):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    spec = tiny_spec(trials=1)
+    assert rows_to_csv(run_sweep(spec, workers=8)) == rows_to_csv(run_sweep(spec))
+    assert pools == expect  # one CPU, or an unknown count, runs inline
 
 
 def test_progress_callback_sees_every_cell():

@@ -4,11 +4,17 @@ import heapq
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from polysearch import planning
 from polysearch.errors import CellOutsideGraph, NegativeEntry, NonSquare, Unreachable
 from polysearch.geometry import Cell, GridGraph, rasterize
 from polysearch.planning import (
+    STEP_UNITS,
     VISIT_COST,
     Assignment,
     CostMap,
@@ -70,6 +76,49 @@ def brute_hungarian(m) -> tuple[tuple[int, ...], float]:
     best = min(costs.values())
     winners = [p for p, c in costs.items() if c <= best + 1e-9]
     return min(winners), best
+
+
+def ref_lex_assignment(cost_matrix) -> tuple[int, ...]:
+    """Lexicographically smallest optimal assignment by k^2 re-solves; oracle only.
+
+    Row by row, takes the smallest free column for which the remaining
+    rows and columns still complete to an optimal total (within 1e-9).
+    """
+    m = np.asarray(cost_matrix, dtype=float)
+    k = m.shape[0]
+    rows, cols = linear_sum_assignment(m)
+    optimal = float(m[rows, cols].sum())
+    available = list(range(k))
+    chosen: list[int] = []
+    prefix = 0.0
+    for i in range(k):
+        for pos, j in enumerate(available):
+            rest_rows = np.arange(i + 1, k)
+            rest_cols = [c for c in available if c != j]
+            if len(rest_rows):
+                sub = m[np.ix_(rest_rows, rest_cols)]
+                rr, cc = linear_sum_assignment(sub)
+                rest = float(sub[rr, cc].sum())
+            else:
+                rest = 0.0
+            if prefix + m[i, j] + rest <= optimal + 1e-9:
+                chosen.append(j)
+                prefix += float(m[i, j])
+                available.pop(pos)
+                break
+    return tuple(chosen)
+
+
+def tie_heavy_matrix(rng: random.Random, k: int, kind: int) -> list[list[float]]:
+    """Small integers, thirds, or sums of 1 + 0.05 c as path costs produce them."""
+    if kind == 0:
+        return [[rng.randrange(4) for _ in range(k)] for _ in range(k)]
+    if kind == 1:
+        return [[rng.randrange(40) / 3 for _ in range(k)] for _ in range(k)]
+    return [
+        [sum(1 + 0.05 * rng.randrange(3) for _ in range(rng.randrange(1, 6))) for _ in range(k)]
+        for _ in range(k)
+    ]
 
 
 def random_polygon_grid(rng: random.Random):
@@ -201,11 +250,22 @@ class TestCostsToTarget:
             cm = CostMap(g)
             for _ in range(rng.randrange(0, 40)):
                 cm.bump_index(rng.randrange(len(g)))
-            t = rng.randrange(len(g))
-            dist = costs_to_target(g, cm, t)
-            for i in range(len(g)):
-                expect = path_cost(cm, plan_indices(g, cm, i, t))
-                assert dist[i] == pytest.approx(expect)
+            targets = [rng.randrange(len(g)) for _ in range(rng.randrange(1, 6))]
+            targets.append(targets[0])  # duplicates are answered row by row
+            dist = costs_to_target(g, cm, targets)
+            assert dist.shape == (len(targets), len(g))
+            for r, t in enumerate(targets):
+                for i in range(len(g)):
+                    p = plan_indices(g, cm, i, t)
+                    assert dist[r, i] == round(STEP_UNITS * path_cost(cm, p))
+
+    def test_reflects_new_counts(self):
+        g = rasterize(P((0, 0), (4, 0), (4, 1), (0, 1)))
+        cm = CostMap(g)
+        t = g.require(Cell(3, 0))
+        assert costs_to_target(g, cm, [t])[0].tolist() == [60, 40, 20, 0]
+        cm.bump_index(g.require(Cell(1, 0)))
+        assert costs_to_target(g, cm, [t])[0].tolist() == [61, 40, 20, 0]
 
 
 class TestHungarian:
@@ -246,3 +306,35 @@ class TestHungarian:
             perm, cost = brute_hungarian(m)
             assert a.targets == perm
             assert a.total_cost == pytest.approx(cost)
+
+    def test_matches_re_solve_oracle_on_ties(self):
+        rng = random.Random(2024)
+        for trial in range(1200):
+            k = rng.choice((1, 2, 3, 4, 5, 6, 8, 13, 21)) if trial % 100 else 59
+            m = tie_heavy_matrix(rng, k, trial % 3)
+            assert hungarian(m).targets == ref_lex_assignment(m), (trial, k)
+
+    def test_one_solve_per_call(self, monkeypatch):
+        calls = []
+
+        def counting_lsa(m):
+            calls.append(m.shape)
+            return linear_sum_assignment(m)
+
+        monkeypatch.setattr(planning, "linear_sum_assignment", counting_lsa)
+        rng = random.Random(5)
+        for k in (1, 4, 20, 59):
+            calls.clear()
+            hungarian(tie_heavy_matrix(rng, k, 0))
+            assert calls == [(k, k)]
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda k: st.lists(
+                st.lists(st.integers(0, 3), min_size=k, max_size=k), min_size=k, max_size=k
+            )
+        )
+    )
+    def test_property_equals_re_solve_oracle(self, m):
+        assert hungarian(m).targets == ref_lex_assignment(m)
