@@ -149,6 +149,8 @@ def summarize(results: Sequence[TrialResult]) -> SummaryRow:
     )
 
 
+#: Rasterized grids kept per process; the oldest is dropped beyond this.
+MAX_GRIDS = 64
 _GRIDS: dict[tuple[str, OrthoPolygon], GridGraph] = {}
 
 
@@ -157,6 +159,8 @@ def _instance_grid(inst: InstanceSpec) -> GridGraph:
     grid = _GRIDS.get(key)
     if grid is None:
         grid = rasterize(inst.polygon)
+        if len(_GRIDS) >= MAX_GRIDS:
+            del _GRIDS[next(iter(_GRIDS))]
         _GRIDS[key] = grid
     return grid
 

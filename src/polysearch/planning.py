@@ -4,9 +4,12 @@ Path cost is the sum over entered cells (start excluded) of 1 + cost(cell),
 where cost grows by 0.05 per recorded visit. The Manhattan heuristic stays
 admissible because every entered cell contributes at least 1.
 
-`costs_to_target` gives that objective to many targets in one batched
-Dijkstra call, in exact integer units of VISIT_COST; `hungarian` solves
-once and breaks ties over the tight edges of the recovered duals.
+`plan_indices` is A* over that objective. `costs_to_target` gives it to
+many targets in one batched Dijkstra call, in exact integer units of
+VISIT_COST; `hungarian` solves once and breaks ties over the tight edges
+of the recovered duals. `shortest_indices` walks a per-goal next-hop
+table that one unweighted csgraph search fills, so a grid keeps at most
+one int32 row per cell.
 """
 from __future__ import annotations
 
@@ -45,19 +48,21 @@ class CostMap:
         self.entry[i] = 1.0 + VISIT_COST * self.counts[i]
 
 
-def _search(g: GridGraph, entry: Sequence[float] | None, start: int, goal: int, heuristic: bool) -> list[int]:
-    """Deterministic best-first search: A* over `entry`, or unit-cost Dijkstra.
+def plan_indices(g: GridGraph, cm: CostMap, start: int, goal: int) -> list[int]:
+    """Minimum-cost path of cell indices under the cost map, by A*.
 
-    Ties break on lower f, then lower h, then earliest push; pushes happen in
+    The path includes both ends; start == goal gives a 1-cell path. Ties
+    break on lower f, then lower h, then earliest push; pushes happen in
     N, E, S, W neighbor order, so the whole expansion is reproducible.
     """
     n = len(g.cells)
     cols, rows = g.cols, g.rows
     gx, gy = cols[goal], rows[goal]
+    entry = cm.entry
     dist = [float("inf")] * n
     parent = [-1] * n
     closed = bytearray(n)
-    h0 = (abs(cols[start] - gx) + abs(rows[start] - gy)) if heuristic else 0
+    h0 = abs(cols[start] - gx) + abs(rows[start] - gy)
     heap: list[tuple[float, int, int, int]] = [(h0, h0, 0, start)]
     dist[start] = 0.0
     seq = 1
@@ -78,34 +83,52 @@ def _search(g: GridGraph, entry: Sequence[float] | None, start: int, goal: int, 
         for u in adjacency[v]:
             if closed[u]:
                 continue
-            nd = dv + (entry[u] if entry is not None else 1.0)
+            nd = dv + entry[u]
             if nd < dist[u]:
                 dist[u] = nd
                 parent[u] = v
-                h = (abs(cols[u] - gx) + abs(rows[u] - gy)) if heuristic else 0
+                h = abs(cols[u] - gx) + abs(rows[u] - gy)
                 heappush(heap, (nd + h, h, seq, u))
                 seq += 1
     raise Unreachable(f"no path from {tuple(g.cells[start])} to {tuple(g.cells[goal])}")
 
 
-def plan_indices(g: GridGraph, cm: CostMap, start: int, goal: int) -> list[int]:
-    """Minimum-cost path of cell indices under the cost map.
-
-    The path includes both ends; start == goal gives a 1-cell path.
-    """
-    return _search(g, cm.entry, start, goal, heuristic=True)
-
-
 def shortest_indices(g: GridGraph, start: int, goal: int) -> tuple[int, ...]:
-    """Unweighted shortest path of cell indices, memoized per grid.
+    """Unweighted shortest path of cell indices, walked along `_next_hops`.
 
-    Pursuit replans from the same (position, target) pairs over and over,
-    so the path table pays for itself within a few trials.
+    Of all shortest paths this is the one whose sequence of neighbor ranks
+    is lexicographically smallest: the path a FIFO breadth-first search
+    from `start` with N, E, S, W pushes returns.
     """
-    key = ("path", start, goal)
+    nxt = _next_hops(g, goal)
+    if nxt[start] < 0:
+        raise Unreachable(f"no path from {tuple(g.cells[start])} to {tuple(g.cells[goal])}")
+    path = [start]
+    while path[-1] != goal:
+        path.append(nxt.item(path[-1]))
+    return tuple(path)
+
+
+def _next_hops(g: GridGraph, goal: int) -> np.ndarray:
+    """First neighbor, in N, E, S, W order, one BFS layer closer to `goal`.
+
+    One int32 row per goal, -1 where `goal` is unreachable, filled by one
+    unweighted csgraph search and kept in `g.cache`: at most n rows.
+    """
+    key = ("next_hop", goal)
     hit = g.cache.get(key)
     if hit is None:
-        hit = tuple(_search(g, None, start, goal, heuristic=False))
+        indptr, indices, owner = _reverse_csr(g)
+        n = len(g.cells)
+        graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        far = csgraph.dijkstra(graph, indices=goal, unweighted=True)
+        layer = np.where(np.isfinite(far), far, -1)  # unreachable: no next hop, none leads here
+        # Owners ascend, so unique() finds each cell's first closer edge.
+        closer = np.flatnonzero(layer[indices] == layer[owner] - 1)
+        cells, first = np.unique(owner[closer], return_index=True)
+        hit = np.full(n, -1, dtype=np.int32)
+        hit[cells] = indices[closer[first]]
+        hit[goal] = goal
         g.cache[key] = hit
     return hit
 
@@ -115,7 +138,8 @@ def _reverse_csr(g: GridGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Adjacency is symmetric, so the reversed graph has the same structure;
     only the weights move: edge v -> u of the reversed graph costs the
-    entry of v. Built once per grid and kept in `g.cache`.
+    entry of v. A cell's edges keep the N, E, S, W order of its
+    adjacency. Built once per grid and kept in `g.cache`.
     """
     hit = g.cache.get("reverse_csr")
     if hit is None:

@@ -109,6 +109,7 @@ class TrialResult:
     seed: int
     instance: str = ""
     trace: tuple[dict, ...] | None = None
+    via_swap: bool = False
 
 
 @dataclass(frozen=True)
@@ -364,6 +365,7 @@ def run_trial(cfg: SimConfig, grid: GridGraph | None = None) -> TrialResult:
         seed=cfg.seed,
         instance=cfg.instance_id,
         trace=tuple(state.trace) if state.trace is not None else None,
+        via_swap=state.via_swap,
     )
 
 

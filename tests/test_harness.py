@@ -11,6 +11,7 @@ import hashlib
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from polysearch import harness
@@ -27,6 +28,7 @@ from polysearch.harness import (
     trial_seed,
     write_csv,
     PRESETS,
+    preset_areas,
     preset_shapes,
     preset_spikes4,
 )
@@ -201,6 +203,39 @@ def test_presets_expand():
         cells = expand_cells(spec)
         assert len(cells) > 0
         assert all(c.instance.id for c in cells)
+
+
+def test_baseline_pursuit_cache_is_bounded():
+    area704 = next(i for i in preset_areas().instances if i.id == "area704")
+    spec = SweepSpec(
+        instances=(area704,),
+        strategies=("baseline",),
+        ks=(4, 10),
+        intruders=("walk",),
+        trials=4,
+        base_seed=3,
+    )
+    run_sweep(spec)
+    grid = harness._instance_grid(area704)
+    n = len(grid)
+    assert not [key for key in grid.cache if isinstance(key, tuple) and key[0] == "path"]
+    rows = [v for key, v in grid.cache.items() if isinstance(key, tuple) and key[0] == "next_hop"]
+    assert 0 < len(rows) <= n
+    assert all(row.dtype == np.int32 and row.shape == (n,) for row in rows)
+
+
+def test_grid_cache_is_capped(monkeypatch):
+    monkeypatch.setattr(harness, "_GRIDS", {})
+    rasterized = []
+    real = harness.rasterize
+    monkeypatch.setattr(harness, "rasterize", lambda poly: rasterized.append(poly) or real(poly))
+    square = P((0, 0), (2, 0), (2, 2), (0, 2))
+    insts = [InstanceSpec(f"sq{i}", square) for i in range(harness.MAX_GRIDS + 5)]
+    grids = [harness._instance_grid(inst) for inst in insts]
+    assert len(harness._GRIDS) == harness.MAX_GRIDS
+    assert [key[0] for key in harness._GRIDS] == [inst.id for inst in insts[5:]]
+    assert harness._instance_grid(insts[-1]) is grids[-1]
+    assert len(rasterized) == len(insts)  # a kept grid is not rasterized again
 
 
 def test_golden_sweep_csv_hash():

@@ -13,6 +13,8 @@ from scipy.optimize import linear_sum_assignment
 from polysearch import planning
 from polysearch.errors import CellOutsideGraph, NegativeEntry, NonSquare, Unreachable
 from polysearch.geometry import Cell, GridGraph, rasterize
+from polysearch.harness import preset_areas
+from polysearch.sim import SimConfig, init_trial, step
 from polysearch.planning import (
     STEP_UNITS,
     VISIT_COST,
@@ -65,6 +67,64 @@ def ref_bfs_steps(g, start: Cell, goal: Cell) -> int:
                     nxt.append(nb)
         frontier = nxt
         d += 1
+    raise AssertionError("oracle found no path")
+
+
+def ref_fifo_bfs_path(g, start: int, goal: int) -> list[int]:
+    """FIFO breadth-first search from `start`, N, E, S, W pushes; oracle only.
+
+    The unit-cost search `shortest_indices` replaced: each cell's parent
+    is the first cell that discovered it.
+    """
+    parent = {start: None}
+    queue = [start]
+    for v in queue:
+        if v == goal:
+            path = [v]
+            while parent[v] is not None:
+                v = parent[v]
+                path.append(v)
+            return path[::-1]
+        for u in g.adjacency[v]:
+            if u not in parent:
+                parent[u] = v
+                queue.append(u)
+    raise AssertionError("oracle found no path")
+
+
+def ref_astar_path(g, entry, start: int, goal: int) -> list[int]:
+    """A* popping the lowest (f, h, push order), N, E, S, W pushes; oracle only.
+
+    Locks the tie-break of `plan_indices`: among equal-cost paths, which
+    one it returns decides the simulated trials.
+    """
+    gx, gy = g.cols[goal], g.rows[goal]
+
+    def h(i: int) -> int:
+        return abs(g.cols[i] - gx) + abs(g.rows[i] - gy)
+
+    dist = {start: 0.0}
+    parent = {start: None}
+    done = set()
+    pushes = itertools.count()
+    heap = [(h(start), h(start), next(pushes), start)]
+    while heap:
+        v = heapq.heappop(heap)[3]
+        if v in done:
+            continue
+        done.add(v)
+        if v == goal:
+            path = [v]
+            while parent[v] is not None:
+                v = parent[v]
+                path.append(v)
+            return path[::-1]
+        for u in g.adjacency[v]:
+            nd = dist[v] + entry[u]
+            if u not in done and nd < dist.get(u, float("inf")):
+                dist[u] = nd
+                parent[u] = v
+                heapq.heappush(heap, (nd + h(u), h(u), next(pushes), u))
     raise AssertionError("oracle found no path")
 
 
@@ -230,6 +290,19 @@ class TestAstar:
             want = ref_weighted_cost(g, entry, g.cells[s], g.cells[t])
             assert path_cost(cm, p) == pytest.approx(want)
 
+    def test_tie_break_equals_reference_astar(self):
+        # Visit counts left by an rs team make equal-cost paths whose h
+        # differs, so the h rank of the tie-break decides some paths here.
+        rng = random.Random(29)
+        for inst in preset_areas().instances:
+            g = rasterize(inst.polygon)
+            state = init_trial(SimConfig(polygon=inst.polygon, strategy="rs", k=10, seed=30), g)
+            for _ in range(30):
+                step(state)
+            for _ in range(300):
+                s, t = rng.randrange(len(g)), rng.randrange(len(g))
+                assert plan_indices(g, state.cost, s, t) == ref_astar_path(g, state.cost.entry, s, t)
+
 
 class TestDijkstra:
     def test_matches_bfs(self):
@@ -240,6 +313,24 @@ class TestDijkstra:
             t = rng.randrange(len(g))
             p = shortest_indices(g, s, t)
             assert len(p) - 1 == ref_bfs_steps(g, g.cells[s], g.cells[t])
+            assert list(p) == ref_fifo_bfs_path(g, s, t)
+
+    def test_equals_fifo_bfs_path_on_area_combs(self):
+        rng = random.Random(23)
+        for inst in preset_areas().instances:
+            g = rasterize(inst.polygon)
+            goals = [rng.randrange(len(g)) for _ in range(4)]
+            for t in goals:
+                starts = [t] + [rng.randrange(len(g)) for _ in range(60)]  # start == goal first
+                for s in starts:
+                    assert list(shortest_indices(g, s, t)) == ref_fifo_bfs_path(g, s, t)
+
+    def test_unreachable(self):
+        g = GridGraph([Cell(0, 0), Cell(2, 0)], (3, 1))
+        with pytest.raises(Unreachable):
+            shortest_indices(g, g.require(Cell(0, 0)), g.require(Cell(2, 0)))
+        with pytest.raises(Unreachable):
+            shortest_indices(g, g.require(Cell(2, 0)), g.require(Cell(0, 0)))
 
 
 class TestCostsToTarget:

@@ -12,11 +12,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from polysearch.errors import TooFewRobots
 from polysearch.geometry import Cell, rasterize
-from polysearch.polygen import comb_polygon
+from polysearch.polygen import comb_polygon, inflate_cut
 from polysearch.sim import (
     DEFAULT_STEP_FACTOR,
     SimConfig,
@@ -197,6 +199,27 @@ def test_swap_capture_on_two_cell_corridor():
     assert res.trace[-1]["via_swap"]
 
 
+def test_trial_result_carries_via_swap():
+    swap = SimConfig(
+        polygon=corridor(2),
+        strategy="baseline",
+        k=1,
+        intruder="walk",
+        robot_positions=(Cell(0, 0),),
+        intruder_position=Cell(1, 0),
+    )
+    assert run_trial(swap).via_swap
+    met = SimConfig(
+        polygon=corridor(3),
+        strategy="baseline",
+        k=1,
+        robot_positions=(Cell(0, 0),),
+        intruder_position=Cell(1, 0),
+    )
+    res = run_trial(met)
+    assert res.captured and not res.via_swap
+
+
 def test_baseline_closes_distance_each_step():
     poly = comb_polygon((2, 3), spike_width=2, base_height=2, spike_gap=1)
     grid = rasterize(poly)
@@ -219,6 +242,44 @@ def test_baseline_closes_distance_each_step():
         lengths.append(len(shortest_indices(grid, r, i)) - 1)
     assert lengths[0] == res.steps
     assert all(a - b == 1 for a, b in zip(lengths, lengths[1:]))
+
+
+def bfs_layers(grid, goal: int) -> list[int]:
+    """Unweighted distance from every cell to `goal`; oracle only."""
+    dist = [-1] * len(grid)
+    dist[goal] = 0
+    queue = [goal]
+    for v in queue:
+        for u in grid.adjacency[v]:
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    vertices=st.integers(6, 14).map(lambda h: 2 * h),
+    poly_seed=st.integers(0, 10**6),
+    k=st.integers(1, 4),
+    intruder=st.sampled_from(("static", "random", "walk")),
+    seed=st.integers(0, 10**6),
+)
+def test_property_baseline_steps_one_layer_closer(vertices, poly_seed, k, intruder, seed):
+    poly = inflate_cut(vertices, poly_seed)
+    grid = rasterize(poly)
+    cfg = SimConfig(polygon=poly, strategy="baseline", k=k, intruder=intruder, seed=seed, trace=True)
+    res = run_trial(cfg, grid)
+    for prev_row, row in zip(res.trace, res.trace[1:]):
+        # Robots move before the intruder, so they chase its previous cell.
+        dist = bfs_layers(grid, grid.require(prev_row["intruder"]))
+        for a, b in zip(prev_row["robots"], row["robots"]):
+            da, db = dist[grid.require(a)], dist[grid.require(b)]
+            if da == 0:
+                assert b == a
+            else:
+                assert abs(a.col - b.col) + abs(a.row - b.row) == 1
+                assert db == da - 1
 
 
 def test_static_corridor_capture_time_is_initial_distance():
