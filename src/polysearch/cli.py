@@ -106,6 +106,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     res = run_trial(cfg)
     payload = {
         "captured": res.captured,
+        "via_swap": res.via_swap,
         "steps": res.steps,
         "strategy": res.strategy,
         "intruder": res.intruder,
@@ -119,6 +120,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "robots": [list(c) for c in row["robots"]],
                 "intruder": list(row["intruder"]),
                 "captured": row["captured"],
+                "via_swap": row["via_swap"],
             }
             for row in res.trace
         ]

@@ -30,12 +30,6 @@ class Rectangle:
             for col in range(self.anchor.col, self.anchor.col + self.width):
                 yield Cell(col, row)
 
-    def __contains__(self, cell: Cell) -> bool:
-        return (
-            self.anchor.col <= cell.col < self.anchor.col + self.width
-            and self.anchor.row <= cell.row < self.anchor.row + self.height
-        )
-
 
 @dataclass(frozen=True)
 class Junction:

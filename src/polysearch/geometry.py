@@ -3,14 +3,13 @@
 A polygon is a closed rectilinear loop with integer vertices. Its interior
 decomposes into unit cells; cell (col, row) covers [col, col+1] x [row, row+1]
 and is identified by its lower-left corner. Cell centers sit at half-integer
-coordinates, so ray-parity membership tests never hit a vertex or run along
-an edge.
+coordinates, so the scanline through a row of centers never hits a vertex or
+runs along an edge, and its crossing parity decides membership.
 """
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from numbers import Real
 from typing import Iterable, NamedTuple, Sequence
@@ -68,10 +67,6 @@ class OrthoPolygon:
         xs = [x for x, _ in self.vertices]
         ys = [y for _, y in self.vertices]
         return max(xs), max(ys)
-
-    @property
-    def min_edge(self) -> int:
-        return min(abs(a[0] - b[0]) + abs(a[1] - b[1]) for a, b in self.edges())
 
 
 def _shoelace(vertices: Sequence[Point]) -> int:
@@ -214,64 +209,41 @@ class GridGraph:
 
 
 def rasterize(poly: OrthoPolygon) -> GridGraph:
-    """Cells whose centers pass the four-ray odd-parity membership test.
+    """Cells whose centers are inside by even-odd parity, one scanline per row.
 
-    A center (col+.5, row+.5) is inside when the rays cast east, west, north
-    and south each cross the boundary an odd number of times. Centers never
-    lie on the boundary, so the counts are well defined.
+    The line through a row's centers misses every vertex, so the vertical
+    edges it crosses come in pairs: sorted by x, the inside runs are
+    [xs[0], xs[1]), [xs[2], xs[3]), ... Crossing parity is the winding number
+    mod 2, so a ray in any other direction would give the same cells.
     """
     w, h = poly.bounds
-    vert: list[tuple[int, int, int]] = []  # (x, ylo, yhi)
-    horz: list[tuple[int, int, int]] = []  # (y, xlo, xhi)
-    for (x0, y0), (x1, y1) in poly.edges():
-        if x0 == x1:
-            vert.append((x0, min(y0, y1), max(y0, y1)))
-        else:
-            horz.append((y0, min(x0, x1), max(x0, x1)))
-
-    # Per row, the x positions of vertical edges straddling the row's centers;
-    # per column, the y positions of horizontal edges straddling the column's.
-    cells: list[Cell] = []
-    col_ys: list[list[int]] = []
-    for col in range(w):
-        cx = col + 0.5
-        col_ys.append(sorted(y for y, xlo, xhi in horz if xlo < cx < xhi))
+    vert = [(x0, min(y0, y1), max(y0, y1)) for (x0, y0), (x1, y1) in poly.edges() if x0 == x1]
+    cells: set[Cell] = set()
     for row in range(h):
-        cy = row + 0.5
-        xs = sorted(x for x, ylo, yhi in vert if ylo < cy < yhi)
-        for col in range(w):
-            cx = col + 0.5
-            east = len(xs) - bisect_left(xs, cx)
-            west = len(xs) - east
-            ys = col_ys[col]
-            north = len(ys) - bisect_left(ys, cy)
-            south = len(ys) - north
-            if east % 2 and west % 2 and north % 2 and south % 2:
-                cells.append(Cell(col, row))
+        xs = sorted(x for x, ylo, yhi in vert if ylo <= row < yhi)
+        for lo, hi in zip(xs[::2], xs[1::2]):
+            cells.update(Cell(col, row) for col in range(lo, hi))
 
     if not cells:
         raise EmptyInterior("polygon encloses no unit cells")
-    g = GridGraph(cells, (w, h))
-    if not _is_connected(g):
+    if not cells_connected(cells):
         raise SelfIntersection("interior cells are not 4-connected; boundary is not simple")
-    return g
+    return GridGraph(cells, (w, h))
 
 
-def _is_connected(g: GridGraph) -> bool:
-    if not g.cells:
-        return False
-    seen = bytearray(len(g.cells))
-    stack = [0]
-    seen[0] = 1
-    count = 1
+def cells_connected(cells: set[Cell]) -> bool:
+    """Whether a nonempty cell set is a single 4-connected component."""
+    start = next(iter(cells))
+    seen = {start}
+    stack = [start]
     while stack:
-        v = stack.pop()
-        for u in g.adjacency[v]:
-            if not seen[u]:
-                seen[u] = 1
-                count += 1
-                stack.append(u)
-    return count == len(g.cells)
+        c, r = stack.pop()
+        for dx, dy in CARDINAL_STEPS:
+            nb = (c + dx, r + dy)
+            if nb in cells and nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == len(cells)
 
 
 def polygon_from_cells(cells: Iterable[Cell]) -> OrthoPolygon:

@@ -2,7 +2,8 @@
 
 inflate_cut grows a polygon from a unit square two vertices at a time by
 refining the lattice around a random cell and cutting a random rectangle at a
-convex corner. Combs encode 3-Partition triples as spike depths; balancing
+convex corner; geometry's single flood fill checks that the rest stays
+connected. Combs encode 3-Partition triples as spike depths; balancing
 the triples is what makes an optimal multi-robot sweep schedule hard.
 """
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
     ScheduleMismatch,
     TripleSizeError,
 )
-from .geometry import Cell, OrthoPolygon, polygon_from_cells, rasterize
+from .geometry import Cell, OrthoPolygon, cells_connected, polygon_from_cells, rasterize
 
 RETRY_BUDGET = 10_000
 
@@ -56,39 +57,6 @@ def _corner_scan(cells: set[Cell]) -> tuple[int, bool]:
     return vertices, pinch
 
 
-def _component_size(start: Cell, cells: set[Cell]) -> int:
-    """Cells 4-connected to `start` within `cells`, start included."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        c, r = stack.pop()
-        for nb in (Cell(c, r + 1), Cell(c + 1, r), Cell(c, r - 1), Cell(c - 1, r)):
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen)
-
-
-def _connected_cells(cells: set[Cell]) -> bool:
-    return bool(cells) and _component_size(next(iter(cells)), cells) == len(cells)
-
-
-def _simply_connected(cells: set[Cell]) -> bool:
-    # The complement within a 1-cell margin around the bounding box must be
-    # one component, otherwise the set encloses a hole.
-    cols = [c.col for c in cells]
-    rows = [c.row for c in cells]
-    lo_c, hi_c = min(cols) - 1, max(cols) + 1
-    lo_r, hi_r = min(rows) - 1, max(rows) + 1
-    outside = {
-        Cell(c, r)
-        for c in range(lo_c, hi_c + 1)
-        for r in range(lo_r, hi_r + 1)
-        if Cell(c, r) not in cells
-    }
-    return _component_size(Cell(lo_c, lo_r), outside) == len(outside)
-
-
 def _stretch(cells: set[Cell], at: Cell) -> set[Cell]:
     """Double the row and column through `at`; its image is a 2x2 block."""
     out: set[Cell] = set()
@@ -107,7 +75,8 @@ def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
     Starts from a unit square; each round refines the lattice around a random
     cell and removes the rectangle spanned by a random convex corner and the
     refined block's center point, accepting only cuts that keep the cell set
-    connected, hole-free and pinch-free while adding exactly two vertices.
+    connected and pinch-free while adding exactly two vertices. A corner cut
+    never encloses a hole, so every accepted set stays simply connected.
     Deterministic per seed; raises IterationBudgetExceeded after 10^4
     rejected attempts in a round.
     """
@@ -120,8 +89,8 @@ def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
     cells: set[Cell] = {Cell(0, 0)}
     vertices = 4
     while vertices < target_vertices:
+        ordered = sorted(cells, key=lambda c: (c.row, c.col))
         for _ in range(RETRY_BUDGET):
-            ordered = sorted(cells, key=lambda c: (c.row, c.col))
             at = ordered[rng.randrange(len(ordered))]
             inflated = _stretch(cells, at)
             center = (at.col + 1, at.row + 1)
@@ -138,11 +107,9 @@ def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
             if not cut <= inflated:
                 continue
             remaining = inflated - cut
-            if not remaining:
-                continue
-            if not _connected_cells(remaining):
-                continue
-            if not _simply_connected(remaining):
+            # No hole test: the cut is 4-adjacent to the outside across the
+            # convex corner v, so the complement stays one component.
+            if not cells_connected(remaining):
                 continue
             count, pinch = _corner_scan(remaining)
             if pinch or count != vertices + 2:

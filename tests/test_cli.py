@@ -8,6 +8,7 @@ import pytest
 
 from polysearch.cli import main
 from polysearch.geometry import read_polygon_file
+from polysearch.sim import SimConfig, run_trial
 
 
 def test_generate_decompose_simulate_pipeline(tmp_path, capsys):
@@ -120,11 +121,18 @@ def test_simulate_trace_is_json(tmp_path, capsys):
     poly_path = str(tmp_path / "poly.json")
     main(["generate", "--vertices", "8", "--seed", "1", "-o", poly_path])
     capsys.readouterr()
-    assert main(["simulate", poly_path, "--strategy", "rs", "-k", "1",
-                 "--seed", "2", "--trace"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["trace"][0]["t"] == 0
-    assert len(payload["trace"]) == payload["steps"] + 1
+    poly, _ = read_polygon_file(poly_path)
+    # The walk intruder with seed 1 is caught by swapping cells with the robot.
+    for intruder, seed in (("static", 2), ("walk", 1)):
+        assert main(["simulate", poly_path, "--strategy", "rs", "-k", "1", "--intruder",
+                     intruder, "--seed", str(seed), "--trace"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["trace"][0]["t"] == 0
+        assert len(payload["trace"]) == payload["steps"] + 1
+        res = run_trial(SimConfig(polygon=poly, strategy="rs", k=1, intruder=intruder, seed=seed))
+        assert payload["via_swap"] is res.via_swap is (intruder == "walk")
+        assert all("via_swap" in row for row in payload["trace"])
+        assert payload["trace"][-1]["via_swap"] is res.via_swap
 
 
 def _write(tmp_path, name: str, text: str) -> str:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysearch.errors import (
     CellOutsideGraph,
@@ -15,12 +17,14 @@ from polysearch.errors import (
 from polysearch.geometry import (
     Cell,
     GridGraph,
+    OrthoPolygon,
     polygon_from_cells,
     rasterize,
     read_polygon_file,
     validate_polygon,
     write_polygon_file,
 )
+from polysearch.polygen import inflate_cut
 
 from conftest import P, ref_in_closed_region, ref_inside, ref_on_boundary
 
@@ -89,7 +93,6 @@ class TestValidate:
 
     def test_min_edge_and_bounds(self, l_shape):
         assert l_shape.bounds == (2, 2)
-        assert l_shape.min_edge == 1
 
 
 class TestRasterize:
@@ -144,6 +147,25 @@ class TestRasterize:
                         seen.add(j)
                         stack.append(j)
             assert seen == set(range(len(g)))
+
+    def test_pinched_loop_rejected(self):
+        # Two squares touching at (1, 1): the loop passes that vertex twice,
+        # so the cells are inside but not 4-connected.
+        pinched = OrthoPolygon(((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (1, 2), (1, 1), (0, 1)))
+        with pytest.raises(SelfIntersection):
+            rasterize(pinched)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(vertices=st.integers(6, 20).map(lambda h: 2 * h), seed=st.integers(0, 10**6))
+def test_property_rasterize_round_trips_inflate_cut(vertices, seed):
+    poly = inflate_cut(vertices, seed)
+    g = rasterize(poly)
+    assert polygon_from_cells(g.cells) == poly
+    w, h = poly.bounds
+    for col in range(w):
+        for row in range(h):
+            assert (Cell(col, row) in g) == ref_inside(poly.vertices, col + 0.5, row + 0.5)
 
 
 class TestGridGraph:
