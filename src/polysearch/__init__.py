@@ -41,7 +41,6 @@ from .polygen import (
     ThreePartitionInstance,
     build_comb,
     comb_polygon,
-    count_spikes,
     inflate_cut,
     simulate_comb_sweep,
     verify_partition_schedule,
@@ -83,7 +82,6 @@ __all__ = [
     "build_comb",
     "comb_polygon",
     "costs_to_target",
-    "count_spikes",
     "gilbert_curve",
     "hungarian",
     "inflate_cut",

@@ -20,10 +20,18 @@ from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable, Sequence
 
-from .errors import EmptyInput, InvalidConfig
+from .errors import EmptyInput, InvalidConfig, TooManyRobots
 from .geometry import GridGraph, OrthoPolygon, rasterize, validate_polygon
 from .polygen import comb_polygon
-from .sim import INTRUDER_MODELS, STRATEGIES, SimConfig, TrialResult, min_robots, run_trial
+from .sim import (
+    INTRUDER_MODELS,
+    STRATEGIES,
+    SimConfig,
+    TrialResult,
+    min_robots,
+    run_trial,
+    sfc_team,
+)
 
 CSV_COLUMNS = (
     "instance",
@@ -186,6 +194,11 @@ def run_cell(cell: SweepCell, trials: int, base_seed: int, max_steps: int | None
     grid = _instance_grid(cell.instance)
     if cell.k < min_robots(cell.strategy, grid, cell.instance.rect_seed):
         return _infeasible_row(cell)
+    if cell.strategy in ("sfc", "sfc_g"):
+        try:
+            sfc_team(grid, cell.strategy, cell.k, cell.instance.rect_seed)
+        except TooManyRobots:
+            return _infeasible_row(cell)
     results = []
     for trial in range(trials):
         cfg = SimConfig(

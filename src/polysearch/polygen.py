@@ -303,59 +303,3 @@ def verify_partition_schedule(
         if rec.clear != clear:
             raise ScheduleMismatch(f"sweep cleared {rec.clear}, schedule expected {clear}")
     return inst.q * max(clears)
-
-
-def count_spikes(poly: OrthoPolygon) -> int:
-    """Best-effort count of rectangular protrusions (heuristic).
-
-    A spike is three consecutive CCW edges turning left at both shared
-    corners, with equal-length first and third edges (the side walls), whose
-    mouth (the middle edge's translate closing the rectangle) runs strictly
-    through the interior. Combs report one spike per tooth; a plain
-    rectangle reports 0. Protrusions with unequal walls (flush against a
-    larger block) are conservatively not counted.
-    """
-    cells = rasterize(poly).index
-    verts = poly.vertices
-    n = len(verts)
-
-    def d(i: int) -> tuple[int, int]:
-        (x0, y0), (x1, y1) = verts[i % n], verts[(i + 1) % n]
-        dx, dy = x1 - x0, y1 - y0
-        length = abs(dx) + abs(dy)
-        return (dx // length, dy // length)
-
-    def length(i: int) -> int:
-        (x0, y0), (x1, y1) = verts[i % n], verts[(i + 1) % n]
-        return abs(x1 - x0) + abs(y1 - y0)
-
-    count = 0
-    for i in range(n):
-        d0, d1, d2 = d(i), d(i + 1), d(i + 2)
-        if d0[0] * d1[1] - d0[1] * d1[0] <= 0:
-            continue
-        if d1[0] * d2[1] - d1[1] * d2[0] <= 0:
-            continue
-        if length(i + 2) != length(i):
-            continue
-        depth = length(i)
-        ax, ay = verts[i % n]
-        # mouth: the tip edge pushed back to the spike's opening
-        mx, my = ax, ay
-        ex, ey = mx + d1[0] * length(i + 1), my + d1[1] * length(i + 1)
-        open_mouth = True
-        if d1[1] == 0:  # horizontal mouth
-            y = my
-            for x in range(min(mx, ex), max(mx, ex)):
-                if Cell(x, y - 1) not in cells or Cell(x, y) not in cells:
-                    open_mouth = False
-                    break
-        else:  # vertical mouth
-            x = mx
-            for y in range(min(my, ey), max(my, ey)):
-                if Cell(x - 1, y) not in cells or Cell(x, y) not in cells:
-                    open_mouth = False
-                    break
-        if open_mouth:
-            count += 1
-    return count

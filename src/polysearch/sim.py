@@ -9,7 +9,10 @@ Strategies:
 
 * ``sfc``       patrol: the grid is cut into rectangles, each rectangle is
                 covered by a space-filling curve, and every robot sweeps
-                its own contiguous curve segment back and forth.
+                its own contiguous curve segment back and forth. The team
+                is built once per grid and (strategy, k, rect_seed); at
+                step t a robot stands on entry t, modulo the length, of
+                its ping-pong tour, so patrolling needs no planning.
 * ``sfc_g``     the same patrol plus one stationary guard per junction
                 between rectangles, blocking recontamination.
 * ``rs``        each robot independently picks random target cells and
@@ -71,8 +74,7 @@ class Robot:
     role: str
     idx: int
     segment: tuple[int, ...] = ()
-    seg_pos: int = 0
-    direction: int = 1
+    tour: tuple[int, ...] = ()
     plan: list[int] | None = None
     plan_pos: int = 0
 
@@ -127,11 +129,13 @@ class SfcLayout:
 
 
 def sfc_layout(grid: GridGraph, rect_seed: int = 0) -> SfcLayout:
-    """Build (or fetch) the patrol layout for `grid` under `rect_seed`."""
-    key = ("sfc_layout", rect_seed)
-    hit = grid.cache.get(key)
-    if hit is not None:
-        return hit
+    """Build (or fetch) the patrol layout for `grid` under `rect_seed`.
+
+    A grid keeps the layout of one `rect_seed`; another seed replaces it.
+    """
+    hit = grid.cache.get("sfc_layout")
+    if hit is not None and hit[0] == rect_seed:
+        return hit[1]
     r = rectangulate(grid, rect_seed)
     curves = []
     for rect in r.rects:
@@ -140,8 +144,45 @@ def sfc_layout(grid: GridGraph, rect_seed: int = 0) -> SfcLayout:
         curves.append(tuple(grid.require(cell) for cell in routed))
     guards = tuple(grid.require(j.pairs[0][0]) for j in r.juncs)
     layout = SfcLayout(rectangulation=r, curves=tuple(curves), guards=guards)
-    grid.cache[key] = layout
+    grid.cache["sfc_layout"] = (rect_seed, layout)
     return layout
+
+
+#: One patrol robot: (role, segment, tour).
+Member = tuple[str, tuple[int, ...], tuple[int, ...]]
+
+
+def sfc_team(grid: GridGraph, strategy: str, k: int, rect_seed: int = 0) -> tuple[Member, ...]:
+    """Build (or fetch) the k-robot sfc/sfc_g team for `grid`, in robot id order.
+
+    Searchers come first, each with its curve segment and its ping-pong
+    tour ``seg + seg[-2:0:-1]`` (period 2(L - 1)); then one guard per
+    junction for sfc_g, whose tour is its doorway cell. A grid keeps one
+    team; another (strategy, k, rect_seed) replaces it. Raises TooFewRobots
+    when the rectangles (and junctions) outnumber k, and TooManyRobots when
+    a curve gets more searchers than cells.
+    """
+    key = (strategy, k, rect_seed)
+    hit = grid.cache.get("sfc_team")
+    if hit is not None and hit[0] == key:
+        return hit[1]
+    layout = sfc_layout(grid, rect_seed)
+    guards = layout.guards if strategy == "sfc_g" else ()
+    m = len(layout.curves)
+    if k - len(guards) < m:
+        raise TooFewRobots(
+            f"{strategy} needs {m + len(guards)} robots here ({m} rectangles"
+            + (f", {len(guards)} junctions)" if guards else ")")
+            + f", got {k}"
+        )
+    team: list[Member] = []
+    for curve, count in zip(layout.curves, allocate_robots(layout.rectangulation, k - len(guards))):
+        for start, stop in segment_bounds(len(curve), count):
+            seg = curve[start:stop]
+            team.append(("searcher", seg, seg + seg[-2:0:-1]))
+    team.extend(("guard", (), (cell,)) for cell in guards)
+    grid.cache["sfc_team"] = (key, tuple(team))
+    return grid.cache["sfc_team"][1]
 
 
 def min_robots(strategy: str, grid: GridGraph, rect_seed: int = 0) -> int:
@@ -173,32 +214,12 @@ def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
     rng = random.Random(cfg.seed)
     cost = CostMap(grid) if cfg.strategy in ("rs", "crs") else None
 
-    robots: list[Robot] = []
     if cfg.strategy in ("sfc", "sfc_g"):
         if cfg.robot_positions is not None:
             raise InvalidConfig("robot_positions only apply to rs, crs and baseline")
-        layout = sfc_layout(grid, cfg.rect_seed)
-        guards = layout.guards if cfg.strategy == "sfc_g" else ()
-        k_s = cfg.k - len(guards)
-        m = len(layout.curves)
-        if k_s < m:
-            need = m + len(guards)
-            raise TooFewRobots(
-                f"{cfg.strategy} needs {need} robots here ({m} rectangles"
-                + (f", {len(guards)} junctions)" if guards else ")")
-                + f", got {cfg.k}"
-            )
-        counts = allocate_robots(layout.rectangulation, k_s)
-        rid = 0
-        for curve, count in zip(layout.curves, counts):
-            for start, stop in segment_bounds(len(curve), count):
-                robots.append(
-                    Robot(id=rid, role="searcher", idx=curve[start], segment=curve[start:stop])
-                )
-                rid += 1
-        for guard_idx in guards:
-            robots.append(Robot(id=rid, role="guard", idx=guard_idx))
-            rid += 1
+        team = sfc_team(grid, cfg.strategy, cfg.k, cfg.rect_seed)
+        # Positional arguments: this runs once per robot and trial.
+        robots = [Robot(i, role, tour[0], seg, tour) for i, (role, seg, tour) in enumerate(team)]
     else:
         if cfg.robot_positions is not None:
             if len(cfg.robot_positions) != cfg.k:
@@ -229,19 +250,6 @@ def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
         state.captured = True
     _record(state)
     return state
-
-
-def policy_sfc(state: SimState, robot: Robot) -> Cell:
-    """Sweep the robot's curve segment back and forth, one cell per step."""
-    seg = robot.segment
-    if len(seg) > 1:
-        nxt = robot.seg_pos + robot.direction
-        if nxt < 0 or nxt >= len(seg):
-            robot.direction = -robot.direction
-            nxt = robot.seg_pos + robot.direction
-        robot.seg_pos = nxt
-        robot.idx = seg[nxt]
-    return state.grid.cells[robot.idx]
 
 
 def policy_rs(state: SimState, robot: Robot) -> Cell:
@@ -290,8 +298,6 @@ def policy_baseline(state: SimState, robot: Robot) -> Cell:
 
 
 _POLICIES = {
-    "sfc": policy_sfc,
-    "sfc_g": policy_sfc,
     "rs": policy_rs,
     "crs": policy_crs,
     "baseline": policy_baseline,
@@ -328,9 +334,14 @@ def step(state: SimState) -> None:
         return
     robots = state.robots
     prev = [r.idx for r in robots]
-    policy = _POLICIES[state.cfg.strategy]
-    for robot in robots:
-        if robot.role == "searcher":
+    if state.cfg.strategy in ("sfc", "sfc_g"):
+        t = state.t + 1
+        for robot in robots:
+            tour = robot.tour
+            robot.idx = tour[t % len(tour)]
+    else:
+        policy = _POLICIES[state.cfg.strategy]
+        for robot in robots:
             policy(state, robot)
     if state.cost is not None:
         bump = state.cost.bump_index
@@ -340,14 +351,18 @@ def step(state: SimState) -> None:
     intruder_move(state)
     intruder_now = state.intruder.idx
 
-    co_located = any(r.idx == intruder_now for r in robots)
-    swapped = any(
-        r.idx == intruder_prev and prev[i] == intruder_now for i, r in enumerate(robots)
+    co_located = intruder_now in [r.idx for r in robots]
+    # A swap needs the intruder to move onto a cell a robot just left.
+    swapped = (
+        not co_located
+        and intruder_now != intruder_prev
+        and intruder_now in prev
+        and any(r.idx == intruder_prev and prev[i] == intruder_now for i, r in enumerate(robots))
     )
     state.t += 1
     if co_located or swapped:
         state.captured = True
-        state.via_swap = swapped and not co_located
+        state.via_swap = swapped
     _record(state)
 
 

@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from polysearch import harness
+from polysearch import harness, sim
 from polysearch.errors import EmptyInput
 from polysearch.harness import (
     InstanceSpec,
@@ -143,6 +143,23 @@ def test_tiny_sweep_runs_and_flags_feasibility():
             assert row.captures > 0
 
 
+def test_too_large_patrol_team_is_infeasible():
+    # Ten searchers cannot split a 6-cell curve; the sweep goes on.
+    spec = SweepSpec(
+        instances=(InstanceSpec("corridor6", P((0, 0), (6, 0), (6, 1), (0, 1))),),
+        strategies=("sfc", "rs"),
+        ks=(3, 10),
+        trials=3,
+    )
+    rows = run_sweep(spec)
+    assert [(r.strategy, r.k, r.feasible, r.trials) for r in rows] == [
+        ("sfc", 3, True, 3),
+        ("sfc", 10, False, 0),
+        ("rs", 3, True, 3),
+        ("rs", 10, True, 3),
+    ]
+
+
 def test_worker_counts_agree_byte_for_byte():
     spec = tiny_spec(trials=3)
     serial = rows_to_csv(run_sweep(spec, workers=1))
@@ -222,6 +239,28 @@ def test_baseline_pursuit_cache_is_bounded():
     rows = [v for key, v in grid.cache.items() if isinstance(key, tuple) and key[0] == "next_hop"]
     assert 0 < len(rows) <= n
     assert all(row.dtype == np.int32 and row.shape == (n,) for row in rows)
+
+
+def test_sfc_caches_are_bounded(monkeypatch):
+    monkeypatch.setattr(harness, "_GRIDS", {})
+    built = []
+    real = sim.allocate_robots
+    monkeypatch.setattr(sim, "allocate_robots", lambda r, k_s: built.append(k_s) or real(r, k_s))
+    spikes4 = preset_spikes4().instances[0]
+    spec = SweepSpec(
+        instances=(spikes4, InstanceSpec(spikes4.id, spikes4.polygon, rect_seed=1)),
+        strategies=("sfc", "sfc_g"),
+        ks=(16, 20),
+        intruders=("random", "walk"),
+        trials=3,
+    )
+    assert all(row.feasible for row in run_sweep(spec))
+    assert len(built) == len(expand_cells(spec))  # one team per cell, not per trial
+    grid = harness._instance_grid(spikes4)
+    keys = [key for key in grid.cache if "sfc" in str(key)]
+    assert sorted(keys) == ["sfc_layout", "sfc_team"]
+    assert grid.cache["sfc_layout"][0] == 1
+    assert grid.cache["sfc_team"][0] == ("sfc_g", 20, 1)
 
 
 def test_grid_cache_is_capped(monkeypatch):

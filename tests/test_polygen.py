@@ -17,14 +17,10 @@ from polysearch.polygen import (
     ThreePartitionInstance,
     build_comb,
     comb_cells,
-    comb_polygon,
-    count_spikes,
     inflate_cut,
     simulate_comb_sweep,
     verify_partition_schedule,
 )
-
-from conftest import P
 
 
 def triple_partitions(items):
@@ -141,37 +137,6 @@ class TestComb:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             build_comb(quiet_instance((4, 4, 5), 1, 13))
-
-
-class TestCountSpikes:
-    def test_rectangle_zero(self):
-        assert count_spikes(P((0, 0), (5, 0), (5, 3), (0, 3))) == 0
-
-    def test_l_shape_zero(self, l_shape):
-        assert count_spikes(l_shape) == 0
-
-    def test_comb_counts_teeth(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            poly = build_comb(quiet_instance((1, 2, 3), 1, 6))
-        assert count_spikes(poly) == 3
-
-    def test_four_tooth_comb(self):
-        poly = comb_polygon((2, 3, 2, 4), spike_width=1, base_height=2, spike_gap=1)
-        assert count_spikes(poly) == 4
-
-    def test_wide_teeth_and_gaps(self):
-        poly = comb_polygon((8, 10, 12, 10), spike_width=2, base_height=4, spike_gap=2)
-        assert count_spikes(poly) == 4
-
-    def test_single_tooth(self):
-        assert count_spikes(comb_polygon((3,))) == 1
-
-    def test_flush_tooth_with_unequal_walls_not_counted(self):
-        # tooth flush against the base's right end: one wall runs down to the
-        # floor, so the walls differ and the heuristic stays conservative
-        poly = P((0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (0, 1))
-        assert count_spikes(poly) == 0
 
 
 class TestSchedule:

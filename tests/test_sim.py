@@ -16,16 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from polysearch.decomposition import allocate_robots
 from polysearch.errors import TooFewRobots
 from polysearch.geometry import Cell, rasterize
 from polysearch.polygen import comb_polygon, inflate_cut
+from polysearch.sfc import segment_bounds
 from polysearch.sim import (
     DEFAULT_STEP_FACTOR,
     SimConfig,
     init_trial,
     intruder_move,
     min_robots,
-    policy_sfc,
     run_trial,
     sfc_layout,
     step,
@@ -382,8 +383,11 @@ def test_patrol_ping_pong():
     state = init_trial(
         SimConfig(polygon=poly, strategy="sfc", k=1, intruder_position=Cell(4, 0)), grid
     )
-    robot = state.robots[0]
-    seen = [policy_sfc(state, robot).col for _ in range(12)]
+    seen = []
+    for _ in range(12):
+        state.captured = False  # keep stepping past the static intruder
+        step(state)
+        seen.append(grid.cells[state.robots[0].idx].col)
     assert seen == [1, 2, 3, 4, 3, 2, 1, 0, 1, 2, 3, 4]
 
 
@@ -393,9 +397,92 @@ def test_single_cell_segment_stays_put():
     state = init_trial(
         SimConfig(polygon=poly, strategy="sfc", k=3, intruder_position=Cell(2, 0)), grid
     )
-    for robot in state.robots:
-        assert policy_sfc(state, robot) == grid.cells[robot.idx]
-        assert len(robot.segment) == 1
+    start = [robot.idx for robot in state.robots]
+    for _ in range(4):
+        state.captured = False  # the intruder starts on a robot's cell
+        step(state)
+        assert [robot.idx for robot in state.robots] == start
+    assert all(len(robot.segment) == 1 for robot in state.robots)
+
+
+def ref_patrol_trace(cfg: SimConfig, grid) -> list[dict]:
+    """Trace rows of an sfc/sfc_g trial from the reference patrol stepper.
+
+    Oracle only: each searcher keeps a segment position and a direction and
+    turns at the segment's ends; capture is tested over every robot for
+    co-location and for a swap. Intruder draws follow `intruder_move`.
+    """
+    layout = sfc_layout(grid, cfg.rect_seed)
+    guards = list(layout.guards) if cfg.strategy == "sfc_g" else []
+    segs = []
+    for curve, count in zip(layout.curves, allocate_robots(layout.rectangulation, cfg.k - len(guards))):
+        segs += [curve[a:b] for a, b in segment_bounds(len(curve), count)]
+    seg_pos, direction = [0] * len(segs), [1] * len(segs)
+    idx = [seg[0] for seg in segs] + guards
+    rng = random.Random(cfg.seed)
+    intruder = rng.randrange(len(grid))
+    t, captured, via_swap = 0, intruder in idx, False
+
+    def row():
+        return {
+            "t": t,
+            "robots": tuple(grid.cells[i] for i in idx),
+            "intruder": grid.cells[intruder],
+            "captured": captured,
+            "via_swap": via_swap,
+        }
+
+    rows = [row()]
+    while not captured and t < cfg.max_steps:
+        prev = list(idx)
+        for i, seg in enumerate(segs):
+            if len(seg) > 1:
+                nxt = seg_pos[i] + direction[i]
+                if nxt < 0 or nxt >= len(seg):
+                    direction[i] = -direction[i]
+                    nxt = seg_pos[i] + direction[i]
+                seg_pos[i] = nxt
+                idx[i] = seg[nxt]
+        intruder_prev = intruder
+        adj = grid.adjacency[intruder]
+        if cfg.intruder == "random":
+            pick = rng.randrange(len(adj) + 1)
+            if pick > 0:
+                intruder = adj[pick - 1]
+        elif adj:
+            intruder = adj[rng.randrange(len(adj))]
+        co_located = any(r == intruder for r in idx)
+        swapped = any(r == intruder_prev and p == intruder for r, p in zip(idx, prev))
+        t += 1
+        if co_located or swapped:
+            captured, via_swap = True, swapped and not co_located
+        rows.append(row())
+    return rows
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    vertices=st.integers(6, 20).map(lambda h: 2 * h),
+    poly_seed=st.integers(0, 10**6),
+    strategy=st.sampled_from(("sfc", "sfc_g")),
+    intruder=st.sampled_from(("random", "walk")),
+    extra=st.integers(0, 12),
+    seed=st.integers(0, 10**6),
+    max_steps=st.integers(0, 400),
+)
+def test_property_patrol_trace_equals_reference(
+    vertices, poly_seed, strategy, intruder, extra, seed, max_steps
+):
+    poly = inflate_cut(vertices, poly_seed)
+    grid = rasterize(poly)
+    k = min(min_robots(strategy, grid) + extra, len(grid))
+    cfg = SimConfig(
+        polygon=poly, strategy=strategy, k=k, intruder=intruder, seed=seed,
+        max_steps=max_steps, trace=True,
+    )
+    res = run_trial(cfg, grid)
+    assert list(res.trace) == ref_patrol_trace(cfg, grid)
+    assert res.via_swap == res.trace[-1]["via_swap"]
 
 
 def test_patrol_catches_static_intruder_within_one_sweep(comb_grid):
