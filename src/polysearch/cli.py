@@ -14,7 +14,7 @@ import os
 import sys
 
 from .decomposition import rectangulate
-from .errors import BadEnvironment, IoError, PolySearchError
+from .errors import BadEnvironment, InstanceInvalid, IoError, PolySearchError
 from .geometry import (
     rasterize,
     read_json,
@@ -45,7 +45,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_comb(args: argparse.Namespace) -> int:
-    depths = tuple(int(d) for d in args.depths.split(","))
+    try:
+        depths = tuple(int(d) for d in args.depths.split(","))
+    except ValueError:
+        raise InstanceInvalid(f"--depths must be comma-separated integers, got {args.depths!r}") from None
     poly = comb_polygon(
         depths,
         spike_width=args.spike_width,
@@ -128,6 +131,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec_list(raw: dict, key: str, default: list | None = None) -> tuple:
+    value = raw[key] if default is None else raw.get(key, default)
+    if not isinstance(value, list):
+        raise TypeError(f"{key!r} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def _load_spec(path: str) -> SweepSpec:
     raw = read_json(path)
     try:
@@ -140,9 +150,9 @@ def _load_spec(path: str) -> SweepSpec:
             instances.append(InstanceSpec(inst["id"], poly, inst.get("rect_seed", 0)))
         return SweepSpec(
             instances=tuple(instances),
-            strategies=tuple(raw["strategies"]),
-            ks=tuple(raw["ks"]),
-            intruders=tuple(raw.get("intruders", ["static"])),
+            strategies=_spec_list(raw, "strategies"),
+            ks=_spec_list(raw, "ks"),
+            intruders=_spec_list(raw, "intruders", ["static"]),
             trials=raw.get("trials", 100),
             base_seed=raw.get("base_seed", 0),
             max_steps=raw.get("max_steps"),

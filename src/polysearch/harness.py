@@ -98,6 +98,11 @@ def trial_seed(base_seed: int, cell_index: int, trial_index: int) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
+def _is_int(value: object) -> bool:
+    # JSON true and false load as bools, which are Integral too.
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     """Canonical cell order: instance, then strategy, intruder, team size."""
     if not spec.instances or not spec.strategies or not spec.ks:
@@ -105,18 +110,22 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     for inst in spec.instances:
         if not isinstance(inst.id, str):
             raise InvalidConfig(f"instance id must be a string, got {inst.id!r}")
+        if not _is_int(inst.rect_seed):
+            raise InvalidConfig(f"rect_seed must be an integer, got {inst.rect_seed!r}")
+    if not _is_int(spec.base_seed):
+        raise InvalidConfig(f"base_seed must be an integer, got {spec.base_seed!r}")
     for s in spec.strategies:
         if s not in STRATEGIES:
             raise InvalidConfig(f"unknown strategy {s!r}")
     for m in spec.intruders:
         if m not in INTRUDER_MODELS:
             raise InvalidConfig(f"unknown intruder model {m!r}")
-    if not isinstance(spec.trials, Integral) or spec.trials < 1:
+    if not _is_int(spec.trials) or spec.trials < 1:
         raise InvalidConfig(f"trials must be a positive integer, got {spec.trials!r}")
     for k in spec.ks:
-        if not isinstance(k, Integral):
+        if not _is_int(k):
             raise InvalidConfig(f"team size must be an integer, got {k!r}")
-    if spec.max_steps is not None and not isinstance(spec.max_steps, Integral):
+    if spec.max_steps is not None and not _is_int(spec.max_steps):
         raise InvalidConfig(f"max_steps must be an integer, got {spec.max_steps!r}")
     cells = []
     index = 0

@@ -1,20 +1,23 @@
 """Discrete-time pursuit of an intruder by a robot team on a cell grid.
 
-Robots and one intruder occupy unit cells of a rasterized polygon. Each
-step the searchers move first (one cell at most, in robot id order), then
-the intruder. Capture happens when a robot ends the step on the intruder's
-cell, or when a robot and the intruder exchange cells within the step.
+Robots and one intruder occupy unit cells of a rasterized polygon. A trial
+is plain index lists: the robots' cell indices in robot id order and the
+intruder's index. Each step the strategy moves the whole team (one cell at
+most per robot) into a new position list, then the intruder moves. Capture
+happens when a robot ends the step on the intruder's cell, or when a robot
+and the intruder exchange cells within the step.
 
 Strategies:
 
 * ``sfc``       patrol: the grid is cut into rectangles, each rectangle is
                 covered by a space-filling curve, and every robot sweeps
-                its own contiguous curve segment back and forth. The team
-                is built once per grid and (strategy, k, rect_seed); at
-                step t a robot stands on entry t, modulo the length, of
+                its own contiguous curve segment back and forth. The team's
+                tours are built once per grid and (strategy, k, rect_seed);
+                at step t a robot stands on entry t, modulo the length, of
                 its ping-pong tour, so patrolling needs no planning.
 * ``sfc_g``     the same patrol plus one stationary guard per junction
-                between rectangles, blocking recontamination.
+                between rectangles, blocking recontamination. The guards
+                are the last robots of the team.
 * ``rs``        each robot independently picks random target cells and
                 walks there along cheapest paths over a shared visit-count
                 map, so the team spreads out over time.
@@ -69,36 +72,28 @@ class SimConfig:
 
 
 @dataclass
-class Robot:
-    id: int
-    role: str
-    idx: int
-    segment: tuple[int, ...] = ()
-    tour: tuple[int, ...] = ()
-    plan: list[int] | None = None
-    plan_pos: int = 0
-
-
-@dataclass
-class Intruder:
-    idx: int
-    model: str
-
-
-@dataclass
 class SimState:
+    """One trial in index space; robot lists are in robot id order.
+
+    ``pos`` holds the robots' cells and ``intruder`` the intruder's. An
+    sfc/sfc_g team carries its ping-pong ``tours``; an rs/crs robot walks
+    ``plans[i]``, the cells still ahead with the next one last, and has
+    arrived when that list is empty.
+    """
+
     cfg: SimConfig
     grid: GridGraph
-    robots: list[Robot]
-    intruder: Intruder
+    pos: list[int]
+    intruder: int
     cost: CostMap | None
     rng: random.Random
     max_steps: int
+    tours: tuple[tuple[int, ...], ...]
+    plans: list[list[int]]
     t: int = 0
     captured: bool = False
     via_swap: bool = False
     trace: list[dict] | None = None
-    crs_round_t: int = -1
 
 
 @dataclass(frozen=True)
@@ -148,16 +143,13 @@ def sfc_layout(grid: GridGraph, rect_seed: int = 0) -> SfcLayout:
     return layout
 
 
-#: One patrol robot: (role, segment, tour).
-Member = tuple[str, tuple[int, ...], tuple[int, ...]]
+def sfc_team(grid: GridGraph, strategy: str, k: int, rect_seed: int = 0) -> tuple[tuple[int, ...], ...]:
+    """Build (or fetch) the tours of the k-robot sfc/sfc_g team for `grid`.
 
-
-def sfc_team(grid: GridGraph, strategy: str, k: int, rect_seed: int = 0) -> tuple[Member, ...]:
-    """Build (or fetch) the k-robot sfc/sfc_g team for `grid`, in robot id order.
-
-    Searchers come first, each with its curve segment and its ping-pong
-    tour ``seg + seg[-2:0:-1]`` (period 2(L - 1)); then one guard per
-    junction for sfc_g, whose tour is its doorway cell. A grid keeps one
+    Tours are in robot id order. Searchers come first, each with the
+    ping-pong tour ``seg + seg[-2:0:-1]`` (period 2(L - 1)) of its curve
+    segment, which is ``tour[:len(tour) // 2 + 1]``; then, for sfc_g, one
+    guard per junction, whose tour is its doorway cell. A grid keeps one
     team; another (strategy, k, rect_seed) replaces it. Raises TooFewRobots
     when the rectangles (and junctions) outnumber k, and TooManyRobots when
     a curve gets more searchers than cells.
@@ -175,13 +167,13 @@ def sfc_team(grid: GridGraph, strategy: str, k: int, rect_seed: int = 0) -> tupl
             + (f", {len(guards)} junctions)" if guards else ")")
             + f", got {k}"
         )
-    team: list[Member] = []
+    tours = []
     for curve, count in zip(layout.curves, allocate_robots(layout.rectangulation, k - len(guards))):
         for start, stop in segment_bounds(len(curve), count):
             seg = curve[start:stop]
-            team.append(("searcher", seg, seg + seg[-2:0:-1]))
-    team.extend(("guard", (), (cell,)) for cell in guards)
-    grid.cache["sfc_team"] = (key, tuple(team))
+            tours.append(seg + seg[-2:0:-1])
+    tours.extend((cell,) for cell in guards)
+    grid.cache["sfc_team"] = (key, tuple(tours))
     return grid.cache["sfc_team"][1]
 
 
@@ -214,113 +206,109 @@ def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
     rng = random.Random(cfg.seed)
     cost = CostMap(grid) if cfg.strategy in ("rs", "crs") else None
 
+    tours: tuple[tuple[int, ...], ...] = ()
     if cfg.strategy in ("sfc", "sfc_g"):
         if cfg.robot_positions is not None:
             raise InvalidConfig("robot_positions only apply to rs, crs and baseline")
-        team = sfc_team(grid, cfg.strategy, cfg.k, cfg.rect_seed)
-        # Positional arguments: this runs once per robot and trial.
-        robots = [Robot(i, role, tour[0], seg, tour) for i, (role, seg, tour) in enumerate(team)]
+        tours = sfc_team(grid, cfg.strategy, cfg.k, cfg.rect_seed)
+        pos = [tour[0] for tour in tours]
+    elif cfg.robot_positions is not None:
+        if len(cfg.robot_positions) != cfg.k:
+            raise InvalidConfig(f"{cfg.k} robots but {len(cfg.robot_positions)} positions")
+        pos = [grid.require(cell) for cell in cfg.robot_positions]
     else:
-        if cfg.robot_positions is not None:
-            if len(cfg.robot_positions) != cfg.k:
-                raise InvalidConfig(f"{cfg.k} robots but {len(cfg.robot_positions)} positions")
-            starts = [grid.require(cell) for cell in cfg.robot_positions]
-        else:
-            starts = [rng.randrange(n) for _ in range(cfg.k)]
-        robots = [Robot(id=i, role="searcher", idx=s) for i, s in enumerate(starts)]
+        pos = [rng.randrange(n) for _ in range(cfg.k)]
 
     if cfg.intruder_position is not None:
-        intruder_idx = grid.require(cfg.intruder_position)
+        intruder = grid.require(cfg.intruder_position)
     else:
-        intruder_idx = rng.randrange(n)
-    intruder = Intruder(idx=intruder_idx, model=cfg.intruder)
+        intruder = rng.randrange(n)
 
     max_steps = cfg.max_steps if cfg.max_steps is not None else DEFAULT_STEP_FACTOR * n
     state = SimState(
         cfg=cfg,
         grid=grid,
-        robots=robots,
+        pos=pos,
         intruder=intruder,
         cost=cost,
         rng=rng,
         max_steps=max_steps,
+        tours=tours,
+        plans=[[] for _ in pos] if cost is not None else [],
         trace=[] if cfg.trace else None,
     )
-    if any(r.idx == intruder_idx for r in robots):
-        state.captured = True
+    state.captured = intruder in pos
     _record(state)
     return state
 
 
-def policy_rs(state: SimState, robot: Robot) -> Cell:
-    """Walk toward a private random target; pick a fresh one on arrival.
+def _sfc_move(state: SimState) -> list[int]:
+    """sfc/sfc_g: every robot takes the next entry of its ping-pong tour."""
+    t = state.t + 1
+    return [tour[t % len(tour)] for tour in state.tours]
+
+
+def _rs_move(state: SimState) -> list[int]:
+    """rs: walk toward a private random target; pick a fresh one on arrival.
 
     Targets are resampled until they differ from the current cell (bounded
     attempts), and paths are cheapest under the shared visit-count map, so
     crowded cells get avoided on the next replan.
     """
-    g = state.grid
-    if robot.plan is None or robot.plan_pos >= len(robot.plan) - 1:
-        target = _draw_target(state, robot.idx)
-        robot.plan = plan_indices(g, state.cost, robot.idx, target)
-        robot.plan_pos = 0
-    if robot.plan_pos < len(robot.plan) - 1:
-        robot.plan_pos += 1
-        robot.idx = robot.plan[robot.plan_pos]
-    return g.cells[robot.idx]
+    g, cm = state.grid, state.cost
+    pos = []
+    for plan, here in zip(state.plans, state.pos):
+        if not plan:
+            plan += plan_indices(g, cm, here, _draw_target(state, here))[:0:-1]
+        pos.append(plan.pop() if plan else here)
+    return pos
 
 
-def policy_crs(state: SimState, robot: Robot) -> Cell:
-    """Like rs, but arrivals wait until the whole team can redeploy at once.
+def _crs_move(state: SimState) -> list[int]:
+    """crs: like rs, but arrivals wait until the whole team can redeploy.
 
-    The first searcher processed each step checks the barrier; when every
-    robot has finished its plan, new targets are drawn jointly and matched
-    to robots by assignment cost. Waiting robots still stand on their cells
-    and keep inflating the visit counts there.
+    Once every robot has walked its plan, new targets are drawn jointly and
+    matched to robots by assignment cost. Waiting robots still stand on
+    their cells and keep inflating the visit counts there.
     """
-    if state.crs_round_t != state.t:
-        state.crs_round_t = state.t
-        if all(r.plan is None or r.plan_pos >= len(r.plan) - 1 for r in state.robots):
-            _crs_assign(state)
-    if robot.plan is not None and robot.plan_pos < len(robot.plan) - 1:
-        robot.plan_pos += 1
-        robot.idx = robot.plan[robot.plan_pos]
-    return state.grid.cells[robot.idx]
+    if not any(state.plans):
+        _crs_assign(state)
+    return [plan.pop() if plan else here for plan, here in zip(state.plans, state.pos)]
 
 
-def policy_baseline(state: SimState, robot: Robot) -> Cell:
-    """Chase the intruder's current cell along a shortest path."""
-    g = state.grid
-    path = shortest_indices(g, robot.idx, state.intruder.idx)
-    if len(path) > 1:
-        robot.idx = path[1]
-    return g.cells[robot.idx]
+def _baseline_move(state: SimState) -> list[int]:
+    """baseline: every robot chases the intruder's cell along a shortest path."""
+    g, goal = state.grid, state.intruder
+    pos = []
+    for here in state.pos:
+        path = shortest_indices(g, here, goal)
+        pos.append(path[1] if len(path) > 1 else here)
+    return pos
 
 
-_POLICIES = {
-    "rs": policy_rs,
-    "crs": policy_crs,
-    "baseline": policy_baseline,
+_MOVES = {
+    "sfc": _sfc_move,
+    "sfc_g": _sfc_move,
+    "rs": _rs_move,
+    "crs": _crs_move,
+    "baseline": _baseline_move,
 }
 
 
-def intruder_move(state: SimState) -> Cell:
-    """Advance the intruder one step under its model.
+def intruder_move(state: SimState) -> int:
+    """The intruder's cell after one step under its model.
 
     static: never moves. random: uniform over staying and every adjacent
     cell. walk: uniform over adjacent cells only (stays only if boxed in).
     """
-    g, intr = state.grid, state.intruder
-    if intr.model == "static":
-        return g.cells[intr.idx]
-    adj = g.adjacency[intr.idx]
-    if intr.model == "random":
+    here, model = state.intruder, state.cfg.intruder
+    if model == "static":
+        return here
+    adj = state.grid.adjacency[here]
+    if model == "random":
         pick = state.rng.randrange(len(adj) + 1)
-        if pick > 0:
-            intr.idx = adj[pick - 1]
-    elif adj:
-        intr.idx = adj[state.rng.randrange(len(adj))]
-    return g.cells[intr.idx]
+        return adj[pick - 1] if pick else here
+    return adj[state.rng.randrange(len(adj))] if adj else here
 
 
 def step(state: SimState) -> None:
@@ -332,32 +320,22 @@ def step(state: SimState) -> None:
     """
     if state.captured or state.t >= state.max_steps:
         return
-    robots = state.robots
-    prev = [r.idx for r in robots]
-    if state.cfg.strategy in ("sfc", "sfc_g"):
-        t = state.t + 1
-        for robot in robots:
-            tour = robot.tour
-            robot.idx = tour[t % len(tour)]
-    else:
-        policy = _POLICIES[state.cfg.strategy]
-        for robot in robots:
-            policy(state, robot)
+    prev = state.pos
+    pos = state.pos = _MOVES[state.cfg.strategy](state)
     if state.cost is not None:
         bump = state.cost.bump_index
-        for robot in robots:
-            bump(robot.idx)
-    intruder_prev = state.intruder.idx
-    intruder_move(state)
-    intruder_now = state.intruder.idx
+        for idx in pos:
+            bump(idx)
+    intruder_prev = state.intruder
+    intruder_now = state.intruder = intruder_move(state)
 
-    co_located = intruder_now in [r.idx for r in robots]
+    co_located = intruder_now in pos
     # A swap needs the intruder to move onto a cell a robot just left.
     swapped = (
         not co_located
         and intruder_now != intruder_prev
         and intruder_now in prev
-        and any(r.idx == intruder_prev and prev[i] == intruder_now for i, r in enumerate(robots))
+        and any(r == intruder_prev and p == intruder_now for r, p in zip(pos, prev))
     )
     state.t += 1
     if co_located or swapped:
@@ -391,8 +369,8 @@ def _record(state: SimState) -> None:
     state.trace.append(
         {
             "t": state.t,
-            "robots": tuple(cells[r.idx] for r in state.robots),
-            "intruder": cells[state.intruder.idx],
+            "robots": tuple(cells[i] for i in state.pos),
+            "intruder": cells[state.intruder],
             "captured": state.captured,
             "via_swap": state.via_swap,
         }
@@ -409,10 +387,9 @@ def _draw_target(state: SimState, current: int) -> int:
 
 
 def _crs_assign(state: SimState) -> None:
-    g, cm = state.grid, state.cost
-    targets = [_draw_target(state, robot.idx) for robot in state.robots]
+    g, cm, pos = state.grid, state.cost, state.pos
+    targets = [_draw_target(state, here) for here in pos]
     remaining = costs_to_target(g, cm, targets)
-    assignment = hungarian(remaining[:, [robot.idx for robot in state.robots]].T)
-    for robot, j in zip(state.robots, assignment.targets):
-        robot.plan = plan_indices(g, cm, robot.idx, targets[j])
-        robot.plan_pos = 0
+    assignment = hungarian(remaining[:, pos].T)
+    for plan, here, j in zip(state.plans, pos, assignment.targets):
+        plan += plan_indices(g, cm, here, targets[j])[:0:-1]

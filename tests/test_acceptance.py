@@ -222,7 +222,7 @@ def test_criterion_04_patrol_capture_guarantee():
         k = len(layout.curves)
         cfg = SimConfig(polygon=poly, strategy="sfc", k=k, intruder="static", seed=trial)
         state = init_trial(cfg, grid)
-        period = max(2 * (len(r.segment) - 1) for r in state.robots)
+        period = max(2 * (len(t) // 2) for t in state.tours)
         res = run_trial(cfg, grid)
         if not res.captured or res.steps > period:
             ok, detail = False, f"trial {trial}: steps {res.steps} vs period {period}"

@@ -169,6 +169,14 @@ def _spec(**overrides) -> str:
         pytest.param(["sweep", "--spec", "{ks}", "-o", "{out}"], id="spec-ks-float"),
         pytest.param(["sweep", "--spec", "{maxsteps}", "-o", "{out}"], id="spec-max-steps-string"),
         pytest.param(["sweep", "--spec", "{numid}", "-o", "{out}"], id="spec-instance-id-number"),
+        pytest.param(["sweep", "--spec", "{rectlist}", "-o", "{out}"], id="spec-rect-seed-list"),
+        pytest.param(["sweep", "--spec", "{rectstr}", "-o", "{out}"], id="spec-rect-seed-string"),
+        pytest.param(["sweep", "--spec", "{baselist}", "-o", "{out}"], id="spec-base-seed-list"),
+        pytest.param(["sweep", "--spec", "{strategystr}", "-o", "{out}"], id="spec-strategies-string"),
+        pytest.param(["sweep", "--spec", "{ksstr}", "-o", "{out}"], id="spec-ks-string"),
+        pytest.param(["sweep", "--spec", "{intruderstr}", "-o", "{out}"], id="spec-intruders-string"),
+        pytest.param(["sweep", "--spec", "{ksbool}", "-o", "{out}"], id="spec-ks-bool"),
+        pytest.param(["comb", "--depths", "3,x", "-o", "{out}"], id="comb-depth-not-an-integer"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
@@ -191,8 +199,37 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         "ks": _write(tmp_path, "ks.json", _spec(ks=[2.5])),
         "maxsteps": _write(tmp_path, "maxsteps.json", _spec(max_steps="9")),
         "numid": _write(tmp_path, "numid.json", _spec(instances=[{"id": 5, "polygon": strip}])),
+        "rectlist": _write(
+            tmp_path, "rectlist.json", _spec(instances=[{"id": "s", "polygon": strip, "rect_seed": [1]}])
+        ),
+        "rectstr": _write(
+            tmp_path, "rectstr.json", _spec(instances=[{"id": "s", "polygon": strip, "rect_seed": "1"}])
+        ),
+        "baselist": _write(tmp_path, "baselist.json", _spec(base_seed=[3])),
+        "strategystr": _write(tmp_path, "strategystr.json", _spec(strategies="rs")),
+        "ksstr": _write(tmp_path, "ksstr.json", _spec(ks="1")),
+        "intruderstr": _write(tmp_path, "intruderstr.json", _spec(intruders="static")),
+        "ksbool": _write(tmp_path, "ksbool.json", _spec(ks=[True])),
         "out": str(tmp_path / "out.csv"),
     }
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"strategies": "rs"}, "strategies"),
+        ({"ks": "1"}, "ks"),
+        ({"intruders": "static"}, "intruders"),
+        ({"base_seed": [3]}, "base_seed"),
+        ({"trials": True}, "trials"),
+        ({"instances": [{"id": "s", "polygon": [[0, 0], [4, 0], [4, 1], [0, 1]], "rect_seed": "1"}]},
+         "rect_seed"),
+    ],
+)
+def test_spec_error_names_the_bad_key(tmp_path, capsys, override, key):
+    spec = _write(tmp_path, "spec.json", _spec(**override))
+    assert main(["sweep", "--spec", spec, "-o", str(tmp_path / "out.csv")]) == 2
+    assert key in capsys.readouterr().err

@@ -116,8 +116,8 @@ def test_sfc_robots_start_at_segment_starts():
     layout = sfc_layout(grid)
     assert len(layout.curves) == 1
     curve = layout.curves[0]
-    assert [r.idx for r in state.robots] == [curve[0], curve[3]]
-    assert [r.segment for r in state.robots] == [curve[0:3], curve[3:6]]
+    assert state.pos == [curve[0], curve[3]]
+    assert [tour[: len(tour) // 2 + 1] for tour in state.tours] == [curve[0:3], curve[3:6]]
 
 
 def test_sfc_too_few_robots(comb_grid):
@@ -134,9 +134,10 @@ def test_sfc_g_guards_sit_on_junction_doorways(comb_grid):
     layout = sfc_layout(grid)
     k = min_robots("sfc_g", grid)
     state = init_trial(SimConfig(polygon=poly, strategy="sfc_g", k=k), grid)
-    guards = [r for r in state.robots if r.role == "guard"]
+    guards = state.pos[k - len(layout.guards):]
     assert len(guards) == len(layout.rectangulation.juncs) == len(layout.guards)
-    assert [g.idx for g in guards] == list(layout.guards)
+    assert guards == list(layout.guards)
+    assert all(len(tour) == 1 for tour in state.tours[k - len(layout.guards):])
     with pytest.raises(TooFewRobots):
         init_trial(SimConfig(polygon=poly, strategy="sfc_g", k=k - 1), grid)
 
@@ -146,8 +147,8 @@ def test_segments_jointly_cover_the_grid(comb_grid):
     for k in (4, 5, 9):
         state = init_trial(SimConfig(polygon=poly, strategy="sfc", k=k, seed=k), grid)
         covered = set()
-        for r in state.robots:
-            covered.update(r.segment)
+        for tour in state.tours:
+            covered.update(tour[: len(tour) // 2 + 1])
         assert covered == set(range(len(grid.cells)))
 
 
@@ -351,8 +352,8 @@ def _draw_counts(model: str, samples: int) -> dict[Cell, int]:
     )
     counts: dict[Cell, int] = {}
     for _ in range(samples):
-        state.intruder.idx = center
-        cell = intruder_move(state)
+        state.intruder = center
+        cell = grid.cells[intruder_move(state)]
         counts[cell] = counts.get(cell, 0) + 1
     return counts
 
@@ -387,7 +388,7 @@ def test_patrol_ping_pong():
     for _ in range(12):
         state.captured = False  # keep stepping past the static intruder
         step(state)
-        seen.append(grid.cells[state.robots[0].idx].col)
+        seen.append(grid.cells[state.pos[0]].col)
     assert seen == [1, 2, 3, 4, 3, 2, 1, 0, 1, 2, 3, 4]
 
 
@@ -397,12 +398,12 @@ def test_single_cell_segment_stays_put():
     state = init_trial(
         SimConfig(polygon=poly, strategy="sfc", k=3, intruder_position=Cell(2, 0)), grid
     )
-    start = [robot.idx for robot in state.robots]
+    start = list(state.pos)
     for _ in range(4):
         state.captured = False  # the intruder starts on a robot's cell
         step(state)
-        assert [robot.idx for robot in state.robots] == start
-    assert all(len(robot.segment) == 1 for robot in state.robots)
+        assert state.pos == start
+    assert all(len(tour[: len(tour) // 2 + 1]) == 1 for tour in state.tours)
 
 
 def ref_patrol_trace(cfg: SimConfig, grid) -> list[dict]:
@@ -491,7 +492,7 @@ def test_patrol_catches_static_intruder_within_one_sweep(comb_grid):
         k = 4 + seed % 5
         cfg = SimConfig(polygon=poly, strategy="sfc", k=k, seed=seed)
         state = init_trial(cfg, grid)
-        bound = max(len(r.segment) for r in state.robots) - 1
+        bound = max(len(tour) // 2 + 1 for tour in state.tours) - 1
         res = run_trial(cfg, grid)
         assert res.captured and res.steps <= max(bound, 0)
 
@@ -528,15 +529,14 @@ def test_crs_arrivals_wait_for_the_team(comb_grid):
     for _ in range(80):
         if state.captured:
             break
-        arrived = [
-            r.plan is None or r.plan_pos >= len(r.plan) - 1 for r in state.robots
-        ]
-        before = [r.idx for r in state.robots]
+        # Every plan starts empty, so a partial arrival follows a first round.
+        arrived = [not plan for plan in state.plans]
+        before = state.pos
         step(state)
         if not all(arrived):
-            for i, robot in enumerate(state.robots):
-                if arrived[i] and state.robots[i].plan is not None:
-                    assert robot.idx == before[i]
+            for i, here in enumerate(state.pos):
+                if arrived[i]:
+                    assert here == before[i]
                     waited += 1
     assert waited > 0
 
@@ -545,8 +545,8 @@ def test_guards_never_move(comb_grid):
     poly, grid = comb_grid
     k = min_robots("sfc_g", grid)
     cfg = SimConfig(polygon=poly, strategy="sfc_g", k=k + 2, seed=1, intruder="walk", trace=True)
-    state = init_trial(cfg, grid)
-    guard_ids = [r.id for r in state.robots if r.role == "guard"]
+    guard_ids = range(cfg.k - len(sfc_layout(grid).guards), cfg.k)
+    assert len(guard_ids) > 0
     res = run_trial(cfg, grid)
     first = res.trace[0]["robots"]
     for row in res.trace:
@@ -571,6 +571,60 @@ def test_trace_moves_are_legal(comb_grid):
             for a, b in zip(movers, landed):
                 assert b in grid
                 assert abs(a.col - b.col) + abs(a.row - b.row) <= 1
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(
+    vertices=st.integers(6, 16).map(lambda h: 2 * h),
+    poly_seed=st.integers(0, 10**6),
+    strategy=st.sampled_from(("rs", "crs", "baseline")),
+    intruder=st.sampled_from(("static", "random", "walk")),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 10**6),
+    max_steps=st.one_of(st.none(), st.integers(0, 400)),
+)
+def test_property_pursuit_trace_is_legal(vertices, poly_seed, strategy, intruder, k, seed, max_steps):
+    """Trace rows of an rs, crs or baseline trial on an inflate_cut grid.
+
+    Every robot and intruder move is a stay or a 4-adjacent step inside the
+    grid; the trial ends exactly at the first co-location or swap, or at the
+    step cap; `via_swap` is the last row's flag. A static intruder never
+    moves and a walking one always does; rs robots never idle.
+    """
+    poly = inflate_cut(vertices, poly_seed)
+    grid = rasterize(poly)
+    cfg = SimConfig(
+        polygon=poly, strategy=strategy, k=k, intruder=intruder, seed=seed,
+        max_steps=max_steps, trace=True,
+    )
+    res = run_trial(cfg, grid)
+    rows = res.trace
+    assert rows[0]["t"] == 0 and not rows[0]["via_swap"]
+    assert rows[0]["captured"] == (rows[0]["intruder"] in rows[0]["robots"])
+    for prev_row, row in zip(rows, rows[1:]):
+        assert row["t"] == prev_row["t"] + 1
+        assert not prev_row["captured"]
+        for a, b in zip(prev_row["robots"] + (prev_row["intruder"],), row["robots"] + (row["intruder"],)):
+            assert b in grid
+            assert abs(a.col - b.col) + abs(a.row - b.row) <= 1
+        was, now = prev_row["intruder"], row["intruder"]
+        if cfg.intruder != "random":
+            assert (now == was) == (cfg.intruder == "static")
+        co_located = now in row["robots"]
+        swapped = now != was and any(
+            p == now and r == was for p, r in zip(prev_row["robots"], row["robots"])
+        )
+        assert row["captured"] == (co_located or swapped)
+        assert row["via_swap"] == (swapped and not co_located)
+    last = rows[-1]
+    cap = DEFAULT_STEP_FACTOR * len(grid) if cfg.max_steps is None else cfg.max_steps
+    assert last["captured"] or last["t"] == cap
+    assert res.captured == last["captured"] and res.steps == last["t"]
+    assert res.via_swap == last["via_swap"]
+    if cfg.strategy == "rs":
+        # A robot that arrives replans at once, toward a cell other than its own.
+        for prev_row, row in zip(rows, rows[1:]):
+            assert all(a != b for a, b in zip(prev_row["robots"], row["robots"]))
 
 
 def test_step_after_capture_is_a_noop():
