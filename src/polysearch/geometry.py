@@ -308,19 +308,23 @@ def read_json(path: str):
         raise IoError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _cell_size(value: object, path: str) -> float:
+    """A cell edge length in meters; InvalidPolygon unless a finite positive number."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+        raise InvalidPolygon(f"{path}: cell size {value!r} is not a finite positive number")
+    return float(value)
+
+
 def read_polygon_file(path: str) -> tuple[OrthoPolygon, float]:
     """Load {"vertices": [[x, y], ...], "cell_size_m": s} from JSON."""
     data = read_json(path)
     if not isinstance(data, dict) or "vertices" not in data:
         raise InvalidPolygon(f"{path} has no \"vertices\" list")
-    poly = validate_polygon(data["vertices"])
-    try:
-        return poly, float(data.get("cell_size_m", 5.0))
-    except (TypeError, ValueError):
-        raise InvalidPolygon(f"{path}: \"cell_size_m\" is not a number") from None
+    return validate_polygon(data["vertices"]), _cell_size(data.get("cell_size_m", 5.0), path)
 
 
 def write_polygon_file(path: str, poly: OrthoPolygon, cell_size_m: float = 5.0) -> None:
+    _cell_size(cell_size_m, path)
     try:
         with open(path, "w") as fh:
             json.dump({"vertices": [list(v) for v in poly.vertices], "cell_size_m": cell_size_m}, fh)

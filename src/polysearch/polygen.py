@@ -2,9 +2,10 @@
 
 inflate_cut grows a polygon from a unit square two vertices at a time by
 refining the lattice around a random cell and cutting a random rectangle at a
-convex corner; geometry's single flood fill checks that the rest stays
-connected. Combs encode 3-Partition triples as spike depths; balancing
-the triples is what makes an optimal multi-robot sweep schedule hard.
+convex corner; only a cut that fits is refined, and geometry's single flood
+fill checks that the rest stays connected. Combs encode 3-Partition triples
+as spike depths; balancing the triples is what makes an optimal multi-robot
+sweep schedule hard.
 """
 from __future__ import annotations
 
@@ -44,17 +45,20 @@ def _corner_masks(cells: Iterable[Cell]) -> dict[tuple[int, int], int]:
     return around
 
 
-def _corner_scan(cells: set[Cell]) -> tuple[int, bool]:
-    """(number of polygon vertices, whether the set pinches at a point)."""
+def _corner_scan(cells: set[Cell]) -> tuple[list[tuple[int, int]], int, bool]:
+    """(convex corners, number of polygon vertices, whether the set pinches at a point)."""
+    convex: list[tuple[int, int]] = []
     vertices = 0
     pinch = False
-    for mask in _corner_masks(cells).values():
+    for p, mask in _corner_masks(cells).items():
         n = bin(mask).count("1")
+        if n == 1:
+            convex.append(p)
         if n in (1, 3):
             vertices += 1
         elif n == 2 and mask in _PINCH_MASKS:
             pinch = True
-    return vertices, pinch
+    return convex, vertices, pinch
 
 
 def _stretch(cells: set[Cell], at: Cell) -> set[Cell]:
@@ -67,6 +71,23 @@ def _stretch(cells: set[Cell], at: Cell) -> set[Cell]:
             for nr in rs:
                 out.add(Cell(nc, nr))
     return out
+
+
+def _shift(p: tuple[int, int], at: Cell) -> tuple[int, int]:
+    """Lattice point p as it lies after _stretch(_, at)."""
+    return p[0] + (p[0] > at.col), p[1] + (p[1] > at.row)
+
+
+def _cut(cells: set[Cell], at: Cell, corner: tuple[int, int]) -> set[Cell] | None:
+    """Cells of _stretch(cells, at) between the shifted corner and the center of
+    at's block, or None if one is missing. Checked without stretching: their
+    preimages are the cells between the corner and `at`, `at` included."""
+    x, y = corner
+    if any((c, r) not in cells for c in range(min(x, at.col), max(x, at.col + 1))
+           for r in range(min(y, at.row), max(y, at.row + 1))):
+        return None
+    (x, y), (cx, cy) = _shift(corner, at), (at.col + 1, at.row + 1)
+    return {Cell(c, r) for c in range(min(x, cx), max(x, cx)) for r in range(min(y, cy), max(y, cy))}
 
 
 def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
@@ -87,35 +108,27 @@ def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
 
     rng = random.Random(seed)
     cells: set[Cell] = {Cell(0, 0)}
-    vertices = 4
+    convex, vertices, _ = _corner_scan(cells)
     while vertices < target_vertices:
         ordered = sorted(cells, key=lambda c: (c.row, c.col))
+        # The stretch keeps the x and y order and adds no convex corner (each
+        # point on a new line has equal cells on both sides), so the stretched
+        # set's sorted convex corners are these, shifted.
+        convex.sort()
         for _ in range(RETRY_BUDGET):
             at = ordered[rng.randrange(len(ordered))]
-            inflated = _stretch(cells, at)
-            center = (at.col + 1, at.row + 1)
-
-            masks = _corner_masks(inflated)
-            convex = sorted(p for p, mask in masks.items() if bin(mask).count("1") == 1)
-            v = convex[rng.randrange(len(convex))]
-
-            x0, x1 = min(v[0], center[0]), max(v[0], center[0])
-            y0, y1 = min(v[1], center[1]), max(v[1], center[1])
-            if x0 == x1 or y0 == y1:
+            cut = _cut(cells, at, convex[rng.randrange(len(convex))])
+            if cut is None:
                 continue
-            cut = {Cell(c, r) for c in range(x0, x1) for r in range(y0, y1)}
-            if not cut <= inflated:
-                continue
-            remaining = inflated - cut
+            remaining = _stretch(cells, at) - cut
             # No hole test: the cut is 4-adjacent to the outside across the
-            # convex corner v, so the complement stays one component.
+            # convex corner, so the complement stays one component.
             if not cells_connected(remaining):
                 continue
-            count, pinch = _corner_scan(remaining)
+            corners, count, pinch = _corner_scan(remaining)
             if pinch or count != vertices + 2:
                 continue
-            cells = remaining
-            vertices = count
+            cells, convex, vertices = remaining, corners, count
             break
         else:
             raise IterationBudgetExceeded(

@@ -164,6 +164,13 @@ def _spec(**overrides) -> str:
         pytest.param(["sweep", "--spec", "{spec}", "--workers", "0", "-o", "{out}"], id="workers-flag-zero"),
         pytest.param(["decompose", "{short}"], id="polygon-vertex-not-a-pair"),
         pytest.param(["decompose", "{cellsize}"], id="polygon-cell-size-not-a-number"),
+        pytest.param(["decompose", "{sizeneg}"], id="polygon-cell-size-negative"),
+        pytest.param(["decompose", "{sizezero}"], id="polygon-cell-size-zero"),
+        pytest.param(["decompose", "{sizetrue}"], id="polygon-cell-size-bool"),
+        pytest.param(["decompose", "{sizenan}"], id="polygon-cell-size-nan"),
+        pytest.param(["generate", "--vertices", "8", "--cell-size", "nan", "-o", "{out}"], id="generate-cell-size-nan"),
+        pytest.param(["generate", "--vertices", "8", "--cell-size", "-1", "-o", "{out}"], id="generate-cell-size-negative"),
+        pytest.param(["comb", "--depths", "3", "--cell-size", "0", "-o", "{out}"], id="comb-cell-size-zero"),
         pytest.param(["sweep", "--spec", "{polyobj}", "-o", "{out}"], id="spec-polygon-is-an-object"),
         pytest.param(["sweep", "--spec", "{trials}", "-o", "{out}"], id="spec-trials-string"),
         pytest.param(["sweep", "--spec", "{ks}", "-o", "{out}"], id="spec-ks-float"),
@@ -192,6 +199,10 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         "cellsize": _write(
             tmp_path, "cellsize.json", json.dumps({"vertices": strip, "cell_size_m": "5m"})
         ),
+        **{
+            name: _write(tmp_path, f"{name}.json", json.dumps({"vertices": strip, "cell_size_m": size}))
+            for name, size in [("sizeneg", -5), ("sizezero", 0), ("sizetrue", True), ("sizenan", float("nan"))]
+        },
         "polyobj": _write(
             tmp_path, "polyobj.json", _spec(instances=[{"id": "s", "polygon": {"vertices": strip}}])
         ),

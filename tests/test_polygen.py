@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysearch.errors import (
     InstanceInvalid,
@@ -15,6 +18,11 @@ from polysearch.geometry import Cell, rasterize, validate_polygon
 from polysearch.polygen import (
     SweepRecord,
     ThreePartitionInstance,
+    _corner_masks,
+    _corner_scan,
+    _cut,
+    _shift,
+    _stretch,
     build_comb,
     comb_cells,
     inflate_cut,
@@ -77,6 +85,32 @@ class TestInflateCut:
         # output passes the validator round trip unchanged
         poly = inflate_cut(20, 7)
         assert validate_polygon(poly.vertices) == poly
+
+    def test_pinned_polygon_digest(self):
+        # sha256 of the vertex tuples for v = 4..40 even, seeds 0..3, taken
+        # when every attempt still stretched the whole cell set.
+        h = hashlib.sha256()
+        for target in range(4, 41, 2):
+            for seed in range(4):
+                h.update(repr(inflate_cut(target, seed).vertices).encode())
+        assert h.hexdigest() == "6304a990c69c75d5a1ff9e60931e1a31db057ac0b5e077331b517ed57b432cff"
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(vertices=st.integers(2, 15).map(lambda h: 2 * h), seed=st.integers(0, 10**6))
+def test_property_cut_before_stretch_matches_stretched_oracle(vertices, seed):
+    """For every cell as `at` and every convex corner, the shifted corners and
+    the unstretched fit test agree with a full _stretch and _corner_masks."""
+    cells = set(rasterize(inflate_cut(vertices, seed)).cells)
+    convex = sorted(_corner_scan(cells)[0])
+    for at in cells:
+        inflated = _stretch(cells, at)
+        oracle = sorted(p for p, mask in _corner_masks(inflated).items() if bin(mask).count("1") == 1)
+        assert [_shift(p, at) for p in convex] == oracle
+        cx, cy = at.col + 1, at.row + 1
+        for corner, (x, y) in zip(convex, oracle):
+            cut = {Cell(c, r) for c in range(min(x, cx), max(x, cx)) for r in range(min(y, cy), max(y, cy))}
+            assert _cut(cells, at, corner) == (cut if cut <= inflated else None)
 
 
 class TestComb:
