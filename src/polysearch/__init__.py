@@ -52,7 +52,6 @@ from .sim import (
     SimConfig,
     TrialResult,
     init_trial,
-    min_robots,
     run_trial,
     step,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "inflate_cut",
     "init_trial",
     "line_plot",
-    "min_robots",
     "place_curve",
     "polygon_from_cells",
     "rasterize",

@@ -131,32 +131,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _spec_list(raw: dict, key: str, default: list | None = None) -> tuple:
-    value = raw[key] if default is None else raw.get(key, default)
-    if not isinstance(value, list):
-        raise TypeError(f"{key!r} must be a list, got {value!r}")
-    return tuple(value)
+def _load_instance(inst: dict) -> InstanceSpec:
+    fields = {**inst}  # TypeError unless inst is a JSON object
+    if "file" in fields:
+        fields["polygon"], _ = read_polygon_file(fields.pop("file"))
+    else:
+        fields["polygon"] = validate_polygon(fields["polygon"])
+    return InstanceSpec(**fields)
 
 
 def _load_spec(path: str) -> SweepSpec:
+    """A JSON sweep spec: its keys are the fields of SweepSpec and InstanceSpec.
+
+    Lists become tuples, and an instance's "file" is read into its polygon.
+    Unknown and missing keys raise IoError naming the key.
+    """
     raw = read_json(path)
     try:
-        instances = []
-        for inst in raw["instances"]:
-            if "file" in inst:
-                poly, _ = read_polygon_file(inst["file"])
-            else:
-                poly = validate_polygon(inst["polygon"])
-            instances.append(InstanceSpec(inst["id"], poly, inst.get("rect_seed", 0)))
-        return SweepSpec(
-            instances=tuple(instances),
-            strategies=_spec_list(raw, "strategies"),
-            ks=_spec_list(raw, "ks"),
-            intruders=_spec_list(raw, "intruders", ["static"]),
-            trials=raw.get("trials", 100),
-            base_seed=raw.get("base_seed", 0),
-            max_steps=raw.get("max_steps"),
-        )
+        instances = tuple(_load_instance(inst) for inst in raw["instances"])
+        fields = {key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()}
+        return SweepSpec(**{**fields, "instances": instances})
     except (KeyError, TypeError) as exc:
         raise IoError(f"{path} is not a valid sweep spec: {type(exc).__name__} {exc}") from None
 
@@ -185,6 +179,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec = dataclasses.replace(spec, trials=args.trials)
     if args.base_seed is not None:
         spec = dataclasses.replace(spec, base_seed=args.base_seed)
+    # Fail before the sweep, not after it, when the CSV has nowhere to go.
+    out_dir = os.path.dirname(args.output) or "."
+    if not os.path.isdir(out_dir):
+        raise IoError(f"output directory {out_dir} does not exist")
 
     def progress(done: int, total: int) -> None:
         print(f"\r{done}/{total} cells", end="", file=sys.stderr, flush=True)

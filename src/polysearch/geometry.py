@@ -323,11 +323,16 @@ def read_polygon_file(path: str) -> tuple[OrthoPolygon, float]:
     return validate_polygon(data["vertices"]), _cell_size(data.get("cell_size_m", 5.0), path)
 
 
-def write_polygon_file(path: str, poly: OrthoPolygon, cell_size_m: float = 5.0) -> None:
-    _cell_size(cell_size_m, path)
+def write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as UTF-8; a failed open or write raises IoError."""
     try:
-        with open(path, "w") as fh:
-            json.dump({"vertices": [list(v) for v in poly.vertices], "cell_size_m": cell_size_m}, fh)
-            fh.write("\n")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise IoError(str(exc)) from exc
+
+
+def write_polygon_file(path: str, poly: OrthoPolygon, cell_size_m: float = 5.0) -> None:
+    _cell_size(cell_size_m, path)
+    payload = {"vertices": [list(v) for v in poly.vertices], "cell_size_m": cell_size_m}
+    write_text(path, json.dumps(payload) + "\n")

@@ -12,39 +12,25 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Integral
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_type_hints
 
-from .errors import EmptyInput, InvalidConfig, TooManyRobots
-from .geometry import GridGraph, OrthoPolygon, rasterize, validate_polygon
+from .errors import EmptyInput, InvalidConfig, IoError, TooFewRobots, TooManyRobots
+from .geometry import GridGraph, OrthoPolygon, rasterize, validate_polygon, write_text
 from .polygen import comb_polygon
 from .sim import (
     INTRUDER_MODELS,
     STRATEGIES,
     SimConfig,
     TrialResult,
-    min_robots,
     run_trial,
     sfc_team,
-)
-
-CSV_COLUMNS = (
-    "instance",
-    "strategy",
-    "intruder",
-    "k",
-    "trials",
-    "captures",
-    "capture_rate",
-    "mean_steps",
-    "sd_steps",
-    "ci95",
-    "feasible",
 )
 
 
@@ -79,6 +65,8 @@ class SweepCell:
 
 @dataclass(frozen=True)
 class SummaryRow:
+    """One sweep cell's summary; the fields, in order, are the CSV columns."""
+
     instance: str
     strategy: str
     intruder: str
@@ -90,6 +78,24 @@ class SummaryRow:
     sd_steps: float
     ci95: float
     feasible: bool
+
+
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text == "true"
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SummaryRow))
+_COLUMN_TYPES = get_type_hints(SummaryRow)
+#: How a CSV cell is written and read, by field type; a NaN float is an empty cell.
+_FORMAT = {
+    str: str,
+    int: str,
+    float: lambda x: "" if math.isnan(x) else f"{x:.4f}",
+    bool: lambda b: "true" if b else "false",
+}
+_PARSE = {str: str, int: int, float: lambda text: float(text or "nan"), bool: _parse_bool}
 
 
 def trial_seed(base_seed: int, cell_index: int, trial_index: int) -> int:
@@ -105,6 +111,9 @@ def _is_int(value: object) -> bool:
 
 def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     """Canonical cell order: instance, then strategy, intruder, team size."""
+    for name in ("instances", "strategies", "intruders", "ks"):
+        if not isinstance(getattr(spec, name), (tuple, list)):
+            raise InvalidConfig(f"{name} must be a list, got {getattr(spec, name)!r}")
     if not spec.instances or not spec.strategies or not spec.ks:
         raise EmptyInput("sweep needs at least one instance, strategy and team size")
     for inst in spec.instances:
@@ -125,17 +134,10 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     for k in spec.ks:
         if not _is_int(k):
             raise InvalidConfig(f"team size must be an integer, got {k!r}")
-    if spec.max_steps is not None and not _is_int(spec.max_steps):
-        raise InvalidConfig(f"max_steps must be an integer, got {spec.max_steps!r}")
-    cells = []
-    index = 0
-    for inst in spec.instances:
-        for strategy in spec.strategies:
-            for intruder in spec.intruders:
-                for k in spec.ks:
-                    cells.append(SweepCell(index, inst, strategy, intruder, k))
-                    index += 1
-    return cells
+    if spec.max_steps is not None and (not _is_int(spec.max_steps) or spec.max_steps < 0):
+        raise InvalidConfig(f"max_steps must be a nonnegative integer, got {spec.max_steps!r}")
+    combos = itertools.product(spec.instances, spec.strategies, spec.intruders, spec.ks)
+    return [SweepCell(index, *combo) for index, combo in enumerate(combos)]
 
 
 def summarize(results: Sequence[TrialResult]) -> SummaryRow:
@@ -152,17 +154,8 @@ def summarize(results: Sequence[TrialResult]) -> SummaryRow:
     else:
         mean = sd = ci95 = math.nan
     return SummaryRow(
-        instance=first.instance,
-        strategy=first.strategy,
-        intruder=first.intruder,
-        k=first.k,
-        trials=len(results),
-        captures=n,
-        capture_rate=n / len(results),
-        mean_steps=mean,
-        sd_steps=sd,
-        ci95=ci95,
-        feasible=True,
+        first.instance, first.strategy, first.intruder, first.k,
+        len(results), n, n / len(results), mean, sd, ci95, True,
     )
 
 
@@ -183,30 +176,25 @@ def _instance_grid(inst: InstanceSpec) -> GridGraph:
 
 
 def _infeasible_row(cell: SweepCell) -> SummaryRow:
+    nan = math.nan
     return SummaryRow(
-        instance=cell.instance.id,
-        strategy=cell.strategy,
-        intruder=cell.intruder,
-        k=cell.k,
-        trials=0,
-        captures=0,
-        capture_rate=0.0,
-        mean_steps=math.nan,
-        sd_steps=math.nan,
-        ci95=math.nan,
-        feasible=False,
+        cell.instance.id, cell.strategy, cell.intruder, cell.k, 0, 0, 0.0, nan, nan, nan, False
     )
 
 
 def run_cell(cell: SweepCell, trials: int, base_seed: int, max_steps: int | None) -> SummaryRow:
-    """Run one sweep cell inline (shared by serial and worker paths)."""
+    """Run one sweep cell inline (shared by serial and worker paths).
+
+    A team too small for the strategy, or a patrol team that `sfc_team`
+    cannot field, gives an infeasible row with no trials.
+    """
     grid = _instance_grid(cell.instance)
-    if cell.k < min_robots(cell.strategy, grid, cell.instance.rect_seed):
+    if cell.k < 1:
         return _infeasible_row(cell)
     if cell.strategy in ("sfc", "sfc_g"):
         try:
             sfc_team(grid, cell.strategy, cell.k, cell.instance.rect_seed)
-        except TooManyRobots:
+        except (TooFewRobots, TooManyRobots):
             return _infeasible_row(cell)
     results = []
     for trial in range(trials):
@@ -256,61 +244,37 @@ def run_sweep(
     return [row for row in rows if row is not None]
 
 
-def _fmt(x: float) -> str:
-    return "" if math.isnan(x) else f"{x:.4f}"
-
-
 def rows_to_csv(rows: Sequence[SummaryRow]) -> str:
     """Fixed-format CSV so equal sweeps serialize byte-for-byte equal."""
+    formats = [(name, _FORMAT[_COLUMN_TYPES[name]]) for name in CSV_COLUMNS]
     out = [",".join(CSV_COLUMNS)]
     for r in rows:
-        out.append(
-            ",".join(
-                (
-                    r.instance,
-                    r.strategy,
-                    r.intruder,
-                    str(r.k),
-                    str(r.trials),
-                    str(r.captures),
-                    f"{r.capture_rate:.4f}",
-                    _fmt(r.mean_steps),
-                    _fmt(r.sd_steps),
-                    _fmt(r.ci95),
-                    "true" if r.feasible else "false",
-                )
-            )
-        )
+        out.append(",".join(fmt(getattr(r, name)) for name, fmt in formats))
     return "\n".join(out) + "\n"
 
 
 def write_csv(rows: Sequence[SummaryRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rows_to_csv(rows))
+    write_text(path, rows_to_csv(rows))
 
 
 def read_csv(path: str) -> list[SummaryRow]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-            raise EmptyInput(f"{path} is not a sweep summary file")
-        rows = []
-        for rec in reader:
-            rows.append(
-                SummaryRow(
-                    instance=rec["instance"],
-                    strategy=rec["strategy"],
-                    intruder=rec["intruder"],
-                    k=int(rec["k"]),
-                    trials=int(rec["trials"]),
-                    captures=int(rec["captures"]),
-                    capture_rate=float(rec["capture_rate"]),
-                    mean_steps=float(rec["mean_steps"] or "nan"),
-                    sd_steps=float(rec["sd_steps"] or "nan"),
-                    ci95=float(rec["ci95"] or "nan"),
-                    feasible=rec["feasible"] == "true",
-                )
-            )
+    """Parse a `write_csv` file; an unreadable file or a malformed row raises IoError."""
+    parsers = [_PARSE[_COLUMN_TYPES[name]] for name in CSV_COLUMNS]
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                if tuple(next(reader, ())) != CSV_COLUMNS:
+                    raise EmptyInput(f"{path} is not a sweep summary file")
+                rows = []
+                for rec in reader:
+                    if len(rec) != len(parsers):
+                        raise ValueError(f"{len(rec)} fields, expected {len(parsers)}")
+                    rows.append(SummaryRow(*(parse(text) for parse, text in zip(parsers, rec))))
+            except (ValueError, csv.Error) as exc:
+                raise IoError(f"{path}, line {reader.line_num}: {exc}") from None
+    except OSError as exc:
+        raise IoError(str(exc)) from exc
     return rows
 
 

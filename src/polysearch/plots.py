@@ -12,6 +12,7 @@ from typing import Sequence
 from xml.sax.saxutils import escape
 
 from .errors import EmptyInput
+from .geometry import write_text
 from .harness import SummaryRow
 
 PALETTE = {
@@ -261,5 +262,4 @@ def bar_chart(
 
 
 def write_svg(svg: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    write_text(path, svg)

@@ -177,15 +177,6 @@ def sfc_team(grid: GridGraph, strategy: str, k: int, rect_seed: int = 0) -> tupl
     return grid.cache["sfc_team"][1]
 
 
-def min_robots(strategy: str, grid: GridGraph, rect_seed: int = 0) -> int:
-    """Smallest team the strategy can field on this grid."""
-    if strategy in ("sfc", "sfc_g"):
-        layout = sfc_layout(grid, rect_seed)
-        extra = len(layout.guards) if strategy == "sfc_g" else 0
-        return len(layout.curves) + extra
-    return 1
-
-
 def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
     """Place the team and the intruder; a shared grid may be passed in.
 

@@ -8,6 +8,7 @@ import pytest
 
 from polysearch.cli import main
 from polysearch.geometry import read_polygon_file
+from polysearch.harness import CSV_COLUMNS
 from polysearch.sim import SimConfig, run_trial
 
 
@@ -184,10 +185,19 @@ def _spec(**overrides) -> str:
         pytest.param(["sweep", "--spec", "{intruderstr}", "-o", "{out}"], id="spec-intruders-string"),
         pytest.param(["sweep", "--spec", "{ksbool}", "-o", "{out}"], id="spec-ks-bool"),
         pytest.param(["comb", "--depths", "3,x", "-o", "{out}"], id="comb-depth-not-an-integer"),
+        pytest.param(["sweep", "--spec", "{negsteps}", "-o", "{out}"], id="spec-max-steps-negative"),
+        pytest.param(["sweep", "--spec", "{spec}", "-o", "{nodir}"], id="sweep-output-dir-missing"),
+        pytest.param(["plot", "{missing}", "-o", "{svg}"], id="plot-csv-missing"),
+        pytest.param(["plot", "{kabc}", "-o", "{svg}"], id="plot-csv-k-not-an-integer"),
+        pytest.param(["plot", "{shortrow}", "-o", "{svg}"], id="plot-csv-short-row"),
+        pytest.param(["plot", "{feasibleyes}", "-o", "{svg}"], id="plot-csv-feasible-not-a-bool"),
+        pytest.param(["plot", "{csv}", "-o", "{nodir}"], id="plot-output-dir-missing"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     strip = [[0, 0], [4, 0], [4, 1], [0, 1]]
+    header = ",".join(CSV_COLUMNS)
+    row = "strip,rs,static,{k},4,4,1.0000,3.0000,1.0000,0.9800,{feasible}"
     paths = {
         "bad": _write(tmp_path, "bad.json", "{not json"),
         "novertices": _write(tmp_path, "novertices.json", '{"cell_size_m": 5.0}'),
@@ -221,7 +231,19 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         "ksstr": _write(tmp_path, "ksstr.json", _spec(ks="1")),
         "intruderstr": _write(tmp_path, "intruderstr.json", _spec(intruders="static")),
         "ksbool": _write(tmp_path, "ksbool.json", _spec(ks=[True])),
+        # Every cell is infeasible, so no trial would reject the step cap.
+        "negsteps": _write(tmp_path, "negsteps.json", _spec(ks=[0], max_steps=-1)),
+        "csv": _write(tmp_path, "ok.csv", f"{header}\n{row.format(k=1, feasible='true')}\n"),
+        "kabc": _write(tmp_path, "kabc.csv", f"{header}\n{row.format(k='abc', feasible='true')}\n"),
+        "shortrow": _write(tmp_path, "shortrow.csv", f"{header}\nstrip,rs,static,1,4\n"),
+        "feasibleyes": _write(
+            tmp_path,
+            "feasibleyes.csv",
+            f"{header}\n{row.format(k=1, feasible='true')}\n{row.format(k=2, feasible='yes')}\n",
+        ),
         "out": str(tmp_path / "out.csv"),
+        "svg": str(tmp_path / "out.svg"),
+        "nodir": str(tmp_path / "nodir" / "out"),
     }
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -238,6 +260,9 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         ({"trials": True}, "trials"),
         ({"instances": [{"id": "s", "polygon": [[0, 0], [4, 0], [4, 1], [0, 1]], "rect_seed": "1"}]},
          "rect_seed"),
+        ({"trails": 3}, "trails"),
+        ({"instances": [{"id": "s", "polygon": [[0, 0], [4, 0], [4, 1], [0, 1]], "rectseed": 1}]},
+         "rectseed"),
     ],
 )
 def test_spec_error_names_the_bad_key(tmp_path, capsys, override, key):

@@ -144,19 +144,29 @@ def test_tiny_sweep_runs_and_flags_feasibility():
 
 
 def test_too_large_patrol_team_is_infeasible():
-    # Ten searchers cannot split a 6-cell curve; the sweep goes on.
+    # Ten searchers cannot split a 6-cell curve, one sfc searcher cannot
+    # cover the L's two rectangles, and no strategy fields zero robots;
+    # the sweep goes on past every such cell.
+    ell = P((0, 0), (4, 0), (4, 1), (1, 1), (1, 3), (0, 3))
     spec = SweepSpec(
-        instances=(InstanceSpec("corridor6", P((0, 0), (6, 0), (6, 1), (0, 1))),),
+        instances=(
+            InstanceSpec("corridor6", P((0, 0), (6, 0), (6, 1), (0, 1))),
+            InstanceSpec("ell", ell),
+        ),
         strategies=("sfc", "rs"),
-        ks=(3, 10),
+        ks=(0, 1, 10),
         trials=3,
     )
     rows = run_sweep(spec)
-    assert [(r.strategy, r.k, r.feasible, r.trials) for r in rows] == [
-        ("sfc", 3, True, 3),
-        ("sfc", 10, False, 0),
-        ("rs", 3, True, 3),
-        ("rs", 10, True, 3),
+    assert all(r.trials == (3 if r.feasible else 0) for r in rows)
+    assert [(r.instance, r.strategy, r.k) for r in rows if not r.feasible] == [
+        ("corridor6", "sfc", 0),
+        ("corridor6", "sfc", 10),
+        ("corridor6", "rs", 0),
+        ("ell", "sfc", 0),
+        ("ell", "sfc", 1),
+        ("ell", "sfc", 10),
+        ("ell", "rs", 0),
     ]
 
 

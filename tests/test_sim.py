@@ -26,13 +26,18 @@ from polysearch.sim import (
     SimConfig,
     init_trial,
     intruder_move,
-    min_robots,
     run_trial,
     sfc_layout,
     step,
 )
 
 from conftest import P
+
+
+def sfc_minimum(strategy: str, grid) -> int:
+    """Smallest sfc/sfc_g team: one searcher per curve, plus the sfc_g guards."""
+    layout = sfc_layout(grid)
+    return len(layout.curves) + (len(layout.guards) if strategy == "sfc_g" else 0)
 
 
 def corridor(n: int):
@@ -122,7 +127,7 @@ def test_sfc_robots_start_at_segment_starts():
 
 def test_sfc_too_few_robots(comb_grid):
     poly, grid = comb_grid
-    need = min_robots("sfc", grid)
+    need = sfc_minimum("sfc", grid)
     assert need > 1
     with pytest.raises(TooFewRobots):
         init_trial(SimConfig(polygon=poly, strategy="sfc", k=need - 1), grid)
@@ -132,7 +137,7 @@ def test_sfc_too_few_robots(comb_grid):
 def test_sfc_g_guards_sit_on_junction_doorways(comb_grid):
     poly, grid = comb_grid
     layout = sfc_layout(grid)
-    k = min_robots("sfc_g", grid)
+    k = sfc_minimum("sfc_g", grid)
     state = init_trial(SimConfig(polygon=poly, strategy="sfc_g", k=k), grid)
     guards = state.pos[k - len(layout.guards):]
     assert len(guards) == len(layout.rectangulation.juncs) == len(layout.guards)
@@ -476,7 +481,7 @@ def test_property_patrol_trace_equals_reference(
 ):
     poly = inflate_cut(vertices, poly_seed)
     grid = rasterize(poly)
-    k = min(min_robots(strategy, grid) + extra, len(grid))
+    k = min(sfc_minimum(strategy, grid) + extra, len(grid))
     cfg = SimConfig(
         polygon=poly, strategy=strategy, k=k, intruder=intruder, seed=seed,
         max_steps=max_steps, trace=True,
@@ -543,7 +548,7 @@ def test_crs_arrivals_wait_for_the_team(comb_grid):
 
 def test_guards_never_move(comb_grid):
     poly, grid = comb_grid
-    k = min_robots("sfc_g", grid)
+    k = sfc_minimum("sfc_g", grid)
     cfg = SimConfig(polygon=poly, strategy="sfc_g", k=k + 2, seed=1, intruder="walk", trace=True)
     guard_ids = range(cfg.k - len(sfc_layout(grid).guards), cfg.k)
     assert len(guard_ids) > 0
