@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from polysearch.cli import main
 from polysearch.geometry import read_polygon_file
 from polysearch.harness import CSV_COLUMNS
-from polysearch.sim import SimConfig, run_trial
+from polysearch.sim import INTRUDER_MODELS, SimConfig, run_trial
 
 
 def test_generate_decompose_simulate_pipeline(tmp_path, capsys):
@@ -269,3 +270,28 @@ def test_spec_error_names_the_bad_key(tmp_path, capsys, override, key):
     spec = _write(tmp_path, "spec.json", _spec(**override))
     assert main(["sweep", "--spec", spec, "-o", str(tmp_path / "out.csv")]) == 2
     assert key in capsys.readouterr().err
+
+
+#: sha256 of the three `simulate --trace` outputs (static, random, walk) per strategy.
+SIMULATE_TRACE_DIGESTS = {
+    "sfc": "335493fc8905818af3af0a4c2e53b3487f576e97dcef09fde4ed3b6b8332e65c",
+    "sfc_g": "0790db7f82b1267001b4c2247147655e42cb82a70efa46d70a9299c1d4058513",
+    "rs": "9f3e0336b5eb33c60161a4ebc5111f6e8328be8fe308b63a9285ac44c5a51c67",
+    "crs": "c8e188568022c3a39ce13f48ed40be553d34307e704e12d3131a572398564b29",
+    "baseline": "2894ab5ec409ef35f958975bfc10856cdef1fafd80c9980de06990545ba12ce8",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(SIMULATE_TRACE_DIGESTS))
+def test_simulate_trace_output_is_pinned(tmp_path, capsys, strategy):
+    # Behaviour lock on the whole simulate payload, trace rows included.
+    comb_path = str(tmp_path / "comb.json")
+    assert main(["comb", "--depths", "3,2,4", "--base-height", "2", "-o", comb_path]) == 0
+    capsys.readouterr()
+    k = {"sfc": 4, "sfc_g": 7}.get(strategy, 2)
+    digest = hashlib.sha256()
+    for intruder in INTRUDER_MODELS:
+        assert main(["simulate", comb_path, "--strategy", strategy, "-k", str(k),
+                     "--intruder", intruder, "--seed", "3", "--trace"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SIMULATE_TRACE_DIGESTS[strategy]

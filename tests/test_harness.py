@@ -360,6 +360,15 @@ def test_bar_chart_structure():
     ET.fromstring(svg)
 
 
+def test_chart_bytes_are_pinned():
+    # Behaviour lock on the rendered SVG of a fixed sweep.
+    rows = _rows_for_plot()
+    line = hashlib.sha256(line_plot(rows, title="tiny sweep").encode()).hexdigest()
+    bars = hashlib.sha256(bar_chart(rows, title="tiny sweep").encode()).hexdigest()
+    assert line == "1ddbb98e04f6f979355428592c3bc61c1c4392bf1a2516a589b5b9a9096be81f"
+    assert bars == "e924b6557f309d22c039c662174040eaf5cdfcaaf1e0729879ce158f91bff4e1"
+
+
 def test_charts_need_plottable_rows():
     rows = [
         SummaryRow("x", "sfc", "static", 1, 0, 0, 0.0, math.nan, math.nan, math.nan, False)

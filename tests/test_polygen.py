@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polysearch import polygen
+from polysearch.cli import main
 from polysearch.errors import (
     InstanceInvalid,
+    IterationBudgetExceeded,
     NotAPartition,
     OddTargetVertices,
     TripleSizeError,
@@ -85,6 +88,17 @@ class TestInflateCut:
         # output passes the validator round trip unchanged
         poly = inflate_cut(20, 7)
         assert validate_polygon(poly.vertices) == poly
+
+    def test_retry_budget_exhausted(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(polygen, "RETRY_BUDGET", 0)
+        assert inflate_cut(4, 0).n_vertices == 4  # no round, so no attempt
+        with pytest.raises(IterationBudgetExceeded, match="0 attempts at 4 vertices"):
+            inflate_cut(6, 0)
+        out = str(tmp_path / "poly.json")
+        assert main(["generate", "--vertices", "6", "-o", out]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "poly.json").exists()
 
     def test_pinned_polygon_digest(self):
         # sha256 of the vertex tuples for v = 4..40 even, seeds 0..3, taken
