@@ -61,7 +61,7 @@ def _cmd_comb(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    poly, _ = read_polygon_file(args.polygon)
+    poly = read_polygon_file(args.polygon)
     grid = rasterize(poly)
     r = rectangulate(grid, seed=args.seed)
     if args.json:
@@ -95,7 +95,7 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    poly, _ = read_polygon_file(args.polygon)
+    poly = read_polygon_file(args.polygon)
     cfg = SimConfig(
         polygon=poly,
         strategy=args.strategy,
@@ -111,22 +111,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "captured": res.captured,
         "via_swap": res.via_swap,
         "steps": res.steps,
-        "strategy": res.strategy,
-        "intruder": res.intruder,
-        "k": res.k,
-        "seed": res.seed,
+        "strategy": cfg.strategy,
+        "intruder": cfg.intruder,
+        "k": cfg.k,
+        "seed": cfg.seed,
     }
     if res.trace is not None:
-        payload["trace"] = [
-            {
-                "t": row["t"],
-                "robots": [list(c) for c in row["robots"]],
-                "intruder": list(row["intruder"]),
-                "captured": row["captured"],
-                "via_swap": row["via_swap"],
-            }
-            for row in res.trace
-        ]
+        payload["trace"] = res.trace  # cells are tuples, which json writes as arrays
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -134,7 +125,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _load_instance(inst: dict) -> InstanceSpec:
     fields = {**inst}  # TypeError unless inst is a JSON object
     if "file" in fields:
-        fields["polygon"], _ = read_polygon_file(fields.pop("file"))
+        fields["polygon"] = read_polygon_file(fields.pop("file"))
     else:
         fields["polygon"] = validate_polygon(fields["polygon"])
     return InstanceSpec(**fields)

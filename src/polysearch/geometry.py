@@ -308,19 +308,20 @@ def read_json(path: str):
         raise IoError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _cell_size(value: object, path: str) -> float:
-    """A cell edge length in meters; InvalidPolygon unless a finite positive number."""
+def _check_cell_size(value: object, path: str) -> None:
+    """Raise InvalidPolygon unless a cell edge length in meters is finite and positive."""
     if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
         raise InvalidPolygon(f"{path}: cell size {value!r} is not a finite positive number")
-    return float(value)
 
 
-def read_polygon_file(path: str) -> tuple[OrthoPolygon, float]:
-    """Load {"vertices": [[x, y], ...], "cell_size_m": s} from JSON."""
+def read_polygon_file(path: str) -> OrthoPolygon:
+    """Load {"vertices": [[x, y], ...], "cell_size_m": s} from JSON; the size is checked only."""
     data = read_json(path)
     if not isinstance(data, dict) or "vertices" not in data:
         raise InvalidPolygon(f"{path} has no \"vertices\" list")
-    return validate_polygon(data["vertices"]), _cell_size(data.get("cell_size_m", 5.0), path)
+    poly = validate_polygon(data["vertices"])
+    _check_cell_size(data.get("cell_size_m", 5.0), path)
+    return poly
 
 
 def write_text(path: str, text: str) -> None:
@@ -333,6 +334,6 @@ def write_text(path: str, text: str) -> None:
 
 
 def write_polygon_file(path: str, poly: OrthoPolygon, cell_size_m: float = 5.0) -> None:
-    _cell_size(cell_size_m, path)
+    _check_cell_size(cell_size_m, path)
     payload = {"vertices": [list(v) for v in poly.vertices], "cell_size_m": cell_size_m}
     write_text(path, json.dumps(payload) + "\n")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import itertools
 import math
 import os
@@ -117,8 +118,9 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     if not spec.instances or not spec.strategies or not spec.ks:
         raise EmptyInput("sweep needs at least one instance, strategy and team size")
     for inst in spec.instances:
-        if not isinstance(inst.id, str):
-            raise InvalidConfig(f"instance id must be a string, got {inst.id!r}")
+        # Before Python 3.13 the CSV writer leaves a lone \r unquoted.
+        if not isinstance(inst.id, str) or "\r" in inst.id:
+            raise InvalidConfig(f"instance id must be a string without \\r, got {inst.id!r}")
         if not _is_int(inst.rect_seed):
             raise InvalidConfig(f"rect_seed must be an integer, got {inst.rect_seed!r}")
     if not _is_int(spec.base_seed):
@@ -140,11 +142,10 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     return [SweepCell(index, *combo) for index, combo in enumerate(combos)]
 
 
-def summarize(results: Sequence[TrialResult]) -> SummaryRow:
+def summarize(cell: SweepCell, results: Sequence[TrialResult]) -> SummaryRow:
     """Collapse one cell's trials; step statistics cover captures only."""
     if not results:
         raise EmptyInput("no trials to summarize")
-    first = results[0]
     captured = [float(r.steps) for r in results if r.captured]
     n = len(captured)
     if n > 0:
@@ -154,7 +155,7 @@ def summarize(results: Sequence[TrialResult]) -> SummaryRow:
     else:
         mean = sd = ci95 = math.nan
     return SummaryRow(
-        first.instance, first.strategy, first.intruder, first.k,
+        cell.instance.id, cell.strategy, cell.intruder, cell.k,
         len(results), n, n / len(results), mean, sd, ci95, True,
     )
 
@@ -206,15 +207,13 @@ def run_cell(cell: SweepCell, trials: int, base_seed: int, max_steps: int | None
             max_steps=max_steps,
             seed=trial_seed(base_seed, cell.index, trial),
             rect_seed=cell.instance.rect_seed,
-            instance_id=cell.instance.id,
         )
         results.append(run_trial(cfg, grid))
-    return summarize(results)
+    return summarize(cell, results)
 
 
-def _cell_worker(args: tuple[SweepCell, int, int, int | None]) -> tuple[int, SummaryRow]:
-    cell, trials, base_seed, max_steps = args
-    return cell.index, run_cell(cell, trials, base_seed, max_steps)
+def _cell_worker(args: tuple[SweepCell, int, int, int | None]) -> SummaryRow:
+    return run_cell(*args)
 
 
 def run_sweep(
@@ -228,29 +227,30 @@ def run_sweep(
     """
     cells = expand_cells(spec)
     jobs = [(c, spec.trials, spec.base_seed, spec.max_steps) for c in cells]
-    rows: list[SummaryRow | None] = [None] * len(cells)
+    rows: list[SummaryRow] = []
     workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers <= 1:
-        for i, job in enumerate(jobs):
-            rows[job[0].index] = run_cell(*job)
+        for job in jobs:
+            rows.append(run_cell(*job))
             if progress is not None:
-                progress(i + 1, len(cells))
+                progress(len(rows), len(cells))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for done, (index, row) in enumerate(pool.map(_cell_worker, jobs)):
-                rows[index] = row
+            for row in pool.map(_cell_worker, jobs):
+                rows.append(row)
                 if progress is not None:
-                    progress(done + 1, len(cells))
-    return [row for row in rows if row is not None]
+                    progress(len(rows), len(cells))
+    return rows
 
 
 def rows_to_csv(rows: Sequence[SummaryRow]) -> str:
     """Fixed-format CSV so equal sweeps serialize byte-for-byte equal."""
     formats = [(name, _FORMAT[_COLUMN_TYPES[name]]) for name in CSV_COLUMNS]
-    out = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        out.append(",".join(fmt(getattr(r, name)) for name, fmt in formats))
-    return "\n".join(out) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([fmt(getattr(r, name)) for name, fmt in formats] for r in rows)
+    return out.getvalue()
 
 
 def write_csv(rows: Sequence[SummaryRow], path: str) -> None:

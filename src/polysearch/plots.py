@@ -26,15 +26,7 @@ DASHES = {"static": "", "random": "6 3", "walk": "2 3"}
 
 WIDTH, HEIGHT = 780, 460
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 180, 44, 52
-
-
-def _series_key(row: SummaryRow) -> tuple[str, str]:
-    return row.strategy, row.intruder
-
-
-def _series_label(key: tuple[str, str]) -> str:
-    strategy, intruder = key
-    return f"{strategy} / {intruder}"
+X_LABEL, Y_LABEL = "team size", "mean steps to capture"
 
 
 def _usable(rows: Sequence[SummaryRow]) -> list[SummaryRow]:
@@ -102,7 +94,7 @@ def _header(title: str) -> list[str]:
     return parts
 
 
-def _axes(frame: _Frame, x_label: str, y_label: str, x_ticks: Sequence[float], y_ticks: Sequence[float]) -> list[str]:
+def _axes(frame: _Frame, x_label: str, x_ticks: Sequence[float], y_ticks: Sequence[float]) -> list[str]:
     parts = []
     for t in y_ticks:
         y = frame.y(t)
@@ -131,7 +123,7 @@ def _axes(frame: _Frame, x_label: str, y_label: str, x_ticks: Sequence[float], y
     )
     parts.append(
         f'<text x="18" y="{(frame.top + frame.bottom) / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {(frame.top + frame.bottom) / 2})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 18 {(frame.top + frame.bottom) / 2})">{escape(Y_LABEL)}</text>'
     )
     return parts
 
@@ -139,24 +131,19 @@ def _axes(frame: _Frame, x_label: str, y_label: str, x_ticks: Sequence[float], y
 def _legend(keys: Sequence[tuple[str, str]]) -> list[str]:
     parts = []
     x0 = WIDTH - MARGIN_R + 16
-    for i, key in enumerate(keys):
+    for i, (strategy, intruder) in enumerate(keys):
         y = MARGIN_T + 10 + 18 * i
-        color = PALETTE.get(key[0], "#333")
-        dash = DASHES.get(key[1], "")
+        color = PALETTE.get(strategy, "#333")
+        dash = DASHES.get(intruder, "")
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         parts.append(
             f'<line x1="{x0}" y1="{y}" x2="{x0 + 26}" y2="{y}" stroke="{color}" stroke-width="2"{dash_attr}/>'
         )
-        parts.append(f'<text x="{x0 + 32}" y="{y + 4}">{escape(_series_label(key))}</text>')
+        parts.append(f'<text x="{x0 + 32}" y="{y + 4}">{escape(f"{strategy} / {intruder}")}</text>')
     return parts
 
 
-def line_plot(
-    rows: Sequence[SummaryRow],
-    title: str = "",
-    x_label: str = "team size",
-    y_label: str = "mean steps to capture",
-) -> str:
+def line_plot(rows: Sequence[SummaryRow], title: str = "") -> str:
     """Mean steps against team size, one line per strategy and intruder.
 
     The shaded band around each line is the 95 percent confidence interval
@@ -165,7 +152,7 @@ def line_plot(
     usable = _usable(rows)
     series: dict[tuple[str, str], list[SummaryRow]] = {}
     for row in usable:
-        series.setdefault(_series_key(row), []).append(row)
+        series.setdefault((row.strategy, row.intruder), []).append(row)
     for pts in series.values():
         pts.sort(key=lambda r: r.k)
 
@@ -173,7 +160,7 @@ def line_plot(
     y_hi = max(r.mean_steps + (0.0 if math.isnan(r.ci95) else r.ci95) for r in usable)
     frame = _Frame(min(xs), max(xs), 0.0, y_hi * 1.05)
     parts = _header(title)
-    parts += _axes(frame, x_label, y_label, _ticks(min(xs), max(xs)), _ticks(0.0, y_hi * 1.05))
+    parts += _axes(frame, X_LABEL, _ticks(min(xs), max(xs)), _ticks(0.0, y_hi * 1.05))
 
     for key, pts in series.items():
         color = PALETTE.get(key[0], "#333")
@@ -198,11 +185,7 @@ def line_plot(
     return "\n".join(parts)
 
 
-def bar_chart(
-    rows: Sequence[SummaryRow],
-    title: str = "",
-    y_label: str = "mean steps to capture",
-) -> str:
+def bar_chart(rows: Sequence[SummaryRow], title: str = "") -> str:
     """Grouped bars of mean steps, with confidence whiskers.
 
     Categories are instances, team sizes, or both, depending on which of
@@ -223,12 +206,12 @@ def bar_chart(
             cats.append(label(row))
     series: dict[tuple[str, str], dict[str, SummaryRow]] = {}
     for row in usable:
-        series.setdefault(_series_key(row), {})[label(row)] = row
+        series.setdefault((row.strategy, row.intruder), {})[label(row)] = row
 
     y_hi = max(r.mean_steps + (0.0 if math.isnan(r.ci95) else r.ci95) for r in usable)
     frame = _Frame(0.0, float(len(cats)), 0.0, y_hi * 1.05)
     parts = _header(title)
-    parts += _axes(frame, "", y_label, [], _ticks(0.0, y_hi * 1.05))
+    parts += _axes(frame, "", [], _ticks(0.0, y_hi * 1.05))
 
     slot = (frame.right - frame.left) / len(cats)
     bar_w = slot * 0.8 / max(len(series), 1)

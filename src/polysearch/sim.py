@@ -68,7 +68,6 @@ class SimConfig:
     robot_positions: tuple[Cell, ...] | None = None
     intruder_position: Cell | None = None
     trace: bool = False
-    instance_id: str = ""
 
 
 @dataclass
@@ -98,15 +97,12 @@ class SimState:
 
 @dataclass(frozen=True)
 class TrialResult:
+    """What one trial produced; its labels stay with the config that ran it."""
+
     captured: bool
     steps: int
-    strategy: str
-    intruder: str
-    k: int
-    seed: int
-    instance: str = ""
-    trace: tuple[dict, ...] | None = None
     via_swap: bool = False
+    trace: tuple[dict, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -343,13 +339,8 @@ def run_trial(cfg: SimConfig, grid: GridGraph | None = None) -> TrialResult:
     return TrialResult(
         captured=state.captured,
         steps=state.t,
-        strategy=cfg.strategy,
-        intruder=cfg.intruder,
-        k=cfg.k,
-        seed=cfg.seed,
-        instance=cfg.instance_id,
-        trace=tuple(state.trace) if state.trace is not None else None,
         via_swap=state.via_swap,
+        trace=tuple(state.trace) if state.trace is not None else None,
     )
 
 

@@ -9,15 +9,16 @@ import pytest
 
 from polysearch.cli import main
 from polysearch.geometry import read_polygon_file
-from polysearch.harness import CSV_COLUMNS
+from polysearch.harness import CSV_COLUMNS, read_csv
 from polysearch.sim import INTRUDER_MODELS, SimConfig, run_trial
 
 
 def test_generate_decompose_simulate_pipeline(tmp_path, capsys):
     poly_path = str(tmp_path / "poly.json")
     assert main(["generate", "--vertices", "12", "--seed", "3", "-o", poly_path]) == 0
-    poly, cell_size = read_polygon_file(poly_path)
-    assert poly.n_vertices == 12 and cell_size == 5.0
+    poly = read_polygon_file(poly_path)
+    assert poly.n_vertices == 12
+    assert json.loads((tmp_path / "poly.json").read_text())["cell_size_m"] == 5.0
     capsys.readouterr()
 
     assert main(["decompose", poly_path, "--json"]) == 0
@@ -36,7 +37,7 @@ def test_comb_curve_and_presets(tmp_path, capsys):
     comb_path = str(tmp_path / "comb.json")
     assert main(["comb", "--depths", "2,3", "--spike-width", "1", "--base-height", "2",
                  "--gap", "1", "-o", comb_path]) == 0
-    poly, _ = read_polygon_file(comb_path)
+    poly = read_polygon_file(comb_path)
     # base is 5x2 (two 1-wide teeth with unit gaps), teeth add 2 + 3
     assert poly.area == 10 + 2 + 3
 
@@ -123,7 +124,7 @@ def test_simulate_trace_is_json(tmp_path, capsys):
     poly_path = str(tmp_path / "poly.json")
     main(["generate", "--vertices", "8", "--seed", "1", "-o", poly_path])
     capsys.readouterr()
-    poly, _ = read_polygon_file(poly_path)
+    poly = read_polygon_file(poly_path)
     # The walk intruder with seed 1 is caught by swapping cells with the robot.
     for intruder, seed in (("static", 2), ("walk", 1)):
         assert main(["simulate", poly_path, "--strategy", "rs", "-k", "1", "--intruder",
@@ -178,6 +179,7 @@ def _spec(**overrides) -> str:
         pytest.param(["sweep", "--spec", "{ks}", "-o", "{out}"], id="spec-ks-float"),
         pytest.param(["sweep", "--spec", "{maxsteps}", "-o", "{out}"], id="spec-max-steps-string"),
         pytest.param(["sweep", "--spec", "{numid}", "-o", "{out}"], id="spec-instance-id-number"),
+        pytest.param(["sweep", "--spec", "{crid}", "-o", "{out}"], id="spec-instance-id-carriage-return"),
         pytest.param(["sweep", "--spec", "{rectlist}", "-o", "{out}"], id="spec-rect-seed-list"),
         pytest.param(["sweep", "--spec", "{rectstr}", "-o", "{out}"], id="spec-rect-seed-string"),
         pytest.param(["sweep", "--spec", "{baselist}", "-o", "{out}"], id="spec-base-seed-list"),
@@ -221,6 +223,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         "ks": _write(tmp_path, "ks.json", _spec(ks=[2.5])),
         "maxsteps": _write(tmp_path, "maxsteps.json", _spec(max_steps="9")),
         "numid": _write(tmp_path, "numid.json", _spec(instances=[{"id": 5, "polygon": strip}])),
+        "crid": _write(tmp_path, "crid.json", _spec(instances=[{"id": "x\ry", "polygon": strip}])),
         "rectlist": _write(
             tmp_path, "rectlist.json", _spec(instances=[{"id": "s", "polygon": strip, "rect_seed": [1]}])
         ),
@@ -295,3 +298,16 @@ def test_simulate_trace_output_is_pinned(tmp_path, capsys, strategy):
                      "--intruder", intruder, "--seed", "3", "--trace"]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == SIMULATE_TRACE_DIGESTS[strategy]
+
+
+def test_sweep_ids_with_csv_specials_round_trip(tmp_path, capsys):
+    strip = [[0, 0], [4, 0], [4, 1], [0, 1]]
+    ids = ["a,b", 'q"t', "x\ny"]
+    spec = _write(tmp_path, "spec.json", _spec(
+        instances=[{"id": name, "polygon": strip} for name in ids], ks=[1, 2], trials=2,
+    ))
+    csv_path = str(tmp_path / "out.csv")
+    assert main(["sweep", "--spec", spec, "-o", csv_path]) == 0
+    rows = read_csv(csv_path)
+    assert [row.instance for row in rows] == [name for name in ids for _ in (1, 2)]
+    assert main(["plot", csv_path, "--kind", "bar", "-o", str(tmp_path / "out.svg")]) == 0

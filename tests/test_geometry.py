@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -221,6 +223,6 @@ class TestPolygonIO:
     def test_round_trip(self, tmp_path, l_shape):
         path = str(tmp_path / "poly.json")
         write_polygon_file(path, l_shape, cell_size_m=5.0)
-        loaded, size = read_polygon_file(path)
-        assert loaded == l_shape
-        assert size == 5.0
+        assert read_polygon_file(path) == l_shape
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh)["cell_size_m"] == 5.0

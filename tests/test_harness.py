@@ -19,6 +19,7 @@ from polysearch.errors import EmptyInput
 from polysearch.harness import (
     InstanceSpec,
     SummaryRow,
+    SweepCell,
     SweepSpec,
     expand_cells,
     read_csv,
@@ -40,10 +41,11 @@ from conftest import P
 
 
 def _result(steps: int, captured: bool = True) -> TrialResult:
-    return TrialResult(
-        captured=captured, steps=steps, strategy="rs", intruder="static", k=2,
-        seed=0, instance="tiny",
-    )
+    return TrialResult(captured=captured, steps=steps)
+
+
+def _cell() -> SweepCell:
+    return SweepCell(0, InstanceSpec("tiny", P((0, 0), (2, 0), (2, 2), (0, 2))), "rs", "static", 2)
 
 
 def tiny_spec(trials: int = 4) -> SweepSpec:
@@ -62,35 +64,36 @@ def tiny_spec(trials: int = 4) -> SweepSpec:
 
 
 def test_summarize_equal_steps():
-    row = summarize([_result(10), _result(10), _result(10)])
+    row = summarize(_cell(), [_result(10), _result(10), _result(10)])
+    assert (row.instance, row.strategy, row.intruder, row.k) == ("tiny", "rs", "static", 2)
     assert row.trials == 3 and row.captures == 3
     assert row.capture_rate == 1.0
     assert row.mean_steps == 10.0 and row.sd_steps == 0.0 and row.ci95 == 0.0
 
 
 def test_summarize_two_point_spread():
-    row = summarize([_result(8), _result(12)])
+    row = summarize(_cell(), [_result(8), _result(12)])
     assert row.mean_steps == 10.0
     assert row.sd_steps == pytest.approx(2.8284271, abs=1e-6)
     assert row.ci95 == pytest.approx(1.96 * 2.8284271 / math.sqrt(2), abs=1e-5)
 
 
 def test_summarize_counts_failures_in_rate_only():
-    row = summarize([_result(5), _result(7), _result(999, captured=False)])
+    row = summarize(_cell(), [_result(5), _result(7), _result(999, captured=False)])
     assert row.trials == 3 and row.captures == 2
     assert row.capture_rate == pytest.approx(2 / 3)
     assert row.mean_steps == 6.0
 
 
 def test_summarize_no_captures_gives_nan_steps():
-    row = summarize([_result(50, captured=False)])
+    row = summarize(_cell(), [_result(50, captured=False)])
     assert row.capture_rate == 0.0
     assert math.isnan(row.mean_steps) and math.isnan(row.sd_steps)
 
 
 def test_summarize_empty_rejected():
     with pytest.raises(EmptyInput):
-        summarize([])
+        summarize(_cell(), [])
 
 
 # ---------------------------------------------------------------- seeds and cells
