@@ -36,7 +36,7 @@ from .harness import (
     write_csv,
 )
 from .planning import CostMap, costs_to_target, hungarian
-from .plots import bar_chart, line_plot, write_svg
+from .plots import bar_chart, line_plot
 from .polygen import (
     ThreePartitionInstance,
     build_comb,
@@ -102,5 +102,4 @@ __all__ = [
     "verify_partition_schedule",
     "write_csv",
     "write_polygon_file",
-    "write_svg",
 ]

@@ -14,13 +14,14 @@ import os
 import sys
 
 from .decomposition import rectangulate
-from .errors import BadEnvironment, InstanceInvalid, IoError, PolySearchError
+from .errors import InstanceInvalid, InvalidConfig, IoError, PolySearchError
 from .geometry import (
     rasterize,
     read_json,
     read_polygon_file,
     validate_polygon,
     write_polygon_file,
+    write_text,
 )
 from .harness import (
     PRESETS,
@@ -31,7 +32,7 @@ from .harness import (
     run_sweep,
     write_csv,
 )
-from .plots import bar_chart, line_plot, write_svg
+from .plots import bar_chart, line_plot
 from .polygen import comb_polygon, inflate_cut
 from .sfc import gilbert_curve
 from .sim import SimConfig, run_trial
@@ -122,10 +123,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_instance(inst: dict) -> InstanceSpec:
+def _load_instance(inst: dict, spec_dir: str) -> InstanceSpec:
     fields = {**inst}  # TypeError unless inst is a JSON object
     if "file" in fields:
-        fields["polygon"] = read_polygon_file(fields.pop("file"))
+        fields["polygon"] = read_polygon_file(os.path.join(spec_dir, fields.pop("file")))
     else:
         fields["polygon"] = validate_polygon(fields["polygon"])
     return InstanceSpec(**fields)
@@ -134,34 +135,22 @@ def _load_instance(inst: dict) -> InstanceSpec:
 def _load_spec(path: str) -> SweepSpec:
     """A JSON sweep spec: its keys are the fields of SweepSpec and InstanceSpec.
 
-    Lists become tuples, and an instance's "file" is read into its polygon.
-    Unknown and missing keys raise IoError naming the key.
+    Lists become tuples, and an instance's "file", relative to the spec's
+    directory, is read into its polygon. Unknown and missing keys raise
+    IoError naming the key.
     """
     raw = read_json(path)
     try:
-        instances = tuple(_load_instance(inst) for inst in raw["instances"])
+        instances = tuple(_load_instance(inst, os.path.dirname(path)) for inst in raw["instances"])
         fields = {key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()}
         return SweepSpec(**{**fields, "instances": instances})
     except (KeyError, TypeError) as exc:
         raise IoError(f"{path} is not a valid sweep spec: {type(exc).__name__} {exc}") from None
 
 
-def _effective_workers(flag_value: int) -> int:
-    """Worker count for a sweep; POLYSEARCH_WORKERS wins over the flag."""
-    raw = os.environ.get("POLYSEARCH_WORKERS")
-    if raw is None:
-        workers = flag_value
-    else:
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise BadEnvironment(f"POLYSEARCH_WORKERS must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise BadEnvironment(f"worker count must be at least 1, got {workers}")
-    return workers
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise InvalidConfig(f"worker count must be at least 1, got {args.workers}")
     if args.preset:
         spec = PRESETS[args.preset]()
     else:
@@ -178,7 +167,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     def progress(done: int, total: int) -> None:
         print(f"\r{done}/{total} cells", end="", file=sys.stderr, flush=True)
 
-    rows = run_sweep(spec, workers=_effective_workers(args.workers), progress=progress)
+    rows = run_sweep(spec, workers=args.workers, progress=progress)
     print(file=sys.stderr)
     write_csv(rows, args.output)
     feasible = sum(1 for r in rows if r.feasible)
@@ -192,7 +181,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         svg = line_plot(rows, title=args.title)
     else:
         svg = bar_chart(rows, title=args.title)
-    write_svg(svg, args.output)
+    write_text(args.output, svg)
     print(f"wrote {args.output}")
     return 0
 
@@ -258,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--spec", help="JSON sweep description")
     p.add_argument("--trials", type=int, default=None, help="override trials per cell")
     p.add_argument("--base-seed", type=int, default=None)
-    p.add_argument(
-        "--workers", type=int, default=1, help="process count (POLYSEARCH_WORKERS overrides)"
-    )
+    p.add_argument("--workers", type=int, default=1, help="process count")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_sweep)
 

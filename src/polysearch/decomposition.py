@@ -61,9 +61,8 @@ def rectangulate(g: GridGraph, seed: int) -> Rectangulation:
     free = set(g.cells)
     rects: list[Rectangle] = []
     while free:
-        ordered = sorted(free, key=lambda c: (c.row, c.col))
-        c = ordered[rng.randrange(len(ordered))]
-        rect = _max_rectangle(free, c)
+        candidates = [c for c in g.cells if c in free]  # row-major, as g.cells
+        rect = _max_rectangle(free, candidates[rng.randrange(len(candidates))])
         rects.append(rect)
         for covered in rect.cells():
             free.discard(covered)
@@ -85,85 +84,51 @@ def _row_interval(free: set[Cell], col: int, row: int) -> tuple[int, int] | None
 def _max_rectangle(free: set[Cell], c: Cell) -> Rectangle:
     # Maximal free row runs through c.col, extended upward and downward from
     # c.row until the column is blocked.
-    intervals: dict[int, tuple[int, int]] = {}
-    row = c.row
-    while True:
-        iv = _row_interval(free, c.col, row)
-        if iv is None:
-            break
-        intervals[row] = iv
-        row += 1
-    row = c.row - 1
-    while True:
-        iv = _row_interval(free, c.col, row)
-        if iv is None:
-            break
-        intervals[row] = iv
-        row -= 1
+    runs: dict[int, tuple[int, int]] = {}
+    for row, step in ((c.row, 1), (c.row - 1, -1)):
+        while (run := _row_interval(free, c.col, row)) is not None:
+            runs[row] = run
+            row += step
 
-    best: tuple[int, int, Cell] | None = None  # (area, width, anchor)
-    lo = min(intervals)
-    hi = max(intervals)
-    for r1 in range(c.row, lo - 1, -1):
-        left, right = intervals[r1]
-        for r in range(r1 + 1, c.row + 1):
-            l2, r2 = intervals[r]
-            left = max(left, l2)
-            right = min(right, r2)
-        for r2 in range(c.row, hi + 1):
-            l2, rr2 = intervals[r2]
-            left = max(left, l2)
-            right = min(right, rr2)
+    # Rows r1..r2 around c.row share the intersection of their runs; the
+    # smallest key is the largest area, then width, then row-major anchor.
+    best = None
+    low_left, low_right = runs[c.row]
+    for r1 in range(c.row, min(runs) - 1, -1):
+        low_left, low_right = max(low_left, runs[r1][0]), min(low_right, runs[r1][1])
+        left, right = low_left, low_right
+        for r2 in range(c.row, max(runs) + 1):
+            left, right = max(left, runs[r2][0]), min(right, runs[r2][1])
             width = right - left + 1
-            area = width * (r2 - r1 + 1)
-            anchor = Cell(left, r1)
-            if (
-                best is None
-                or area > best[0]
-                or (area == best[0] and width > best[1])
-                or (area == best[0] and width == best[1] and (anchor.row, anchor.col) < (best[2].row, best[2].col))
-            ):
-                best = (area, width, anchor)
-    assert best is not None
-    return Rectangle(best[2], best[1], best[0] // best[1])
+            key = (-width * (r2 - r1 + 1), -width, r1, left)
+            if best is None or key < best:
+                best = key
+    neg_area, neg_width, row, col = best
+    return Rectangle(Cell(col, row), -neg_width, neg_area // neg_width)
 
 
 def _find_junctions(rects: Sequence[Rectangle]) -> tuple[Junction, ...]:
-    rid: dict[Cell, int] = {}
-    for i, r in enumerate(rects):
-        for c in r.cells():
-            rid[c] = i
-
-    # (a, b, axis, line) -> list of (run coordinate, cell_a, cell_b)
-    groups: dict[tuple[int, int, str, int], list[tuple[int, Cell, Cell]]] = {}
-    for c, i in rid.items():
-        east = Cell(c.col + 1, c.row)
-        j = rid.get(east)
-        if j is not None and j != i:
-            a, b = min(i, j), max(i, j)
-            ca, cb = (c, east) if a == i else (east, c)
-            groups.setdefault((a, b, "v", c.col + 1), []).append((c.row, ca, cb))
-        north = Cell(c.col, c.row + 1)
-        j = rid.get(north)
-        if j is not None and j != i:
-            a, b = min(i, j), max(i, j)
-            ca, cb = (c, north) if a == i else (north, c)
-            groups.setdefault((a, b, "h", c.row + 1), []).append((c.col, ca, cb))
-
+    # Two disjoint rectangles meet along at most one segment: their rows
+    # overlap and one's east edge is the other's west edge, or their columns
+    # overlap and a north edge meets a south edge.
+    boxes = [(r.anchor.col, r.anchor.col + r.width, r.anchor.row, r.anchor.row + r.height) for r in rects]
     juncs: list[Junction] = []
-    for key in sorted(groups):
-        a, b, _, _ = key
-        entries = sorted(groups[key])
-        run: list[tuple[Cell, Cell]] = []
-        prev_coord: int | None = None
-        for coord, ca, cb in entries:
-            if prev_coord is not None and coord != prev_coord + 1:
-                juncs.append(Junction(a, b, tuple(run)))
-                run = []
-            run.append((ca, cb))
-            prev_coord = coord
-        if run:
-            juncs.append(Junction(a, b, tuple(run)))
+    for a, (ax0, ax1, ay0, ay1) in enumerate(boxes):
+        for b in range(a + 1, len(boxes)):
+            bx0, bx1, by0, by1 = boxes[b]
+            rows = range(max(ay0, by0), min(ay1, by1))
+            cols = range(max(ax0, bx0), min(ax1, bx1))
+            if rows and (ax1 == bx0 or bx1 == ax0):
+                x = max(ax0, bx0)
+                pairs = [(Cell(x - 1, row), Cell(x, row)) for row in rows]  # (west, east)
+                a_second = ax0 == x
+            elif cols and (ay1 == by0 or by1 == ay0):
+                y = max(ay0, by0)
+                pairs = [(Cell(col, y - 1), Cell(col, y)) for col in cols]  # (south, north)
+                a_second = ay0 == y
+            else:
+                continue
+            juncs.append(Junction(a, b, tuple((q, p) if a_second else (p, q) for p, q in pairs)))
     return tuple(juncs)
 
 

@@ -100,7 +100,3 @@ class EmptyInput(PolySearchError):
 
 class IoError(PolySearchError):
     """File could not be read or written."""
-
-
-class BadEnvironment(PolySearchError):
-    """An environment variable override could not be parsed."""

@@ -129,42 +129,20 @@ def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
 
 
 def _check_self_intersection(pts: list[Point]) -> None:
-    # O(n^2) over axis-parallel segments; fine at the vertex counts used here.
+    # Axis-parallel edges meet exactly when their closed bounding boxes
+    # overlap. Consecutive edges are perpendicular here, so they share their
+    # common vertex and nothing else; every other pair must stay apart.
+    # O(n^2), fine at the vertex counts used here.
     n = len(pts)
-    segs = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+    boxes = []
     for i in range(n):
-        (ax0, ay0), (ax1, ay1) = segs[i]
-        for j in range(i + 1, n):
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            (bx0, by0), (bx1, by1) = segs[j]
-            a_horiz = ay0 == ay1
-            b_horiz = by0 == by1
-            if a_horiz == b_horiz:
-                if a_horiz:
-                    if ay0 != by0:
-                        continue
-                    lo = max(min(ax0, ax1), min(bx0, bx1))
-                    hi = min(max(ax0, ax1), max(bx0, bx1))
-                else:
-                    if ax0 != bx0:
-                        continue
-                    lo = max(min(ay0, ay1), min(by0, by1))
-                    hi = min(max(ay0, ay1), max(by0, by1))
-                if lo < hi or (lo == hi and not adjacent):
-                    raise SelfIntersection(f"edges {i} and {j} overlap or touch")
-            else:
-                if adjacent:
-                    # Consecutive perpendicular edges meet exactly at their
-                    # shared vertex; nothing else can coincide.
-                    continue
-                if a_horiz:
-                    hy, hx_lo, hx_hi = ay0, min(ax0, ax1), max(ax0, ax1)
-                    vx, vy_lo, vy_hi = bx0, min(by0, by1), max(by0, by1)
-                else:
-                    hy, hx_lo, hx_hi = by0, min(bx0, bx1), max(bx0, bx1)
-                    vx, vy_lo, vy_hi = ax0, min(ay0, ay1), max(ay0, ay1)
-                if hx_lo <= vx <= hx_hi and vy_lo <= hy <= vy_hi:
-                    raise SelfIntersection(f"edges {i} and {j} cross or touch")
+        (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % n]
+        boxes.append((min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)))
+    for i, (axlo, axhi, aylo, ayhi) in enumerate(boxes):
+        for j in range(i + 2, n - (i == 0)):
+            bxlo, bxhi, bylo, byhi = boxes[j]
+            if axlo <= bxhi and bxlo <= axhi and aylo <= byhi and bylo <= ayhi:
+                raise SelfIntersection(f"edges {i} and {j} meet")
 
 
 class GridGraph:

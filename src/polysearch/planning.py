@@ -13,7 +13,6 @@ one int32 row per cell.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -169,17 +168,12 @@ def costs_to_target(g: GridGraph, cm: CostMap, targets: Sequence[int]) -> np.nda
     return csgraph.dijkstra(graph, directed=True, indices=targets)
 
 
-@dataclass(frozen=True)
-class Assignment:
-    targets: tuple[int, ...]  # targets[i] = column assigned to row i
-    total_cost: float
-
-
-def hungarian(cost_matrix: Sequence[Sequence[float]]) -> Assignment:
+def hungarian(cost_matrix: Sequence[Sequence[float]]) -> tuple[int, ...]:
     """Minimum-cost perfect assignment; lexicographically smallest on ties.
 
-    Rows are fixed in order; for each row the smallest column index that
-    still completes to an optimal assignment is chosen. One
+    Returns the column assigned to each row. Rows are fixed in order; for
+    each row the smallest column index that still completes to an optimal
+    assignment is chosen. One
     linear_sum_assignment solve gives an optimal matching; every optimal
     matching uses only tight edges (reduced cost <= 1e-9 under the
     recovered duals), so the lexicographic pass moves along alternating
@@ -222,7 +216,7 @@ def hungarian(cost_matrix: Sequence[Sequence[float]]) -> Assignment:
                     col_of[r] = c
                     row_of[c] = r
                 break
-    return Assignment(tuple(col_of), float(sum(m[i, col_of[i]] for i in range(k))))
+    return tuple(col_of)
 
 
 def _alternating_path(

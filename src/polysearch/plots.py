@@ -12,7 +12,6 @@ from typing import Sequence
 from xml.sax.saxutils import escape
 
 from .errors import EmptyInput
-from .geometry import write_text
 from .harness import SummaryRow
 
 PALETTE = {
@@ -242,7 +241,3 @@ def bar_chart(rows: Sequence[SummaryRow], title: str = "") -> str:
     parts += _legend(list(series))
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def write_svg(svg: str, path: str) -> None:
-    write_text(path, svg)

@@ -372,6 +372,5 @@ def _crs_assign(state: SimState) -> None:
     g, cm, pos = state.grid, state.cost, state.pos
     targets = [_draw_target(state, here) for here in pos]
     remaining = costs_to_target(g, cm, targets)
-    assignment = hungarian(remaining[:, pos].T)
-    for plan, here, j in zip(state.plans, pos, assignment.targets):
+    for plan, here, j in zip(state.plans, pos, hungarian(remaining[:, pos].T)):
         plan += plan_indices(g, cm, here, targets[j])[:0:-1]

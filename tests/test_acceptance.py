@@ -9,6 +9,7 @@ run evaluates the identical set of trials.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
 import math
@@ -68,6 +69,23 @@ def shapes_rows():
 @pytest.fixture(scope="module")
 def areas_rows():
     return run_sweep(preset_areas())
+
+
+#: sha256 of rows_to_csv over each full preset sweep above.
+PRESET_CSV_DIGESTS = {
+    "spikes4_sweep": "6440955235edaf100980345050093be5a0c0a0d3e1c8a657dfa91abb4f2804c8",
+    "shapes_rows": "65f0a334318e39e9850b509f044071d08fb31c4a298b278fbd90b07929ba205b",
+    "areas_rows": "82710aa34010681154630791ea8c289290a30261f248bff0b62b4f53a42df81f",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(PRESET_CSV_DIGESTS))
+def test_preset_csv_is_pinned(request, fixture):
+    rows = request.getfixturevalue(fixture)
+    if fixture == "spikes4_sweep":
+        rows, _ = rows
+    digest = hashlib.sha256(rows_to_csv(rows).encode()).hexdigest()
+    assert digest == PRESET_CSV_DIGESTS[fixture]
 
 
 def _usable(rows):
@@ -201,10 +219,10 @@ def test_criterion_03_planner_optimality():
                 sum(matrix[r][p[r]] for r in range(k))
                 for p in itertools.permutations(range(k))
             )
-            valid = sorted(got.targets) == list(range(k))
-            recomputed = sum(matrix[r][got.targets[r]] for r in range(k))
-            if not valid or abs(got.total_cost - best) > 1e-9 or abs(recomputed - got.total_cost) > 1e-9:
-                ok, detail = False, f"assignment case {i}: {got.total_cost} vs {best}"
+            valid = sorted(got) == list(range(k))
+            cost = sum(matrix[r][got[r]] for r in range(k))
+            if not valid or abs(cost - best) > 1e-9:
+                ok, detail = False, f"assignment case {i}: {cost} vs {best}"
                 break
     _verdict(3, ok, detail or "1000 path + 1000 assignment cases")
 

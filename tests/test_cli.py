@@ -77,7 +77,7 @@ def test_sweep_and_plot_roundtrip(tmp_path, capsys):
     assert main(["plot", csv_path, "--kind", "bar", "-o", bar_path]) == 0
 
 
-def test_workers_env_var_overrides_flag(tmp_path, capsys, monkeypatch):
+def test_workers_flag_matches_serial(tmp_path, capsys):
     spec = {
         "instances": [{"id": "strip", "polygon": [[0, 0], [5, 0], [5, 1], [0, 1]]}],
         "strategies": ["rs"],
@@ -89,21 +89,23 @@ def test_workers_env_var_overrides_flag(tmp_path, capsys, monkeypatch):
     serial = tmp_path / "serial.csv"
     pooled = tmp_path / "pooled.csv"
 
-    monkeypatch.delenv("POLYSEARCH_WORKERS", raising=False)
     assert main(["sweep", "--spec", str(spec_path), "-o", str(serial)]) == 0
-    monkeypatch.setenv("POLYSEARCH_WORKERS", "2")
-    assert main(["sweep", "--spec", str(spec_path), "--workers", "1",
-                 "-o", str(pooled)]) == 0
+    assert main(["sweep", "--spec", str(spec_path), "--workers", "2", "-o", str(pooled)]) == 0
     assert pooled.read_text() == serial.read_text()
     capsys.readouterr()
 
-    monkeypatch.setenv("POLYSEARCH_WORKERS", "soon")
-    assert main(["sweep", "--spec", str(spec_path), "-o", str(pooled)]) == 2
-    assert "POLYSEARCH_WORKERS" in capsys.readouterr().err
-
-    monkeypatch.setenv("POLYSEARCH_WORKERS", "-3")
-    assert main(["sweep", "--spec", str(spec_path), "-o", str(pooled)]) == 2
+    assert main(["sweep", "--spec", str(spec_path), "--workers", "0", "-o", str(pooled)]) == 2
     assert "worker count" in capsys.readouterr().err
+
+
+def test_spec_file_is_read_relative_to_the_spec(tmp_path, capsys, monkeypatch):
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "poly.json").write_text(json.dumps({"vertices": [[0, 0], [5, 0], [5, 1], [0, 1]]}))
+    (sub / "spec.json").write_text(_spec(instances=[{"id": "strip", "file": "poly.json"}]))
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--spec", "sub/spec.json", "-o", "out.csv"]) == 0
+    assert [row.instance for row in read_csv("out.csv")] == ["strip"]
 
 
 def test_cli_reports_domain_errors(tmp_path, capsys):
@@ -179,6 +181,7 @@ def _spec(**overrides) -> str:
         pytest.param(["sweep", "--spec", "{ks}", "-o", "{out}"], id="spec-ks-float"),
         pytest.param(["sweep", "--spec", "{maxsteps}", "-o", "{out}"], id="spec-max-steps-string"),
         pytest.param(["sweep", "--spec", "{numid}", "-o", "{out}"], id="spec-instance-id-number"),
+        pytest.param(["sweep", "--spec", "{numfile}", "-o", "{out}"], id="spec-instance-file-number"),
         pytest.param(["sweep", "--spec", "{crid}", "-o", "{out}"], id="spec-instance-id-carriage-return"),
         pytest.param(["sweep", "--spec", "{rectlist}", "-o", "{out}"], id="spec-rect-seed-list"),
         pytest.param(["sweep", "--spec", "{rectstr}", "-o", "{out}"], id="spec-rect-seed-string"),
@@ -223,6 +226,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         "ks": _write(tmp_path, "ks.json", _spec(ks=[2.5])),
         "maxsteps": _write(tmp_path, "maxsteps.json", _spec(max_steps="9")),
         "numid": _write(tmp_path, "numid.json", _spec(instances=[{"id": 5, "polygon": strip}])),
+        "numfile": _write(tmp_path, "numfile.json", _spec(instances=[{"id": "s", "file": 5}])),
         "crid": _write(tmp_path, "crid.json", _spec(instances=[{"id": "x\ry", "polygon": strip}])),
         "rectlist": _write(
             tmp_path, "rectlist.json", _spec(instances=[{"id": "s", "polygon": strip, "rect_seed": [1]}])

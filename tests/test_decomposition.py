@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysearch.decomposition import (
     Junction,
@@ -14,6 +18,7 @@ from polysearch.decomposition import (
 )
 from polysearch.errors import TooFewRobots
 from polysearch.geometry import Cell, rasterize
+from polysearch.polygen import inflate_cut
 
 from conftest import P
 
@@ -119,6 +124,54 @@ class TestJunctions:
                     if nb in g and rid[c] != rid[nb]:
                         lo, hi = (c, nb) if rid[c] < rid[nb] else (nb, c)
                         assert (lo, hi) in in_junction
+
+
+def brute_junctions(r: Rectangulation) -> tuple[Junction, ...]:
+    """Every cross-rectangle 4-adjacent cell pair, grouped by rectangle pair."""
+    owner = {c: i for i, rect in enumerate(r.rects) for c in rect.cells()}
+    groups: dict[tuple[int, int], list[tuple[Cell, Cell]]] = {}
+    for c, i in owner.items():
+        for nb in (Cell(c.col + 1, c.row), Cell(c.col, c.row + 1)):
+            j = owner.get(nb, i)
+            if j != i:
+                pair = (c, nb) if i < j else (nb, c)
+                groups.setdefault((min(i, j), max(i, j)), []).append(pair)
+    # Along one shared edge the cells of rect a share a column or a row, so
+    # sorting the pairs orders them by row or by column.
+    return tuple(Junction(a, b, tuple(sorted(groups[a, b]))) for a, b in sorted(groups))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    vertices=st.integers(2, 20).map(lambda h: 2 * h),
+    seed=st.integers(0, 10**6),
+    rect_seed=st.integers(0, 10**6),
+)
+def test_property_junctions_group_all_cross_rect_pairs(vertices, seed, rect_seed):
+    g = rasterize(inflate_cut(vertices, seed))
+    r = rectangulate(g, rect_seed)
+    check_partition(g, r)
+    assert r.juncs == brute_junctions(r)
+
+
+#: sha256 of every rectangulate(rasterize(inflate_cut(v, s)), r) for
+#: v = 4..40 even, s = 0..3, r = 0..2, rectangles and junctions both.
+RECTANGULATIONS_DIGEST = "4d33d6aaea5289e7f3e7cfb6d926d52e2e8c8c1d69c708853d9c780c3f34fa24"
+
+
+def test_rectangulations_are_pinned():
+    digest = hashlib.sha256()
+    for vertices in range(4, 41, 2):
+        for seed in range(4):
+            g = rasterize(inflate_cut(vertices, seed))
+            for rect_seed in range(3):
+                r = rectangulate(g, rect_seed)
+                payload = [
+                    [[rect.anchor, rect.width, rect.height] for rect in r.rects],
+                    [[j.a, j.b, j.pairs] for j in r.juncs],
+                ]
+                digest.update(json.dumps(payload).encode())
+    assert digest.hexdigest() == RECTANGULATIONS_DIGEST
 
 
 class TestAllocate:

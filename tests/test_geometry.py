@@ -170,6 +170,43 @@ def test_property_rasterize_round_trips_inflate_cut(vertices, seed):
             assert (Cell(col, row) in g) == ref_inside(poly.vertices, col + 0.5, row + 0.5)
 
 
+def lattice_walk_revisits(loop) -> bool:
+    """Whether the unit-step walk around a vertex loop meets any lattice point twice."""
+    seen = set()
+    for (x0, y0), (x1, y1) in zip(loop, loop[1:] + loop[:1]):
+        dx, dy = (x1 > x0) - (x1 < x0), (y1 > y0) - (y1 < y0)
+        x, y = x0, y0
+        while True:
+            if (x, y) in seen:
+                return True
+            seen.add((x, y))
+            x, y = x + dx, y + dy
+            if (x, y) == (x1, y1):
+                break
+    return False
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda m: st.tuples(*[st.lists(st.integers(0, 4), min_size=m, max_size=m)] * 2)
+    )
+)
+def test_property_validate_rejects_exactly_non_simple_loops(coords):
+    # Horizontal edge i runs along ys[i] from xs[i] to xs[i + 1], so the
+    # loop alternates horizontal and vertical edges; equal neighbours give
+    # zero-length edges, which the walk sees as a revisited point.
+    xs, ys = coords
+    m = len(xs)
+    loop = [p for i in range(m) for p in ((xs[i], ys[i]), (xs[(i + 1) % m], ys[i]))]
+    try:
+        validate_polygon(loop)
+        accepted = True
+    except InvalidPolygon:
+        accepted = False
+    assert accepted != lattice_walk_revisits(loop)
+
+
 class TestGridGraph:
     @staticmethod
     def neighbors(g, cell):
