@@ -74,6 +74,10 @@ class TooManyRobots(PolySearchError):
     """More robots than cells on the curve they must share."""
 
 
+class TooLarge(PolySearchError):
+    """An input would build more unit cells than MAX_CELLS."""
+
+
 class DimensionMismatch(PolySearchError):
     """Curve extents do not match the target rectangle."""
 

@@ -25,6 +25,7 @@ from .errors import (
     NonOrthogonalEdge,
     OddVertexCount,
     SelfIntersection,
+    TooLarge,
 )
 
 Point = tuple[int, int]
@@ -33,6 +34,17 @@ Point = tuple[int, int]
 class Cell(NamedTuple):
     col: int
     row: int
+
+
+#: Most unit cells a polygon or a curve may have: far above the paper-scale
+#: instances (704 cells at most), far below what would exhaust memory.
+MAX_CELLS = 100_000
+
+
+def check_cells(count: int, what: str) -> None:
+    """Raise TooLarge when `what` would have more than MAX_CELLS cells."""
+    if count > MAX_CELLS:
+        raise TooLarge(f"{what} has {count} cells; at most {MAX_CELLS} are supported")
 
 
 # Neighbor probing order: N, E, S, W (row grows northward).
@@ -193,7 +205,10 @@ def rasterize(poly: OrthoPolygon) -> GridGraph:
     edges it crosses come in pairs: sorted by x, the inside runs are
     [xs[0], xs[1]), [xs[2], xs[3]), ... Crossing parity is the winding number
     mod 2, so a ray in any other direction would give the same cells.
+    A polygon whose area exceeds MAX_CELLS raises TooLarge before any cell
+    is built.
     """
+    check_cells(poly.area, "polygon")
     w, h = poly.bounds
     vert = [(x0, min(y0, y1), max(y0, y1)) for (x0, y0), (x1, y1) in poly.edges() if x0 == x1]
     cells: set[Cell] = set()

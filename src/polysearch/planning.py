@@ -8,12 +8,14 @@ admissible because every entered cell contributes at least 1.
 many targets in one batched Dijkstra call, in exact integer units of
 VISIT_COST; `hungarian` solves once and breaks ties over the tight edges
 of the recovered duals. `shortest_indices` walks a per-goal next-hop
-table that one unweighted csgraph search fills, so a grid keeps at most
-one int32 row per cell.
+table that one unweighted csgraph search fills. A grid's `cache` keeps
+what they derive from the grid alone: A*'s |dcol| and |drow| lists, one
+per goal column and row; the reversed CSR structure; the unit-weight
+graph with an (n, 4) neighbor table; at most one next-hop row per cell.
 """
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csgraph, csr_matrix
 
 from .errors import InvalidConfig, NegativeEntry, NonSquare, Unreachable
-from .geometry import GridGraph
+from .geometry import CARDINAL_STEPS, Cell, GridGraph
 
 VISIT_COST = 0.05
 
@@ -53,24 +55,32 @@ def plan_indices(g: GridGraph, cm: CostMap, start: int, goal: int) -> list[int]:
     The path includes both ends; start == goal gives a 1-cell path. Ties
     break on lower f, then lower h, then earliest push; pushes happen in
     N, E, S, W neighbor order, so the whole expansion is reproducible.
+    Heap keys (f, h, seq, cell) are unique because seq is, so the pop
+    order depends only on which keys were pushed, never on how the heap
+    stores them. So each expansion may hold back one new key and hand it
+    to the next pop as one heappushpop; it holds its smallest, which
+    heappushpop returns at once when no stored key is smaller. A closed
+    cell's distance becomes -1.0, below any new distance, so it is never
+    reopened.
     """
-    n = len(g.cells)
-    cols, rows = g.cols, g.rows
-    gx, gy = cols[goal], rows[goal]
+    hx = _axis_distance(g, "col", g.cols, g.cols[goal])
+    hy = _axis_distance(g, "row", g.rows, g.rows[goal])
     entry = cm.entry
-    dist = [float("inf")] * n
-    parent = [-1] * n
-    closed = bytearray(n)
-    h0 = abs(cols[start] - gx) + abs(rows[start] - gy)
-    heap: list[tuple[float, int, int, int]] = [(h0, h0, 0, start)]
-    dist[start] = 0.0
-    seq = 1
     adjacency = g.adjacency
-    while heap:
-        _, _, _, v = heappop(heap)
-        if closed[v]:
+    dist = [float("inf")] * len(g.cells)
+    parent = [-1] * len(g.cells)
+    dist[start] = 0.0
+    h0 = hx[start] + hy[start]
+    held: tuple[float, int, int, int] | None = (h0, h0, 0, start)
+    heap: list[tuple[float, int, int, int]] = []
+    seq = 1
+    while held or heap:
+        v = (heappushpop(heap, held) if held else heappop(heap))[3]
+        held = None
+        dv = dist[v]
+        if dv < 0.0:
             continue
-        closed[v] = 1
+        dist[v] = -1.0
         if v == goal:
             path = [v]
             while parent[v] != -1:
@@ -78,18 +88,30 @@ def plan_indices(g: GridGraph, cm: CostMap, start: int, goal: int) -> list[int]:
                 path.append(v)
             path.reverse()
             return path
-        dv = dist[v]
         for u in adjacency[v]:
-            if closed[u]:
-                continue
             nd = dv + entry[u]
             if nd < dist[u]:
                 dist[u] = nd
                 parent[u] = v
-                h = abs(cols[u] - gx) + abs(rows[u] - gy)
-                heappush(heap, (nd + h, h, seq, u))
+                h = hx[u] + hy[u]
+                key = (nd + h, h, seq, u)
                 seq += 1
+                if held is None:
+                    held = key
+                elif key < held:
+                    heappush(heap, held)
+                    held = key
+                else:
+                    heappush(heap, key)
     raise Unreachable(f"no path from {tuple(g.cells[start])} to {tuple(g.cells[goal])}")
+
+
+def _axis_distance(g: GridGraph, axis: str, coords: Sequence[int], at: int) -> list[int]:
+    """|coords[i] - at| per cell, kept in `g.cache`: one list per distinct column or row."""
+    hit = g.cache.get((axis, at))
+    if hit is None:
+        hit = g.cache[axis, at] = [abs(c - at) for c in coords]
+    return hit
 
 
 def shortest_indices(g: GridGraph, start: int, goal: int) -> tuple[int, ...]:
@@ -117,18 +139,31 @@ def _next_hops(g: GridGraph, goal: int) -> np.ndarray:
     key = ("next_hop", goal)
     hit = g.cache.get(key)
     if hit is None:
-        indptr, indices, owner = _reverse_csr(g)
-        n = len(g.cells)
-        graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        graph, nbrs = _unit_graph(g)
         far = csgraph.dijkstra(graph, indices=goal, unweighted=True)
-        layer = np.where(np.isfinite(far), far, -1)  # unreachable: no next hop, none leads here
-        # Owners ascend, so unique() finds each cell's first closer edge.
-        closer = np.flatnonzero(layer[indices] == layer[owner] - 1)
-        cells, first = np.unique(owner[closer], return_index=True)
-        hit = np.full(n, -1, dtype=np.int32)
-        hit[cells] = indices[closer[first]]
+        # Layer -1 marks unreachable cells; none borders the goal, the only
+        # cell whose layer - 1 is -1. The padding index n gets -3, which no
+        # layer - 1 equals.
+        layer = np.append(np.where(np.isfinite(far), far, -1), -3)
+        closer = layer[nbrs] == (layer[:-1] - 1)[:, None]
+        first = nbrs[np.arange(len(nbrs)), closer.argmax(axis=1)]
+        hit = np.where(closer.any(axis=1), first, -1).astype(np.int32)
         hit[goal] = goal
         g.cache[key] = hit
+    return hit
+
+
+def _unit_graph(g: GridGraph) -> tuple[csr_matrix, np.ndarray]:
+    """Unit-weight csr_matrix of the grid and its (n, 4) N, E, S, W neighbor
+    table, n where a neighbor is missing; built once per grid, kept in `g.cache`."""
+    hit = g.cache.get("unit_graph")
+    if hit is None:
+        indptr, indices, _ = _reverse_csr(g)
+        n = len(g.cells)
+        graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+        steps = [[g.index.get(Cell(c + dx, r + dy), n) for dx, dy in CARDINAL_STEPS] for c, r in g.cells]
+        nbrs = np.array(steps, dtype=np.int32).reshape(n, 4)
+        hit = g.cache["unit_graph"] = (graph, nbrs)
     return hit
 
 

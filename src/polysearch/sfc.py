@@ -12,7 +12,7 @@ from typing import Iterator
 
 from .decomposition import Rectangle
 from .errors import DimensionMismatch, TooManyRobots
-from .geometry import Cell, GridGraph
+from .geometry import Cell, GridGraph, check_cells
 
 
 def _sgn(x: int) -> int:
@@ -70,9 +70,11 @@ def gilbert_curve(width: int, height: int) -> tuple[Cell, ...]:
 
     Every cell appears exactly once; consecutive cells are king-move
     adjacent, with at most a single diagonal step for odd x odd extents.
+    More than MAX_CELLS cells raise TooLarge before any is built.
     """
     if width < 1 or height < 1:
         raise DimensionMismatch(f"rectangle {width}x{height} has no cells")
+    check_cells(width * height, f"rectangle {width}x{height}")
     if width >= height:
         return tuple(_generate(0, 0, width, 0, 0, height))
     return tuple(_generate(0, 0, 0, height, width, 0))

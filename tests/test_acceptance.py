@@ -13,6 +13,7 @@ import hashlib
 import heapq
 import itertools
 import math
+import os
 import random
 import time
 import warnings
@@ -61,14 +62,20 @@ def spikes4_sweep():
     return rows, time.perf_counter() - t0
 
 
+#: Pool size for the sweeps that no criterion times. Rows do not depend on
+#: it (criterion 11 and the CSV pins check that); spikes4_sweep stays serial
+#: because criterion 11 reports its one-core wall time.
+WORKERS = os.cpu_count() or 1
+
+
 @pytest.fixture(scope="module")
 def shapes_rows():
-    return run_sweep(preset_shapes())
+    return run_sweep(preset_shapes(), workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
 def areas_rows():
-    return run_sweep(preset_areas())
+    return run_sweep(preset_areas(), workers=WORKERS)
 
 
 #: sha256 of rows_to_csv over each full preset sweep above.
@@ -343,14 +350,16 @@ def test_criterion_07_omniscient_pursuit_is_the_floor(spikes4_sweep):
 def test_criterion_08_random_search_order_flips_with_intruder():
     inst = preset_spikes4().instances[0]
     static = run_sweep(
-        SweepSpec((inst,), ("rs", "crs"), (13,), ("static",), trials=800, base_seed=0)
+        SweepSpec((inst,), ("rs", "crs"), (13,), ("static",), trials=800, base_seed=0),
+        workers=WORKERS,
     )
     rs_s = next(r for r in static if r.strategy == "rs")
     crs_s = next(r for r in static if r.strategy == "crs")
     separated = rs_s.mean_steps + rs_s.ci95 < crs_s.mean_steps - crs_s.ci95
 
     moving = run_sweep(
-        SweepSpec((inst,), ("rs", "crs"), (44,), ("random",), trials=300, base_seed=0)
+        SweepSpec((inst,), ("rs", "crs"), (44,), ("random",), trials=300, base_seed=0),
+        workers=WORKERS,
     )
     rs_m = next(r for r in moving if r.strategy == "rs")
     crs_m = next(r for r in moving if r.strategy == "crs")

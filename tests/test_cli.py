@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 
 from polysearch.cli import main
-from polysearch.geometry import read_polygon_file
+from polysearch.geometry import MAX_CELLS, read_polygon_file
 from polysearch.harness import CSV_COLUMNS, read_csv
 from polysearch.sim import INTRUDER_MODELS, SimConfig, run_trial
 
@@ -138,6 +139,31 @@ def test_simulate_trace_is_json(tmp_path, capsys):
         assert payload["via_swap"] is res.via_swap is (intruder == "walk")
         assert all("via_swap" in row for row in payload["trace"])
         assert payload["trace"][-1]["via_swap"] is res.via_swap
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["decompose", "{huge}"], id="decompose"),
+        pytest.param(["simulate", "{huge}", "--strategy", "rs", "-k", "1"], id="simulate"),
+        pytest.param(["sweep", "--spec", "{spec}", "-o", "{out}"], id="sweep"),
+        pytest.param(["curve", "100000", "100000"], id="curve-square"),
+        pytest.param(["curve", str(MAX_CELLS + 1), "1"], id="curve-one-over"),
+    ],
+)
+def test_oversized_input_exits_2_before_building_cells(tmp_path, capsys, argv):
+    side = 10**5
+    square = [[0, 0], [side, 0], [side, side], [0, side]]
+    paths = {
+        "huge": _write(tmp_path, "huge.json", json.dumps({"vertices": square})),
+        "spec": _write(tmp_path, "spec.json", _spec(instances=[{"id": "huge", "polygon": square}])),
+        "out": str(tmp_path / "out.csv"),
+    }
+    t0 = time.perf_counter()
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert time.perf_counter() - t0 < 2.0  # 10^10 cells would take hours and exhaust memory
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(MAX_CELLS) in err[0]
 
 
 def _write(tmp_path, name: str, text: str) -> str:

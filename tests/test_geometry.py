@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polysearch import geometry
 from polysearch.errors import (
     CellOutsideGraph,
     CollinearEdges,
@@ -15,6 +16,7 @@ from polysearch.errors import (
     NonOrthogonalEdge,
     OddVertexCount,
     SelfIntersection,
+    TooLarge,
 )
 from polysearch.geometry import (
     Cell,
@@ -149,6 +151,12 @@ class TestRasterize:
                         seen.add(j)
                         stack.append(j)
             assert seen == set(range(len(g)))
+
+    def test_area_above_max_cells_rejected(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_CELLS", 12)
+        assert len(rasterize(P((0, 0), (4, 0), (4, 3), (0, 3)))) == 12
+        with pytest.raises(TooLarge):
+            rasterize(P((0, 0), (13, 0), (13, 1), (0, 1)))
 
     def test_pinched_loop_rejected(self):
         # Two squares touching at (1, 1): the loop passes that vertex twice,

@@ -14,7 +14,7 @@ from polysearch import planning
 from polysearch.errors import CellOutsideGraph, NegativeEntry, NonSquare, Unreachable
 from polysearch.geometry import Cell, GridGraph, rasterize
 from polysearch.harness import preset_areas
-from polysearch.sim import SimConfig, init_trial, step
+from polysearch.sim import SimConfig, _rs_move, init_trial, step
 from polysearch.planning import (
     STEP_UNITS,
     VISIT_COST,
@@ -125,6 +125,34 @@ def ref_astar_path(g, entry, start: int, goal: int) -> list[int]:
                 parent[u] = v
                 heapq.heappush(heap, (nd + h(u), h(u), next(pushes), u))
     raise AssertionError("oracle found no path")
+
+
+def ref_next_hop_rows(g) -> list[list[int]]:
+    """Per goal, each cell's first N, E, S, W neighbor one BFS layer closer.
+
+    -1 where the goal cannot be reached, the goal itself at the goal.
+    Neighbors come from the cell coordinates, not from `g.adjacency`.
+    Oracle only.
+    """
+    steps = ((0, 1), (1, 0), (0, -1), (-1, 0))
+    nbrs = [
+        [g.index[nb] for nb in (Cell(c.col + dx, c.row + dy) for dx, dy in steps) if nb in g.index]
+        for c in g.cells
+    ]
+    rows = []
+    for goal in range(len(g)):
+        layer = [-1] * len(g)
+        layer[goal] = 0
+        queue = [goal]
+        for v in queue:
+            for u in nbrs[v]:
+                if layer[u] < 0:
+                    layer[u] = layer[v] + 1
+                    queue.append(u)
+        row = [next((u for u in nbrs[v] if layer[u] == layer[v] - 1), -1) for v in range(len(g))]
+        row[goal] = goal
+        rows.append(row)
+    return rows
 
 
 def brute_hungarian(m) -> tuple[tuple[int, ...], float]:
@@ -302,6 +330,24 @@ class TestAstar:
                 s, t = rng.randrange(len(g)), rng.randrange(len(g))
                 assert plan_indices(g, state.cost, s, t) == ref_astar_path(g, state.cost.entry, s, t)
 
+    def test_tie_break_equals_reference_astar_on_a_crowded_cost_map(self):
+        # 400 steps of 25 rs robots on area704 leave many equal float sums.
+        # The team walks without an intruder, so no capture ends the walk.
+        inst = preset_areas().instances[-1]
+        g = rasterize(inst.polygon)
+        assert len(g) == 704
+        state = init_trial(SimConfig(polygon=inst.polygon, strategy="rs", k=25, seed=31), g)
+        for _ in range(400):
+            state.pos = _rs_move(state)
+            for i in state.pos:
+                state.cost.bump_index(i)
+        rng = random.Random(31)
+        for _ in range(200):
+            s, t = rng.randrange(len(g)), rng.randrange(len(g))
+            assert plan_indices(g, state.cost, s, t) == ref_astar_path(g, state.cost.entry, s, t)
+        axis_tables = [key for key in g.cache if isinstance(key, tuple) and key[0] in ("col", "row")]
+        assert 0 < len(axis_tables) <= len(set(g.cols)) + len(set(g.rows))
+
 
 class TestDijkstra:
     def test_matches_bfs(self):
@@ -323,6 +369,15 @@ class TestDijkstra:
                 starts = [t] + [rng.randrange(len(g)) for _ in range(60)]  # start == goal first
                 for s in starts:
                     assert list(shortest_indices(g, s, t)) == ref_fifo_bfs_path(g, s, t)
+
+    def test_next_hops_equal_bfs_oracle_for_every_goal(self):
+        two_parts = GridGraph(
+            [Cell(0, 0), Cell(1, 0), Cell(0, 1), Cell(3, 0), Cell(3, 1), Cell(4, 1)], (5, 2)
+        )
+        grids = [rasterize(inst.polygon) for inst in preset_areas().instances] + [two_parts]
+        for g in grids:
+            for t, want in enumerate(ref_next_hop_rows(g)):
+                assert planning._next_hops(g, t).tolist() == want
 
     def test_unreachable(self):
         g = GridGraph([Cell(0, 0), Cell(2, 0)], (3, 1))
