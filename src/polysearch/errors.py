@@ -75,7 +75,7 @@ class TooManyRobots(PolySearchError):
 
 
 class TooLarge(PolySearchError):
-    """An input would build more unit cells than MAX_CELLS."""
+    """An input would build more than MAX_CELLS cells or MAX_ROBOTS robots."""
 
 
 class DimensionMismatch(PolySearchError):

@@ -30,6 +30,7 @@ from .sim import (
     STRATEGIES,
     SimConfig,
     TrialResult,
+    check_robots,
     run_trial,
     sfc_team,
 )
@@ -136,6 +137,7 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     for k in spec.ks:
         if not _is_int(k):
             raise InvalidConfig(f"team size must be an integer, got {k!r}")
+        check_robots(k)
     if spec.max_steps is not None and (not _is_int(spec.max_steps) or spec.max_steps < 0):
         raise InvalidConfig(f"max_steps must be a nonnegative integer, got {spec.max_steps!r}")
     combos = itertools.product(spec.instances, spec.strategies, spec.intruders, spec.ks)

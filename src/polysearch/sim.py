@@ -2,10 +2,11 @@
 
 Robots and one intruder occupy unit cells of a rasterized polygon. A trial
 is plain index lists: the robots' cell indices in robot id order and the
-intruder's index. Each step the strategy moves the whole team (one cell at
-most per robot) into a new position list, then the intruder moves. Capture
-happens when a robot ends the step on the intruder's cell, or when a robot
-and the intruder exchange cells within the step.
+intruder's index. Each step a planning team (rs, crs, baseline) moves (one
+cell at most per robot) into a new position list, then the intruder moves;
+a patrol team's cells follow from the step count alone. Capture happens
+when a robot ends the step on the intruder's cell, or when a robot and the
+intruder exchange cells within the step.
 
 Strategies:
 
@@ -33,7 +34,7 @@ import random
 from dataclasses import dataclass
 
 from .decomposition import Rectangulation, allocate_robots, rectangulate
-from .errors import InvalidConfig, TooFewRobots
+from .errors import InvalidConfig, TooFewRobots, TooLarge
 from .geometry import Cell, GridGraph, OrthoPolygon, rasterize
 from .planning import (
     CostMap,
@@ -52,6 +53,13 @@ RESAMPLE_BUDGET = 32
 
 #: Trial length cap, in steps per grid cell, when the config leaves it unset.
 DEFAULT_STEP_FACTOR = 100
+
+#: Largest team a trial or a sweep may field: far above the presets' 59
+#: robots, and a bound on every per-robot list and (k, n) cost matrix.
+MAX_ROBOTS = 1_000
+
+#: A patrol robot's cell indices over one period, starting at step 0.
+Tour = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -74,10 +82,12 @@ class SimConfig:
 class SimState:
     """One trial in index space; robot lists are in robot id order.
 
-    ``pos`` holds the robots' cells and ``intruder`` the intruder's. An
-    sfc/sfc_g team carries its ping-pong ``tours``; an rs/crs robot walks
-    ``plans[i]``, the cells still ahead with the next one last, and has
-    arrived when that list is empty.
+    ``intruder`` holds the intruder's cell. A planning team keeps its cells
+    in ``pos``; an rs/crs robot walks ``plans[i]``, the cells still ahead
+    with the next one last, and has arrived when that list is empty. An
+    sfc/sfc_g team keeps no ``pos``: it carries its ping-pong ``tours`` and
+    ``through``, the tours through each cell, and `positions` derives its
+    cells from ``tours`` and ``t``.
     """
 
     cfg: SimConfig
@@ -87,7 +97,8 @@ class SimState:
     cost: CostMap | None
     rng: random.Random
     max_steps: int
-    tours: tuple[tuple[int, ...], ...]
+    tours: tuple[Tour, ...]
+    through: tuple[tuple[Tour, ...], ...]
     plans: list[list[int]]
     t: int = 0
     captured: bool = False
@@ -139,16 +150,20 @@ def sfc_layout(grid: GridGraph, rect_seed: int = 0) -> SfcLayout:
     return layout
 
 
-def sfc_team(grid: GridGraph, strategy: str, k: int, rect_seed: int = 0) -> tuple[tuple[int, ...], ...]:
-    """Build (or fetch) the tours of the k-robot sfc/sfc_g team for `grid`.
+def sfc_team(
+    grid: GridGraph, strategy: str, k: int, rect_seed: int = 0
+) -> tuple[tuple[Tour, ...], tuple[tuple[Tour, ...], ...]]:
+    """Build (or fetch) the k-robot sfc/sfc_g team for `grid`: (tours, through).
 
     Tours are in robot id order. Searchers come first, each with the
     ping-pong tour ``seg + seg[-2:0:-1]`` (period 2(L - 1)) of its curve
     segment, which is ``tour[:len(tour) // 2 + 1]``; then, for sfc_g, one
-    guard per junction, whose tour is its doorway cell. A grid keeps one
-    team; another (strategy, k, rect_seed) replaces it. Raises TooFewRobots
-    when the rectangles (and junctions) outnumber k, and TooManyRobots when
-    a curve gets more searchers than cells.
+    guard per junction, whose tour is its doorway cell. ``through[c]``
+    holds the tours that pass through cell c, the only robots that can
+    stand on c. A grid keeps one team; another (strategy, k, rect_seed)
+    replaces it. Raises TooFewRobots when the rectangles (and junctions)
+    outnumber k, and TooManyRobots when a curve gets more searchers than
+    cells.
     """
     key = (strategy, k, rect_seed)
     hit = grid.cache.get("sfc_team")
@@ -169,8 +184,13 @@ def sfc_team(grid: GridGraph, strategy: str, k: int, rect_seed: int = 0) -> tupl
             seg = curve[start:stop]
             tours.append(seg + seg[-2:0:-1])
     tours.extend((cell,) for cell in guards)
-    grid.cache["sfc_team"] = (key, tuple(tours))
-    return grid.cache["sfc_team"][1]
+    through: list[tuple[Tour, ...]] = [()] * len(grid.cells)
+    for tour in tours:
+        for cell in dict.fromkeys(tour[: len(tour) // 2 + 1]):
+            through[cell] += (tour,)
+    team = (tuple(tours), tuple(through))
+    grid.cache["sfc_team"] = (key, team)
+    return team
 
 
 def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
@@ -185,6 +205,7 @@ def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
         raise InvalidConfig(f"unknown intruder model {cfg.intruder!r}")
     if cfg.k < 1:
         raise TooFewRobots("at least one robot is required")
+    check_robots(cfg.k)
     if cfg.max_steps is not None and cfg.max_steps < 0:
         raise InvalidConfig("max_steps must be nonnegative")
     if grid is None:
@@ -193,12 +214,13 @@ def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
     rng = random.Random(cfg.seed)
     cost = CostMap(grid) if cfg.strategy in ("rs", "crs") else None
 
-    tours: tuple[tuple[int, ...], ...] = ()
+    tours: tuple[Tour, ...] = ()
+    through: tuple[tuple[Tour, ...], ...] = ()
+    pos: list[int] = []
     if cfg.strategy in ("sfc", "sfc_g"):
         if cfg.robot_positions is not None:
             raise InvalidConfig("robot_positions only apply to rs, crs and baseline")
-        tours = sfc_team(grid, cfg.strategy, cfg.k, cfg.rect_seed)
-        pos = [tour[0] for tour in tours]
+        tours, through = sfc_team(grid, cfg.strategy, cfg.k, cfg.rect_seed)
     elif cfg.robot_positions is not None:
         if len(cfg.robot_positions) != cfg.k:
             raise InvalidConfig(f"{cfg.k} robots but {len(cfg.robot_positions)} positions")
@@ -221,18 +243,34 @@ def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
         rng=rng,
         max_steps=max_steps,
         tours=tours,
+        through=through,
         plans=[[] for _ in pos] if cost is not None else [],
         trace=[] if cfg.trace else None,
     )
-    state.captured = intruder in pos
+    state.captured = _patrol_on(through, intruder, 0) if tours else intruder in pos
     _record(state)
     return state
 
 
-def _sfc_move(state: SimState) -> list[int]:
-    """sfc/sfc_g: every robot takes the next entry of its ping-pong tour."""
-    t = state.t + 1
-    return [tour[t % len(tour)] for tour in state.tours]
+def check_robots(k: int) -> None:
+    """Raise TooLarge when a team of `k` robots exceeds MAX_ROBOTS."""
+    if k > MAX_ROBOTS:
+        raise TooLarge(f"a team of {k} robots is too large; at most {MAX_ROBOTS} are supported")
+
+
+def positions(state: SimState) -> list[int]:
+    """The robots' cells in robot id order; patrol robot i is on tours[i][t % len]."""
+    t = state.t
+    return [tour[t % len(tour)] for tour in state.tours] if state.tours else state.pos
+
+
+def _patrol_on(through: tuple[tuple[Tour, ...], ...], cell: int, t: int, last: int = -1) -> bool:
+    """Whether a tour through `cell` is on it at step t (and on `last` at t - 1, unless -1)."""
+    for tour in through[cell]:
+        n = len(tour)
+        if tour[t % n] == cell and (last < 0 or tour[(t - 1) % n] == last):
+            return True
+    return False
 
 
 def _rs_move(state: SimState) -> list[int]:
@@ -274,8 +312,6 @@ def _baseline_move(state: SimState) -> list[int]:
 
 
 _MOVES = {
-    "sfc": _sfc_move,
-    "sfc_g": _sfc_move,
     "rs": _rs_move,
     "crs": _crs_move,
     "baseline": _baseline_move,
@@ -303,28 +339,39 @@ def step(state: SimState) -> None:
 
     Guards never move. Capture is co-location after the intruder's move, or
     a robot/intruder cell exchange within the step. Stepping a finished
-    trial is a no-op.
+    trial is a no-op. A patrol team is not moved: at step t its robots
+    stand on their tours' entries t, so only the tours through the
+    intruder's new cell (co-location) and old cell (swap) are tested.
     """
     if state.captured or state.t >= state.max_steps:
         return
-    prev = state.pos
-    pos = state.pos = _MOVES[state.cfg.strategy](state)
-    if state.cost is not None:
-        bump = state.cost.bump_index
-        for idx in pos:
-            bump(idx)
+    t = state.t + 1
     intruder_prev = state.intruder
-    intruder_now = state.intruder = intruder_move(state)
-
-    co_located = intruder_now in pos
-    # A swap needs the intruder to move onto a cell a robot just left.
-    swapped = (
-        not co_located
-        and intruder_now != intruder_prev
-        and intruder_now in prev
-        and any(r == intruder_prev and p == intruder_now for r, p in zip(pos, prev))
-    )
-    state.t += 1
+    if state.tours:
+        intruder_now = state.intruder = intruder_move(state)
+        co_located = _patrol_on(state.through, intruder_now, t)
+        swapped = (
+            not co_located
+            and intruder_now != intruder_prev
+            and _patrol_on(state.through, intruder_prev, t, intruder_now)
+        )
+    else:
+        prev = state.pos
+        pos = state.pos = _MOVES[state.cfg.strategy](state)
+        if state.cost is not None:
+            bump = state.cost.bump_index
+            for idx in pos:
+                bump(idx)
+        intruder_now = state.intruder = intruder_move(state)
+        co_located = intruder_now in pos
+        # A swap needs the intruder to move onto a cell a robot just left.
+        swapped = (
+            not co_located
+            and intruder_now != intruder_prev
+            and intruder_now in prev
+            and any(r == intruder_prev and p == intruder_now for r, p in zip(pos, prev))
+        )
+    state.t = t
     if co_located or swapped:
         state.captured = True
         state.via_swap = swapped
@@ -351,7 +398,7 @@ def _record(state: SimState) -> None:
     state.trace.append(
         {
             "t": state.t,
-            "robots": tuple(cells[i] for i in state.pos),
+            "robots": tuple(cells[i] for i in positions(state)),
             "intruder": cells[state.intruder],
             "captured": state.captured,
             "via_swap": state.via_swap,

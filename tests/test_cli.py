@@ -11,7 +11,7 @@ import pytest
 from polysearch.cli import main
 from polysearch.geometry import MAX_CELLS, read_polygon_file
 from polysearch.harness import CSV_COLUMNS, read_csv
-from polysearch.sim import INTRUDER_MODELS, SimConfig, run_trial
+from polysearch.sim import INTRUDER_MODELS, MAX_ROBOTS, SimConfig, run_trial
 
 
 def test_generate_decompose_simulate_pipeline(tmp_path, capsys):
@@ -142,28 +142,42 @@ def test_simulate_trace_is_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "bound"),
     [
-        pytest.param(["decompose", "{huge}"], id="decompose"),
-        pytest.param(["simulate", "{huge}", "--strategy", "rs", "-k", "1"], id="simulate"),
-        pytest.param(["sweep", "--spec", "{spec}", "-o", "{out}"], id="sweep"),
-        pytest.param(["curve", "100000", "100000"], id="curve-square"),
-        pytest.param(["curve", str(MAX_CELLS + 1), "1"], id="curve-one-over"),
+        pytest.param(["decompose", "{huge}"], MAX_CELLS, id="decompose"),
+        pytest.param(["simulate", "{huge}", "--strategy", "rs", "-k", "1"], MAX_CELLS, id="simulate"),
+        pytest.param(["sweep", "--spec", "{spec}", "-o", "{out}"], MAX_CELLS, id="sweep"),
+        pytest.param(["curve", "100000", "100000"], MAX_CELLS, id="curve-square"),
+        pytest.param(["curve", str(MAX_CELLS + 1), "1"], MAX_CELLS, id="curve-one-over"),
+        pytest.param(
+            ["simulate", "{small}", "--strategy", "rs", "-k", "1000000", "--max-steps", "0"],
+            MAX_ROBOTS,
+            id="simulate-k",
+        ),
+        pytest.param(
+            ["simulate", "{small}", "--strategy", "crs", "-k", str(MAX_ROBOTS + 1)],
+            MAX_ROBOTS,
+            id="simulate-k-one-over",
+        ),
+        pytest.param(["sweep", "--spec", "{kspec}", "-o", "{out}"], MAX_ROBOTS, id="sweep-ks"),
     ],
 )
-def test_oversized_input_exits_2_before_building_cells(tmp_path, capsys, argv):
+def test_oversized_input_exits_2_before_building_cells(tmp_path, capsys, argv, bound):
     side = 10**5
     square = [[0, 0], [side, 0], [side, side], [0, side]]
     paths = {
         "huge": _write(tmp_path, "huge.json", json.dumps({"vertices": square})),
         "spec": _write(tmp_path, "spec.json", _spec(instances=[{"id": "huge", "polygon": square}])),
+        "small": _write(tmp_path, "small.json", json.dumps({"vertices": [[0, 0], [4, 0], [4, 1], [0, 1]]})),
+        "kspec": _write(tmp_path, "kspec.json", _spec(strategies=["crs"], ks=[2, 10**6])),
         "out": str(tmp_path / "out.csv"),
     }
     t0 = time.perf_counter()
     assert main([arg.format(**paths) for arg in argv]) == 2
-    assert time.perf_counter() - t0 < 2.0  # 10^10 cells would take hours and exhaust memory
+    # 10^10 cells would take hours; 10^6 robots, seconds and 70 MB per trial
+    assert time.perf_counter() - t0 < 2.0
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and str(MAX_CELLS) in err[0]
+    assert len(err) == 1 and err[0].startswith("error:") and str(bound) in err[0]
 
 
 def _write(tmp_path, name: str, text: str) -> str:

@@ -9,6 +9,7 @@ crs redeployment barrier, swap captures) are checked white-box.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from polysearch.sim import (
     SimConfig,
     init_trial,
     intruder_move,
+    positions,
     run_trial,
     sfc_layout,
     step,
@@ -121,7 +123,7 @@ def test_sfc_robots_start_at_segment_starts():
     layout = sfc_layout(grid)
     assert len(layout.curves) == 1
     curve = layout.curves[0]
-    assert state.pos == [curve[0], curve[3]]
+    assert positions(state) == [curve[0], curve[3]]
     assert [tour[: len(tour) // 2 + 1] for tour in state.tours] == [curve[0:3], curve[3:6]]
 
 
@@ -139,7 +141,7 @@ def test_sfc_g_guards_sit_on_junction_doorways(comb_grid):
     layout = sfc_layout(grid)
     k = sfc_minimum("sfc_g", grid)
     state = init_trial(SimConfig(polygon=poly, strategy="sfc_g", k=k), grid)
-    guards = state.pos[k - len(layout.guards):]
+    guards = positions(state)[k - len(layout.guards):]
     assert len(guards) == len(layout.rectangulation.juncs) == len(layout.guards)
     assert guards == list(layout.guards)
     assert all(len(tour) == 1 for tour in state.tours[k - len(layout.guards):])
@@ -225,6 +227,19 @@ def test_trial_result_carries_via_swap():
     )
     res = run_trial(met)
     assert res.captured and not res.via_swap
+
+
+def test_untraced_patrol_swap_capture():
+    # the lone robot's tour is (0, 1): it steps onto Cell(1, 0) as the intruder leaves it
+    cfg = SimConfig(
+        polygon=corridor(2),
+        strategy="sfc",
+        k=1,
+        intruder="walk",
+        intruder_position=Cell(1, 0),
+    )
+    res = run_trial(cfg)
+    assert res.captured and res.steps == 1 and res.via_swap
 
 
 def test_baseline_closes_distance_each_step():
@@ -393,7 +408,7 @@ def test_patrol_ping_pong():
     for _ in range(12):
         state.captured = False  # keep stepping past the static intruder
         step(state)
-        seen.append(grid.cells[state.pos[0]].col)
+        seen.append(grid.cells[positions(state)[0]].col)
     assert seen == [1, 2, 3, 4, 3, 2, 1, 0, 1, 2, 3, 4]
 
 
@@ -403,11 +418,11 @@ def test_single_cell_segment_stays_put():
     state = init_trial(
         SimConfig(polygon=poly, strategy="sfc", k=3, intruder_position=Cell(2, 0)), grid
     )
-    start = list(state.pos)
+    start = positions(state)
     for _ in range(4):
         state.captured = False  # the intruder starts on a robot's cell
         step(state)
-        assert state.pos == start
+        assert positions(state) == start
     assert all(len(tour[: len(tour) // 2 + 1]) == 1 for tour in state.tours)
 
 
@@ -416,7 +431,8 @@ def ref_patrol_trace(cfg: SimConfig, grid) -> list[dict]:
 
     Oracle only: each searcher keeps a segment position and a direction and
     turns at the segment's ends; capture is tested over every robot for
-    co-location and for a swap. Intruder draws follow `intruder_move`.
+    co-location and for a swap. Intruder draws follow `intruder_move`; a
+    static intruder never moves.
     """
     layout = sfc_layout(grid, cfg.rect_seed)
     guards = list(layout.guards) if cfg.strategy == "sfc_g" else []
@@ -455,7 +471,7 @@ def ref_patrol_trace(cfg: SimConfig, grid) -> list[dict]:
             pick = rng.randrange(len(adj) + 1)
             if pick > 0:
                 intruder = adj[pick - 1]
-        elif adj:
+        elif cfg.intruder == "walk" and adj:
             intruder = adj[rng.randrange(len(adj))]
         co_located = any(r == intruder for r in idx)
         swapped = any(r == intruder_prev and p == intruder for r, p in zip(idx, prev))
@@ -471,7 +487,7 @@ def ref_patrol_trace(cfg: SimConfig, grid) -> list[dict]:
     vertices=st.integers(6, 20).map(lambda h: 2 * h),
     poly_seed=st.integers(0, 10**6),
     strategy=st.sampled_from(("sfc", "sfc_g")),
-    intruder=st.sampled_from(("random", "walk")),
+    intruder=st.sampled_from(("static", "random", "walk")),
     extra=st.integers(0, 12),
     seed=st.integers(0, 10**6),
     max_steps=st.integers(0, 400),
@@ -487,8 +503,15 @@ def test_property_patrol_trace_equals_reference(
         max_steps=max_steps, trace=True,
     )
     res = run_trial(cfg, grid)
-    assert list(res.trace) == ref_patrol_trace(cfg, grid)
+    ref = ref_patrol_trace(cfg, grid)
+    assert list(res.trace) == ref
     assert res.via_swap == res.trace[-1]["via_swap"]
+    # The untraced path, which sweeps take, must end the same way.
+    last = ref[-1]
+    untraced = run_trial(replace(cfg, trace=False), grid)
+    assert (untraced.captured, untraced.steps, untraced.via_swap) == (
+        last["captured"], last["t"], last["via_swap"]
+    )
 
 
 def test_patrol_catches_static_intruder_within_one_sweep(comb_grid):
