@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import compress
+from typing import Sequence
 
 from .errors import TooFewRobots
 from .geometry import Cell, GridGraph
@@ -24,11 +25,6 @@ class Rectangle:
     @property
     def area(self) -> int:
         return self.width * self.height
-
-    def cells(self) -> Iterator[Cell]:
-        for row in range(self.anchor.row, self.anchor.row + self.height):
-            for col in range(self.anchor.col, self.anchor.col + self.width):
-                yield Cell(col, row)
 
 
 @dataclass(frozen=True)
@@ -58,46 +54,42 @@ def rectangulate(g: GridGraph, seed: int) -> Rectangulation:
     then smaller anchor in row-major order). Deterministic per seed.
     """
     rng = random.Random(seed)
-    free = set(g.cells)
+    free = bytearray(b"\x01") * len(g.cells)  # uncovered flag per cell index
     rects: list[Rectangle] = []
-    while free:
-        candidates = [c for c in g.cells if c in free]  # row-major, as g.cells
-        rect = _max_rectangle(free, candidates[rng.randrange(len(candidates))])
+    while candidates := list(compress(range(len(free)), free)):  # row-major, as g.cells
+        rect = _max_rectangle(g, free, candidates[rng.randrange(len(candidates))])
         rects.append(rect)
-        for covered in rect.cells():
-            free.discard(covered)
+        for row in range(rect.anchor.row, rect.anchor.row + rect.height):
+            i = g.index[rect.anchor.col, row]  # a rectangle's row is a run of indices
+            free[i : i + rect.width] = bytes(rect.width)
     return Rectangulation(tuple(rects), _find_junctions(rects))
 
 
-def _row_interval(free: set[Cell], col: int, row: int) -> tuple[int, int] | None:
-    if Cell(col, row) not in free:
-        return None
-    left = col
-    while Cell(left - 1, row) in free:
-        left -= 1
-    right = col
-    while Cell(right + 1, row) in free:
-        right += 1
-    return left, right
-
-
-def _max_rectangle(free: set[Cell], c: Cell) -> Rectangle:
-    # Maximal free row runs through c.col, extended upward and downward from
-    # c.row until the column is blocked.
+def _max_rectangle(g: GridGraph, free: bytearray, i: int) -> Rectangle:
+    # Maximal free row runs through cell i's column, extended upward and
+    # downward from its row until the column is blocked. A row's cells have
+    # consecutive indices, so each run is walked on indices.
+    cols, rows = g.cols, g.rows
+    col, row0 = g.cells[i]
     runs: dict[int, tuple[int, int]] = {}
-    for row, step in ((c.row, 1), (c.row - 1, -1)):
-        while (run := _row_interval(free, c.col, row)) is not None:
-            runs[row] = run
+    for row, step in ((row0, 1), (row0 - 1, -1)):
+        while (lo := g.index.get((col, row))) is not None and free[lo]:
+            hi = lo
+            while lo and free[lo - 1] and rows[lo - 1] == row and cols[lo - 1] == cols[lo] - 1:
+                lo -= 1
+            while hi + 1 < len(free) and free[hi + 1] and rows[hi + 1] == row and cols[hi + 1] == cols[hi] + 1:
+                hi += 1
+            runs[row] = (cols[lo], cols[hi])
             row += step
 
-    # Rows r1..r2 around c.row share the intersection of their runs; the
+    # Rows r1..r2 around row0 share the intersection of their runs; the
     # smallest key is the largest area, then width, then row-major anchor.
     best = None
-    low_left, low_right = runs[c.row]
-    for r1 in range(c.row, min(runs) - 1, -1):
+    low_left, low_right = runs[row0]
+    for r1 in range(row0, min(runs) - 1, -1):
         low_left, low_right = max(low_left, runs[r1][0]), min(low_right, runs[r1][1])
         left, right = low_left, low_right
-        for r2 in range(c.row, max(runs) + 1):
+        for r2 in range(row0, max(runs) + 1):
             left, right = max(left, runs[r2][0]), min(right, runs[r2][1])
             width = right - left + 1
             key = (-width * (r2 - r1 + 1), -width, r1, left)

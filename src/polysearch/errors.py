@@ -75,7 +75,7 @@ class TooManyRobots(PolySearchError):
 
 
 class TooLarge(PolySearchError):
-    """An input would build more than MAX_CELLS cells or MAX_ROBOTS robots."""
+    """An input would build more than MAX_CELLS cells, MAX_ROBOTS robots or MAX_VERTICES vertices."""
 
 
 class DimensionMismatch(PolySearchError):

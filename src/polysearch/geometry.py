@@ -160,28 +160,29 @@ def _check_self_intersection(pts: list[Point]) -> None:
 class GridGraph:
     """4-connected graph over the unit cells inside a polygon.
 
-    Cells are sorted row-major (row, then col); `adjacency[i]` lists neighbor
-    indices in N, E, S, W order, absent directions skipped. Instances are
-    treated as immutable; `cache` is scratch for memoized derived structures.
+    Cells are sorted row-major (row, then col) unless given so; `adjacency[i]`
+    lists neighbor indices in N, E, S, W order, absent directions skipped.
+    Treated as immutable; `cache` is scratch for memoized derived structures.
     """
 
     __slots__ = ("cells", "index", "adjacency", "cols", "rows", "bounds", "cache")
 
     def __init__(self, cells: Iterable[Cell], bounds: tuple[int, int]):
-        ordered = sorted(set(Cell(*c) for c in cells), key=lambda c: (c.row, c.col))
-        self.cells: tuple[Cell, ...] = tuple(ordered)
-        self.index: dict[Cell, int] = {c: i for i, c in enumerate(ordered)}
-        self.cols: tuple[int, ...] = tuple(c.col for c in ordered)
-        self.rows: tuple[int, ...] = tuple(c.row for c in ordered)
+        cells = tuple(cells)
+        keys = [(r, c) for c, r in cells]
+        # Cells that are strictly row-major already, as rasterize gives them, are kept.
+        if not (all(a < b for a, b in zip(keys, keys[1:])) and all(type(c) is Cell for c in cells)):
+            cells = tuple(sorted({Cell(*c) for c in cells}, key=lambda c: (c.row, c.col)))
+        self.cells: tuple[Cell, ...] = cells
+        self.index: dict[Cell, int] = dict(zip(cells, range(len(cells))))
+        self.cols: tuple[int, ...] = tuple(c for c, _ in cells)
+        self.rows: tuple[int, ...] = tuple(r for _, r in cells)
         self.bounds = bounds
+        get = self.index.get  # probed N, E, S, W with plain (col, row) pairs
         adj = []
-        for c in ordered:
-            row = []
-            for dx, dy in CARDINAL_STEPS:
-                nb = self.index.get(Cell(c.col + dx, c.row + dy))
-                if nb is not None:
-                    row.append(nb)
-            adj.append(tuple(row))
+        for c, r in cells:
+            nbrs = (get((c, r + 1)), get((c + 1, r)), get((c, r - 1)), get((c - 1, r)))
+            adj.append(nbrs if None not in nbrs else tuple(i for i in nbrs if i is not None))
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(adj)
         self.cache: dict = {}
 
@@ -211,17 +212,24 @@ def rasterize(poly: OrthoPolygon) -> GridGraph:
     check_cells(poly.area, "polygon")
     w, h = poly.bounds
     vert = [(x0, min(y0, y1), max(y0, y1)) for (x0, y0), (x1, y1) in poly.edges() if x0 == x1]
-    cells: set[Cell] = set()
+    cells: list[Cell] = []  # row-major: rows upward, each row's runs left to right
     for row in range(h):
         xs = sorted(x for x, ylo, yhi in vert if ylo <= row < yhi)
         for lo, hi in zip(xs[::2], xs[1::2]):
-            cells.update(Cell(col, row) for col in range(lo, hi))
+            cells.extend(Cell(col, row) for col in range(lo, hi))
 
     if not cells:
         raise EmptyInterior("polygon encloses no unit cells")
-    if not cells_connected(cells):
+    g = GridGraph(cells, (w, h))
+    seen, stack = bytearray(len(cells)), [0]  # flood over adjacency indices
+    while stack:
+        i = stack.pop()
+        if not seen[i]:
+            seen[i] = 1
+            stack.extend(g.adjacency[i])
+    if not all(seen):
         raise SelfIntersection("interior cells are not 4-connected; boundary is not simple")
-    return GridGraph(cells, (w, h))
+    return g
 
 
 def cells_connected(cells: set[Cell]) -> bool:

@@ -23,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csgraph, csr_matrix
 
 from .errors import InvalidConfig, NegativeEntry, NonSquare, Unreachable
-from .geometry import CARDINAL_STEPS, Cell, GridGraph
+from .geometry import CARDINAL_STEPS, GridGraph
 
 VISIT_COST = 0.05
 
@@ -161,7 +161,7 @@ def _unit_graph(g: GridGraph) -> tuple[csr_matrix, np.ndarray]:
         indptr, indices, _ = _reverse_csr(g)
         n = len(g.cells)
         graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-        steps = [[g.index.get(Cell(c + dx, r + dy), n) for dx, dy in CARDINAL_STEPS] for c, r in g.cells]
+        steps = [[g.index.get((c + dx, r + dy), n) for dx, dy in CARDINAL_STEPS] for c, r in g.cells]
         nbrs = np.array(steps, dtype=np.int32).reshape(n, 4)
         hit = g.cache["unit_graph"] = (graph, nbrs)
     return hit

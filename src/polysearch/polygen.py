@@ -22,11 +22,16 @@ from .errors import (
     NotAPartition,
     OddTargetVertices,
     ScheduleMismatch,
+    TooLarge,
     TripleSizeError,
 )
-from .geometry import Cell, OrthoPolygon, cells_connected, polygon_from_cells, rasterize
+from .geometry import Cell, OrthoPolygon, cells_connected, check_cells, polygon_from_cells, rasterize
 
 RETRY_BUDGET = 10_000
+
+#: Most vertices inflate_cut grows: its time rises about as v^2.8, and
+#: v = 500 takes about 7 s (12,000 cells) on a 2-core Xeon.
+MAX_VERTICES = 500
 
 # Incidence bits of a cell at a lattice point: the two diagonal pairings are
 # the pinch patterns.
@@ -99,12 +104,14 @@ def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
     connected and pinch-free while adding exactly two vertices. A corner cut
     never encloses a hole, so every accepted set stays simply connected.
     Deterministic per seed; raises IterationBudgetExceeded after 10^4
-    rejected attempts in a round.
+    rejected attempts in a round, and TooLarge above MAX_VERTICES.
     """
     if target_vertices % 2:
         raise OddTargetVertices(f"{target_vertices} is odd; orthogonal polygons have even vertex counts")
     if target_vertices < 4:
         raise OddTargetVertices(f"{target_vertices} < 4; no such orthogonal polygon")
+    if target_vertices > MAX_VERTICES:
+        raise TooLarge(f"{target_vertices} vertices; at most {MAX_VERTICES} are supported")
 
     rng = random.Random(seed)
     cells: set[Cell] = {Cell(0, 0)}
@@ -172,7 +179,8 @@ def comb_cells(
     """Cell set of a comb: a full-width base with one upward spike per entry.
 
     `down` hangs teeth below the base (at negative rows) in the same slots,
-    left to right; a zero depth on either side leaves that slot flat.
+    left to right; a zero depth on either side leaves that slot flat. More
+    than MAX_CELLS cells raise TooLarge before any is built.
     """
     n = len(spike_lengths)
     if n < 1 or spike_width < 1 or base_height < 1 or spike_gap < 1:
@@ -182,6 +190,7 @@ def comb_cells(
     if any(s < 0 for s in (*spike_lengths, *down)):
         raise InstanceInvalid("spike lengths must be nonnegative")
     width = n * (spike_width + spike_gap) + spike_gap
+    check_cells(width * base_height + spike_width * (sum(spike_lengths) + sum(down)), "comb")
     cells = {Cell(c, r) for c in range(width) for r in range(base_height)}
     for i, (up, dn) in enumerate(zip_longest(spike_lengths, down, fillvalue=0)):
         x0 = spike_gap + i * (spike_width + spike_gap)

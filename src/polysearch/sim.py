@@ -143,8 +143,8 @@ def sfc_layout(grid: GridGraph, rect_seed: int = 0) -> SfcLayout:
     for rect in r.rects:
         local = gilbert_curve(rect.width, rect.height)
         routed = repair_curve(place_curve(rect, local), grid)
-        curves.append(tuple(grid.require(cell) for cell in routed))
-    guards = tuple(grid.require(j.pairs[0][0]) for j in r.juncs)
+        curves.append(tuple(map(grid.index.__getitem__, routed)))  # repairs stay in the grid
+    guards = tuple(grid.index[j.pairs[0][0]] for j in r.juncs)
     layout = SfcLayout(rectangulation=r, curves=tuple(curves), guards=guards)
     grid.cache["sfc_layout"] = (rect_seed, layout)
     return layout

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from polysearch.geometry import Cell, OrthoPolygon, validate_polygon
+from polysearch.geometry import CARDINAL_STEPS, Cell, GridGraph, OrthoPolygon, validate_polygon
 
 
 def P(*pairs) -> OrthoPolygon:
@@ -77,3 +77,50 @@ def staircase() -> OrthoPolygon:
 
 def cell(c: int, r: int) -> Cell:
     return Cell(c, r)
+
+
+def rect_cells(rect) -> list[Cell]:
+    """A rectangle's cells, row by row from its anchor."""
+    return [
+        Cell(col, row)
+        for row in range(rect.anchor.row, rect.anchor.row + rect.height)
+        for col in range(rect.anchor.col, rect.anchor.col + rect.width)
+    ]
+
+
+#: A grid of two components, its cells given out of row-major order.
+TWO_PART_CELLS = (Cell(0, 0), Cell(1, 0), Cell(0, 1), Cell(3, 0), Cell(3, 1), Cell(4, 1))
+
+
+def two_part_grid() -> GridGraph:
+    return GridGraph(TWO_PART_CELLS, (5, 2))
+
+
+def grid_fields(g: GridGraph) -> tuple:
+    assert all(type(c) is Cell for c in g.cells)
+    return g.cells, g.index, g.cols, g.rows, g.adjacency
+
+
+def ref_raster_cells(poly: OrthoPolygon) -> list[Cell]:
+    """Cells of the bounding box whose centers the single-ray oracle puts inside."""
+    w, h = poly.bounds
+    return [Cell(c, r) for c in range(w) for r in range(h) if ref_inside(poly.vertices, c + 0.5, r + 0.5)]
+
+
+def ref_grid_fields(cells) -> tuple:
+    """(cells, index, cols, rows, adjacency) of the set-based grid build.
+
+    Deduplicates the cells through a set, sorts them row-major and probes
+    N, E, S, W with one Cell per neighbor, whatever order the cells come in.
+    """
+    ordered = sorted(set(Cell(*c) for c in cells), key=lambda c: (c.row, c.col))
+    index = {c: i for i, c in enumerate(ordered)}
+    adj = []
+    for c in ordered:
+        row = []
+        for dx, dy in CARDINAL_STEPS:
+            nb = index.get(Cell(c.col + dx, c.row + dy))
+            if nb is not None:
+                row.append(nb)
+        adj.append(tuple(row))
+    return tuple(ordered), index, tuple(c.col for c in ordered), tuple(c.row for c in ordered), tuple(adj)

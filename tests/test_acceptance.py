@@ -41,7 +41,7 @@ from polysearch.polygen import (
 from polysearch.sfc import gilbert_curve, repair_curve
 from polysearch.sim import SimConfig, init_trial, run_trial, sfc_layout
 
-from conftest import P
+from conftest import P, rect_cells
 
 
 def _verdict(num: int, ok: bool, detail: str = "") -> None:
@@ -129,7 +129,7 @@ def _brute_doorways(rects) -> set[tuple[Cell, Cell]]:
     """Every 4-adjacent cell pair that crosses between two rectangles."""
     owner: dict[Cell, int] = {}
     for i, rect in enumerate(rects):
-        for cell in rect.cells():
+        for cell in rect_cells(rect):
             owner[cell] = i
     pairs = set()
     for cell, i in owner.items():
@@ -154,7 +154,7 @@ def test_criterion_02_decomposition_partition():
         r = rectangulate(grid, seed=i)
         covered: list[Cell] = []
         for rect in r.rects:
-            covered.extend(rect.cells())
+            covered.extend(rect_cells(rect))
         if sorted(covered) != sorted(grid.cells) or len(covered) != len(grid.cells):
             ok, detail = False, f"instance {i} is not a disjoint cover"
             break
@@ -162,7 +162,7 @@ def test_criterion_02_decomposition_partition():
         listed_rects = {(j.a, j.b) for j in r.juncs}
         expected = _brute_doorways(r.rects)
         expected_rects = set()
-        owner = {cell: idx for idx, rect in enumerate(r.rects) for cell in rect.cells()}
+        owner = {cell: idx for idx, rect in enumerate(r.rects) for cell in rect_cells(rect)}
         for u, v in expected:
             a, b = owner[u], owner[v]
             expected_rects.add((min(a, b), max(a, b)))

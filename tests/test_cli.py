@@ -11,6 +11,7 @@ import pytest
 from polysearch.cli import main
 from polysearch.geometry import MAX_CELLS, read_polygon_file
 from polysearch.harness import CSV_COLUMNS, read_csv
+from polysearch.polygen import MAX_VERTICES
 from polysearch.sim import INTRUDER_MODELS, MAX_ROBOTS, SimConfig, run_trial
 
 
@@ -160,6 +161,15 @@ def test_simulate_trace_is_json(tmp_path, capsys):
             id="simulate-k-one-over",
         ),
         pytest.param(["sweep", "--spec", "{kspec}", "-o", "{out}"], MAX_ROBOTS, id="sweep-ks"),
+        pytest.param(["comb", "--depths", "1,100000000", "-o", "{out}"], MAX_CELLS, id="comb-depths"),
+        pytest.param(["comb", "--depths", "1", "--spike-width", "100000000", "-o", "{out}"], MAX_CELLS,
+                     id="comb-spike-width"),
+        pytest.param(["comb", "--depths", "1", "--base-height", "100000000", "-o", "{out}"], MAX_CELLS,
+                     id="comb-base-height"),
+        pytest.param(["comb", "--depths", "1", "--gap", "100000000", "-o", "{out}"], MAX_CELLS, id="comb-gap"),
+        pytest.param(["generate", "--vertices", "1000000", "-o", "{out}"], MAX_VERTICES, id="generate-vertices"),
+        pytest.param(["generate", "--vertices", str(MAX_VERTICES + 2), "-o", "{out}"], MAX_VERTICES,
+                     id="generate-vertices-one-over"),
     ],
 )
 def test_oversized_input_exits_2_before_building_cells(tmp_path, capsys, argv, bound):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -17,17 +18,18 @@ from polysearch.decomposition import (
     rectangulate,
 )
 from polysearch.errors import TooFewRobots
-from polysearch.geometry import Cell, rasterize
+from polysearch.geometry import Cell, GridGraph, rasterize
+from polysearch.harness import PRESETS
 from polysearch.polygen import inflate_cut
 
-from conftest import P
+from conftest import P, grid_fields, rect_cells, ref_grid_fields, ref_raster_cells, two_part_grid
 
 
 def check_partition(g, r: Rectangulation):
     seen = {}
     for i, rect in enumerate(r.rects):
         assert rect.width >= 1 and rect.height >= 1
-        for c in rect.cells():
+        for c in rect_cells(rect):
             assert c in g, f"rect {i} leaves the grid at {tuple(c)}"
             assert c not in seen, f"cell {tuple(c)} covered twice"
             seen[c] = i
@@ -128,7 +130,7 @@ class TestJunctions:
 
 def brute_junctions(r: Rectangulation) -> tuple[Junction, ...]:
     """Every cross-rectangle 4-adjacent cell pair, grouped by rectangle pair."""
-    owner = {c: i for i, rect in enumerate(r.rects) for c in rect.cells()}
+    owner = {c: i for i, rect in enumerate(r.rects) for c in rect_cells(rect)}
     groups: dict[tuple[int, int], list[tuple[Cell, Cell]]] = {}
     for c, i in owner.items():
         for nb in (Cell(c.col + 1, c.row), Cell(c.col, c.row + 1)):
@@ -172,6 +174,125 @@ def test_rectangulations_are_pinned():
                 ]
                 digest.update(json.dumps(payload).encode())
     assert digest.hexdigest() == RECTANGULATIONS_DIGEST
+
+
+def ref_rectangulate(g, seed: int) -> Rectangulation:
+    """The set-based greedy rectangulation, an oracle for `rectangulate`.
+
+    Uncovered cells are a set of Cells; each round filters the candidates
+    from g.cells and walks row runs by Cell membership. Junctions come from
+    `brute_junctions`.
+    """
+    rng = random.Random(seed)
+    free = set(g.cells)
+    rects: list[Rectangle] = []
+    while free:
+        candidates = [c for c in g.cells if c in free]  # row-major, as g.cells
+        rect = ref_max_rectangle(free, candidates[rng.randrange(len(candidates))])
+        rects.append(rect)
+        free.difference_update(rect_cells(rect))
+    return Rectangulation(tuple(rects), brute_junctions(Rectangulation(tuple(rects), ())))
+
+
+def ref_row_interval(free: set[Cell], col: int, row: int) -> tuple[int, int] | None:
+    if Cell(col, row) not in free:
+        return None
+    left = col
+    while Cell(left - 1, row) in free:
+        left -= 1
+    right = col
+    while Cell(right + 1, row) in free:
+        right += 1
+    return left, right
+
+
+def ref_max_rectangle(free: set[Cell], c: Cell) -> Rectangle:
+    # Maximal free row runs through c.col, extended upward and downward from
+    # c.row until the column is blocked.
+    runs: dict[int, tuple[int, int]] = {}
+    for row, step in ((c.row, 1), (c.row - 1, -1)):
+        while (run := ref_row_interval(free, c.col, row)) is not None:
+            runs[row] = run
+            row += step
+
+    # Rows r1..r2 around c.row share the intersection of their runs; the
+    # smallest key is the largest area, then width, then row-major anchor.
+    best = None
+    low_left, low_right = runs[c.row]
+    for r1 in range(c.row, min(runs) - 1, -1):
+        low_left, low_right = max(low_left, runs[r1][0]), min(low_right, runs[r1][1])
+        left, right = low_left, low_right
+        for r2 in range(c.row, max(runs) + 1):
+            left, right = max(left, runs[r2][0]), min(right, runs[r2][1])
+            width = right - left + 1
+            key = (-width * (r2 - r1 + 1), -width, r1, left)
+            if best is None or key < best:
+                best = key
+    neg_area, neg_width, row, col = best
+    return Rectangle(Cell(col, row), -neg_width, neg_area // neg_width)
+
+
+class TestSetBasedOracle:
+    """Rectangulations equal the set-based oracle's; test_geometry checks the grids."""
+
+    def test_presets(self):
+        for make in PRESETS.values():
+            for inst in make().instances:
+                g = rasterize(inst.polygon)
+                for rect_seed in range(4):
+                    assert rectangulate(g, rect_seed) == ref_rectangulate(g, rect_seed), (inst.id, rect_seed)
+
+    def test_two_part_grid(self):
+        g = two_part_grid()
+        for rect_seed in range(8):
+            r = rectangulate(g, rect_seed)
+            assert r == ref_rectangulate(g, rect_seed)
+            check_partition(g, r)
+
+    def test_runs_that_touch_only_at_corners(self):
+        # Each row's last cell is followed, in index order, by the next row's
+        # first cell one column on: a row-run walk must stop at the row's end.
+        g = GridGraph([Cell(0, 0), Cell(1, 0), Cell(2, 1), Cell(3, 1), Cell(4, 2), Cell(5, 2)], (6, 3))
+        for rect_seed in range(8):
+            r = rectangulate(g, rect_seed)
+            assert r == ref_rectangulate(g, rect_seed)
+            assert [rect.width for rect in r.rects] == [2, 2, 2]
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(
+    vertices=st.integers(2, 24).map(lambda h: 2 * h),
+    seed=st.integers(0, 10**6),
+    rect_seed=st.integers(0, 10**6),
+)
+def test_property_index_build_equals_set_based_oracles(vertices, seed, rect_seed):
+    poly = inflate_cut(vertices, seed)
+    g = rasterize(poly)
+    assert grid_fields(g) == ref_grid_fields(ref_raster_cells(poly))
+    assert rectangulate(g, rect_seed) == ref_rectangulate(g, rect_seed)
+
+
+#: sha256 of rasterize (bounds, cells, adjacency) and rectangulate (rects,
+#: juncs) over inflate_cut(v, s) for v = 4..70 even, s = 0..12, rect seeds
+#: 0..1: 884 rectangulations, a few seconds, so CI runs it apart from Tier-1.
+WIDE_DIGEST = "81c72d3c86936aa30afda7193d29c4a3a90de9dff396d2b99bfe8b2e6e8d0d05"
+
+
+@pytest.mark.skipif(not os.environ.get("POLYSEARCH_WIDE_DIGEST"), reason="wide digest runs in CI only")
+def test_wide_grid_and_rectangulation_digest():
+    digest = hashlib.sha256()
+    for vertices in range(4, 71, 2):
+        for seed in range(13):
+            g = rasterize(inflate_cut(vertices, seed))
+            digest.update(json.dumps([g.bounds, g.cells, g.adjacency]).encode())
+            for rect_seed in range(2):
+                r = rectangulate(g, rect_seed)
+                payload = [
+                    [[rect.anchor, rect.width, rect.height] for rect in r.rects],
+                    [[j.a, j.b, j.pairs] for j in r.juncs],
+                ]
+                digest.update(json.dumps(payload).encode())
+    assert digest.hexdigest() == WIDE_DIGEST
 
 
 class TestAllocate:

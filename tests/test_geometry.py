@@ -28,9 +28,20 @@ from polysearch.geometry import (
     validate_polygon,
     write_polygon_file,
 )
+from polysearch.harness import PRESETS
 from polysearch.polygen import inflate_cut
 
-from conftest import P, ref_in_closed_region, ref_inside, ref_on_boundary
+from conftest import (
+    TWO_PART_CELLS,
+    P,
+    grid_fields,
+    ref_grid_fields,
+    ref_in_closed_region,
+    ref_inside,
+    ref_on_boundary,
+    ref_raster_cells,
+    two_part_grid,
+)
 
 
 class TestValidate:
@@ -244,6 +255,20 @@ class TestGridGraph:
     def test_row_major_order(self, staircase):
         g = rasterize(staircase)
         assert list(g.cells) == sorted(g.cells, key=lambda c: (c.row, c.col))
+
+    def test_build_equals_set_based_oracle_on_presets(self):
+        for make in PRESETS.values():
+            for inst in make().instances:
+                g = rasterize(inst.polygon)
+                assert grid_fields(g) == ref_grid_fields(ref_raster_cells(inst.polygon)), inst.id
+                # any order, repeats and plain pairs give the same grid
+                shuffled = [tuple(c) for c in reversed(g.cells)] + [g.cells[0]]
+                assert grid_fields(GridGraph(shuffled, g.bounds)) == grid_fields(g)
+                assert grid_fields(GridGraph([tuple(c) for c in g.cells], g.bounds)) == grid_fields(g)
+
+    def test_build_equals_set_based_oracle_out_of_order(self):
+        assert grid_fields(two_part_grid()) == ref_grid_fields(TWO_PART_CELLS)
+        assert two_part_grid().cells != TWO_PART_CELLS
 
 
 class TestTrace:

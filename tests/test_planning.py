@@ -25,7 +25,7 @@ from polysearch.planning import (
     shortest_indices,
 )
 
-from conftest import P
+from conftest import P, two_part_grid
 
 
 def ref_weighted_cost(g, entry, start: Cell, goal: Cell) -> float:
@@ -371,10 +371,7 @@ class TestDijkstra:
                     assert list(shortest_indices(g, s, t)) == ref_fifo_bfs_path(g, s, t)
 
     def test_next_hops_equal_bfs_oracle_for_every_goal(self):
-        two_parts = GridGraph(
-            [Cell(0, 0), Cell(1, 0), Cell(0, 1), Cell(3, 0), Cell(3, 1), Cell(4, 1)], (5, 2)
-        )
-        grids = [rasterize(inst.polygon) for inst in preset_areas().instances] + [two_parts]
+        grids = [rasterize(inst.polygon) for inst in preset_areas().instances] + [two_part_grid()]
         for g in grids:
             for t, want in enumerate(ref_next_hop_rows(g)):
                 assert planning._next_hops(g, t).tolist() == want

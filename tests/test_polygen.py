@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysearch import polygen
+from polysearch import geometry, polygen
 from polysearch.cli import main
 from polysearch.errors import (
     InstanceInvalid,
     IterationBudgetExceeded,
     NotAPartition,
     OddTargetVertices,
+    TooLarge,
     TripleSizeError,
 )
 from polysearch.geometry import Cell, rasterize, validate_polygon
@@ -68,6 +69,12 @@ class TestInflateCut:
             inflate_cut(5, 0)
         with pytest.raises(OddTargetVertices):
             inflate_cut(2, 0)
+
+    def test_vertex_bound(self, monkeypatch):
+        monkeypatch.setattr(polygen, "MAX_VERTICES", 6)
+        assert inflate_cut(6, 0).n_vertices == 6
+        with pytest.raises(TooLarge, match="at most 6"):
+            inflate_cut(8, 0)
 
     def test_deterministic(self):
         assert inflate_cut(14, 123) == inflate_cut(14, 123)
@@ -151,6 +158,19 @@ class TestComb:
         assert len(cells) == 5 + 2 + 3
         assert Cell(1, 2) in cells and Cell(3, 1) not in cells
         assert Cell(3, -3) in cells and Cell(1, -1) not in cells
+
+    @pytest.mark.parametrize(
+        "shape",
+        [((2, 2), 2, 3, 2, ()), ((2, 0), 1, 1, 1, (0, 3)), ((8, 10, 12, 10), 2, 4, 2, (1, 0, 5))],
+    )
+    def test_cell_bound_is_checked_on_the_exact_count(self, monkeypatch, shape):
+        depths, width, height, gap, down = shape
+        count = len(comb_cells(depths, width, height, gap, down))
+        monkeypatch.setattr(geometry, "MAX_CELLS", count)
+        assert len(comb_cells(depths, width, height, gap, down)) == count
+        monkeypatch.setattr(geometry, "MAX_CELLS", count - 1)
+        with pytest.raises(TooLarge, match=f"comb has {count} cells"):
+            comb_cells(depths, width, height, gap, down)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(InstanceInvalid):

@@ -21,7 +21,7 @@ from polysearch.decomposition import allocate_robots
 from polysearch.errors import TooFewRobots
 from polysearch.geometry import Cell, rasterize
 from polysearch.polygen import comb_polygon, inflate_cut
-from polysearch.sfc import segment_bounds
+from polysearch.sfc import gilbert_curve, segment_bounds
 from polysearch.sim import (
     DEFAULT_STEP_FACTOR,
     SimConfig,
@@ -33,7 +33,7 @@ from polysearch.sim import (
     step,
 )
 
-from conftest import P
+from conftest import P, rect_cells
 
 
 def sfc_minimum(strategy: str, grid) -> int:
@@ -157,6 +157,34 @@ def test_segments_jointly_cover_the_grid(comb_grid):
         for tour in state.tours:
             covered.update(tour[: len(tour) // 2 + 1])
         assert covered == set(range(len(grid.cells)))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    vertices=st.integers(2, 24).map(lambda h: 2 * h),
+    poly_seed=st.integers(0, 10**6),
+    rect_seed=st.integers(0, 10**6),
+)
+def test_property_sfc_curves_cover_their_rectangles(vertices, poly_seed, rect_seed):
+    grid = rasterize(inflate_cut(vertices, poly_seed))
+    layout = sfc_layout(grid, rect_seed)
+    for rect, curve in zip(layout.rectangulation.rects, layout.curves):
+        assert all(0 <= i < len(grid.cells) for i in curve)
+        cells = [grid.cells[i] for i in curve]
+        inside = set(rect_cells(rect))
+        assert inside <= set(cells)
+        # 4-adjacent steps only
+        assert all(abs(a.col - b.col) + abs(a.row - b.row) == 1 for a, b in zip(cells, cells[1:]))
+        # a cell outside the rectangle can only be the corner of a repaired
+        # diagonal step between two of its cells
+        for p, c in enumerate(cells):
+            if c not in inside:
+                assert 0 < p < len(cells) - 1
+                a, b = cells[p - 1], cells[p + 1]
+                assert a in inside and b in inside and abs(a.col - b.col) == abs(a.row - b.row) == 1
+        raw = gilbert_curve(rect.width, rect.height)
+        detours = sum(abs(a.col - b.col) == abs(a.row - b.row) == 1 for a, b in zip(raw, raw[1:]))
+        assert len(curve) == rect.area + detours
 
 
 # ---------------------------------------------------------------- determinism
