@@ -39,6 +39,9 @@ class Cell(NamedTuple):
 #: Most unit cells a polygon or a curve may have: far above the paper-scale
 #: instances (704 cells at most), far below what would exhaust memory.
 MAX_CELLS = 100_000
+#: Most vertices a polygon may have: validate_polygon's self-intersection
+#: test is quadratic in them, and the largest preset polygon has 28.
+MAX_VERTICES = 500
 
 
 def check_cells(count: int, what: str) -> None:
@@ -94,7 +97,8 @@ def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
 
     Raises InvalidPolygon when a vertex is not a pair of finite numbers, and
     its subclasses NonIntegralVertex, OddVertexCount, DegenerateEdge,
-    NonOrthogonalEdge, CollinearEdges, SelfIntersection.
+    NonOrthogonalEdge, CollinearEdges, SelfIntersection; more than
+    MAX_VERTICES vertices raise TooLarge.
     """
     try:
         coords = [(v, tuple(v)) for v in vertices]
@@ -113,6 +117,8 @@ def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
         raise OddVertexCount(f"{len(pts)} vertices; orthogonal polygons have an even count")
     if len(pts) < 4:
         raise InvalidPolygon("a polygon needs at least 4 vertices")
+    if len(pts) > MAX_VERTICES:
+        raise TooLarge(f"polygon has {len(pts)} vertices; at most {MAX_VERTICES} are supported")
 
     n = len(pts)
     dirs: list[Point] = []
@@ -144,7 +150,7 @@ def _check_self_intersection(pts: list[Point]) -> None:
     # Axis-parallel edges meet exactly when their closed bounding boxes
     # overlap. Consecutive edges are perpendicular here, so they share their
     # common vertex and nothing else; every other pair must stay apart.
-    # O(n^2), fine at the vertex counts used here.
+    # O(n^2), fine up to MAX_VERTICES.
     n = len(pts)
     boxes = []
     for i in range(n):
@@ -230,21 +236,6 @@ def rasterize(poly: OrthoPolygon) -> GridGraph:
     if not all(seen):
         raise SelfIntersection("interior cells are not 4-connected; boundary is not simple")
     return g
-
-
-def cells_connected(cells: set[Cell]) -> bool:
-    """Whether a nonempty cell set is a single 4-connected component."""
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        c, r = stack.pop()
-        for dx, dy in CARDINAL_STEPS:
-            nb = (c + dx, r + dy)
-            if nb in cells and nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(cells)
 
 
 def polygon_from_cells(cells: Iterable[Cell]) -> OrthoPolygon:

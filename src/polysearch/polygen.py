@@ -2,19 +2,20 @@
 
 inflate_cut grows a polygon from a unit square two vertices at a time by
 refining the lattice around a random cell and cutting a random rectangle at a
-convex corner; only a cut that fits is refined, and geometry's single flood
-fill checks that the rest stays connected. Combs encode 3-Partition triples
-as spike depths; balancing the triples is what makes an optimal multi-robot
-sweep schedule hard.
+convex corner, on one bitmap of the cells; only a cut that fits is refined,
+and the corner counts of the rest show that it is one piece with no pinch.
+Combs encode 3-Partition triples as spike depths; balancing the triples is
+what makes an optimal multi-robot sweep schedule hard.
 """
 from __future__ import annotations
 
 import random
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     InstanceInvalid,
@@ -25,74 +26,36 @@ from .errors import (
     TooLarge,
     TripleSizeError,
 )
-from .geometry import Cell, OrthoPolygon, cells_connected, check_cells, polygon_from_cells, rasterize
+from .geometry import MAX_VERTICES, Cell, OrthoPolygon, check_cells, polygon_from_cells, rasterize
 
 RETRY_BUDGET = 10_000
 
-#: Most vertices inflate_cut grows: its time rises about as v^2.8, and
-#: v = 500 takes about 7 s (12,000 cells) on a 2-core Xeon.
-MAX_VERTICES = 500
 
-# Incidence bits of a cell at a lattice point: the two diagonal pairings are
-# the pinch patterns.
-_NE, _NW, _SE, _SW = 1, 2, 4, 8
-_PINCH_MASKS = (_NE | _SW, _NW | _SE)
-
-
-def _corner_masks(cells: Iterable[Cell]) -> dict[tuple[int, int], int]:
-    """Incidence bits of the cells around each lattice point they touch."""
-    around: dict[tuple[int, int], int] = defaultdict(int)
-    for c, r in cells:
-        around[(c, r)] |= _NE
-        around[(c + 1, r)] |= _NW
-        around[(c, r + 1)] |= _SE
-        around[(c + 1, r + 1)] |= _SW
-    return around
+def _corner_scan(a: np.ndarray) -> tuple[np.ndarray, int, bool]:
+    """(convex corners as (x, y) rows sorted by x then y, vertex count, whether
+    a hole-free set is one pinch-free piece) of the cells a[row, col]. In a
+    pinch-free set, convex less reflex corners is 4 x (pieces - holes)."""
+    p = np.pad(a, 1).view(np.uint8)
+    sw, se, nw, ne = p[:-1, :-1], p[:-1, 1:], p[1:, :-1], p[1:, 1:]
+    n = sw + se + nw + ne  # cells around each lattice point
+    convex, reflex = n == 1, n == 3
+    pinch = bool(((n == 2) & (ne == sw)).any())
+    c, r = int(convex.sum()), int(reflex.sum())
+    return np.argwhere(convex.T), c + r, not pinch and c - r == 4
 
 
-def _corner_scan(cells: set[Cell]) -> tuple[list[tuple[int, int]], int, bool]:
-    """(convex corners, number of polygon vertices, whether the set pinches at a point)."""
-    convex: list[tuple[int, int]] = []
-    vertices = 0
-    pinch = False
-    for p, mask in _corner_masks(cells).items():
-        n = bin(mask).count("1")
-        if n == 1:
-            convex.append(p)
-        if n in (1, 3):
-            vertices += 1
-        elif n == 2 and mask in _PINCH_MASKS:
-            pinch = True
-    return convex, vertices, pinch
-
-
-def _stretch(cells: set[Cell], at: Cell) -> set[Cell]:
-    """Double the row and column through `at`; its image is a 2x2 block."""
-    out: set[Cell] = set()
-    for c, r in cells:
-        cs = (c,) if c < at.col else ((c, c + 1) if c == at.col else (c + 1,))
-        rs = (r,) if r < at.row else ((r, r + 1) if r == at.row else (r + 1,))
-        for nc in cs:
-            for nr in rs:
-                out.add(Cell(nc, nr))
-    return out
-
-
-def _shift(p: tuple[int, int], at: Cell) -> tuple[int, int]:
-    """Lattice point p as it lies after _stretch(_, at)."""
-    return p[0] + (p[0] > at.col), p[1] + (p[1] > at.row)
-
-
-def _cut(cells: set[Cell], at: Cell, corner: tuple[int, int]) -> set[Cell] | None:
-    """Cells of _stretch(cells, at) between the shifted corner and the center of
-    at's block, or None if one is missing. Checked without stretching: their
-    preimages are the cells between the corner and `at`, `at` included."""
-    x, y = corner
-    if any((c, r) not in cells for c in range(min(x, at.col), max(x, at.col + 1))
-           for r in range(min(y, at.row), max(y, at.row + 1))):
+def _stretch_cut(a: np.ndarray, row: int, col: int, x: int, y: int) -> np.ndarray | None:
+    """a with row `row` and column `col` doubled, less the rectangle between
+    lattice point (x, y), shifted alike, and the center of cell (col, row)'s
+    2x2 block; None unless the rectangle's preimage, the cells from (x, y) to
+    (col, row), lies in a."""
+    if not a[min(y, row):max(y, row + 1), min(x, col):max(x, col + 1)].all():
         return None
-    (x, y), (cx, cy) = _shift(corner, at), (at.col + 1, at.row + 1)
-    return {Cell(c, r) for c in range(min(x, cx), max(x, cx)) for r in range(min(y, cy), max(y, cy))}
+    s = np.insert(a, row, a[row], axis=0)
+    s = np.insert(s, col, s[:, col], axis=1)
+    x, y = x + (x > col), y + (y > row)
+    s[min(y, row + 1):max(y, row + 1), min(x, col + 1):max(x, col + 1)] = False
+    return s
 
 
 def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
@@ -102,7 +65,9 @@ def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
     cell and removes the rectangle spanned by a random convex corner and the
     refined block's center point, accepting only cuts that keep the cell set
     connected and pinch-free while adding exactly two vertices. A corner cut
-    never encloses a hole, so every accepted set stays simply connected.
+    is 4-adjacent to the outside across the corner, so it never encloses a
+    hole: every accepted set stays simply connected, and the corner counts
+    alone show that it is one piece.
     Deterministic per seed; raises IterationBudgetExceeded after 10^4
     rejected attempts in a round, and TooLarge above MAX_VERTICES.
     """
@@ -114,34 +79,30 @@ def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
         raise TooLarge(f"{target_vertices} vertices; at most {MAX_VERTICES} are supported")
 
     rng = random.Random(seed)
-    cells: set[Cell] = {Cell(0, 0)}
-    convex, vertices, _ = _corner_scan(cells)
+    a = np.ones((1, 1), dtype=bool)  # a[row, col]: whether cell (col, row) is in
+    convex, vertices, _ = _corner_scan(a)
     while vertices < target_vertices:
-        ordered = sorted(cells, key=lambda c: (c.row, c.col))
+        ordered = np.flatnonzero(a)  # row-major: the pinned polygons depend on this order
         # The stretch keeps the x and y order and adds no convex corner (each
         # point on a new line has equal cells on both sides), so the stretched
         # set's sorted convex corners are these, shifted.
-        convex.sort()
         for _ in range(RETRY_BUDGET):
-            at = ordered[rng.randrange(len(ordered))]
-            cut = _cut(cells, at, convex[rng.randrange(len(convex))])
-            if cut is None:
+            row, col = divmod(int(ordered[rng.randrange(len(ordered))]), a.shape[1])
+            x, y = convex[rng.randrange(len(convex))].tolist()
+            remaining = _stretch_cut(a, row, col, x, y)
+            if remaining is None:
                 continue
-            remaining = _stretch(cells, at) - cut
-            # No hole test: the cut is 4-adjacent to the outside across the
-            # convex corner, so the complement stays one component.
-            if not cells_connected(remaining):
+            corners, count, one_piece = _corner_scan(remaining)
+            if not one_piece or count != vertices + 2:
                 continue
-            corners, count, pinch = _corner_scan(remaining)
-            if pinch or count != vertices + 2:
-                continue
-            cells, convex, vertices = remaining, corners, count
+            a, convex, vertices = remaining, corners, count
             break
         else:
             raise IterationBudgetExceeded(
                 f"no acceptable cut in {RETRY_BUDGET} attempts at {vertices} vertices"
             )
-    return polygon_from_cells(cells)
+    rows, cols = np.nonzero(a)
+    return polygon_from_cells(map(Cell, cols.tolist(), rows.tolist()))
 
 
 @dataclass(frozen=True)

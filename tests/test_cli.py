@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import pathlib
+import tempfile
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polysearch.cli import main
-from polysearch.geometry import MAX_CELLS, read_polygon_file
+from polysearch.geometry import MAX_CELLS, MAX_VERTICES, read_polygon_file
 from polysearch.harness import CSV_COLUMNS, read_csv
-from polysearch.polygen import MAX_VERTICES
 from polysearch.sim import INTRUDER_MODELS, MAX_ROBOTS, SimConfig, run_trial
 
 
@@ -170,6 +174,11 @@ def test_simulate_trace_is_json(tmp_path, capsys):
         pytest.param(["generate", "--vertices", "1000000", "-o", "{out}"], MAX_VERTICES, id="generate-vertices"),
         pytest.param(["generate", "--vertices", str(MAX_VERTICES + 2), "-o", "{out}"], MAX_VERTICES,
                      id="generate-vertices-one-over"),
+        pytest.param(["comb", "--depths", ",".join(["1"] * 125), "-o", "{out}"], MAX_VERTICES,
+                     id="comb-vertices"),
+        pytest.param(["decompose", "{stairs}"], MAX_VERTICES, id="decompose-vertices"),
+        pytest.param(["simulate", "{stairs}", "--strategy", "rs", "-k", "1"], MAX_VERTICES,
+                     id="simulate-vertices"),
     ],
 )
 def test_oversized_input_exits_2_before_building_cells(tmp_path, capsys, argv, bound):
@@ -180,6 +189,8 @@ def test_oversized_input_exits_2_before_building_cells(tmp_path, capsys, argv, b
         "spec": _write(tmp_path, "spec.json", _spec(instances=[{"id": "huge", "polygon": square}])),
         "small": _write(tmp_path, "small.json", json.dumps({"vertices": [[0, 0], [4, 0], [4, 1], [0, 1]]})),
         "kspec": _write(tmp_path, "kspec.json", _spec(strategies=["crs"], ks=[2, 10**6])),
+        # 502 vertices around 31,375 cells: only the vertex bound stops it.
+        "stairs": _write(tmp_path, "stairs.json", json.dumps({"vertices": _staircase(250)})),
         "out": str(tmp_path / "out.csv"),
     }
     t0 = time.perf_counter()
@@ -188,6 +199,14 @@ def test_oversized_input_exits_2_before_building_cells(tmp_path, capsys, argv, b
     assert time.perf_counter() - t0 < 2.0
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and str(bound) in err[0]
+
+
+def _staircase(steps: int) -> list[list[int]]:
+    """Vertex loop of a staircase polygon with 2 * steps + 2 vertices."""
+    loop = [[0, 0], [steps, 0]]
+    for i in range(1, steps + 1):
+        loop += [[steps - i + 1, i], [steps - i, i]]
+    return loop
 
 
 def _write(tmp_path, name: str, text: str) -> str:
@@ -365,3 +384,101 @@ def test_sweep_ids_with_csv_specials_round_trip(tmp_path, capsys):
     rows = read_csv(csv_path)
     assert [row.instance for row in rows] == [name for name in ids for _ in (1, 2)]
     assert main(["plot", csv_path, "--kind", "bar", "-o", str(tmp_path / "out.svg")]) == 0
+
+
+STRIP = [[0, 0], [4, 0], [4, 2], [0, 2]]
+#: A spec and a polygon file that run cleanly; the fuzz below replaces one
+#: value in one of them.
+FUZZ_SPEC = {
+    "instances": [{"id": "strip", "polygon": STRIP, "rect_seed": 1}, {"id": "f", "file": "poly.json"}],
+    "strategies": ["rs", "sfc"],
+    "ks": [1, 2],
+    "intruders": ["static", "walk"],
+    "trials": 2,
+    "base_seed": 3,
+    "max_steps": 30,
+}
+FUZZ_POLYGON = {"vertices": STRIP, "cell_size_m": 5.0}
+
+
+def _key_paths(doc, prefix=()):
+    """Every key path in a JSON document, and one new key per object."""
+    if isinstance(doc, dict):
+        yield prefix + ("extra",)
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _key_paths(value, prefix + (key,))
+
+
+#: Keys whose values set how long a run takes; integers there stay small.
+_CAPPED = ("trials", "ks", "max_steps")
+
+# Vertex loops: valid, self-intersecting, just over the vertex bound, far
+# over it, and over the cell bound.
+_loops = st.sampled_from([
+    [[0, 0], [3, 0], [3, 3], [0, 3]],
+    [[0, 0], [2, 0], [2, 2], [1, 2], [1, -1], [0, -1]],
+    _staircase(250),
+    _staircase(20_000),
+    [[0, 0], [10**5, 0], [10**5, 10**5], [0, 10**5]],
+])
+_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([10**6, 2**64, -(2**64), 2.5, -0.0, 1e300, float("inf"), float("nan")]),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 6), max_size=3),
+    st.sampled_from([[], {}, [[0, 0]], {"vertices": STRIP}]),
+    _loops,
+)
+
+
+@st.composite
+def _mutations(draw):
+    """(kind, document, key path, replacement value), run time capped."""
+    kind = draw(st.sampled_from(["spec", "polygon"]))
+    doc = FUZZ_SPEC if kind == "spec" else FUZZ_POLYGON
+    paths = list(_key_paths(doc))
+    # Vertex lists are few among the key paths; draw them half the time, and
+    # loops for them half of that, so the oversized loops reach the checks.
+    loop_paths = [p for p in paths if p[-1] in ("vertices", "polygon")]
+    path = draw(st.sampled_from(loop_paths) | st.sampled_from(paths))
+    value = draw(_loops | _values if path in loop_paths else _values)
+    if path[0] in _CAPPED and isinstance(value, int) and not isinstance(value, bool):
+        value = min(value, 3)
+    return kind, doc, path, value
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutation=_mutations())
+def test_property_one_replaced_value_exits_0_or_2_with_one_error_line(capsys, mutation):
+    kind, doc, path, value = mutation
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        poly_path = _write(tmp, "poly.json", json.dumps(doc if kind == "polygon" else FUZZ_POLYGON))
+        if kind == "spec":
+            spec_path = _write(tmp, "spec.json", json.dumps(doc))
+            argvs = [["sweep", "--spec", spec_path, "-o", str(tmp / "out.csv")]]
+        else:
+            argvs = [["decompose", poly_path],
+                     ["simulate", poly_path, "--strategy", "rs", "-k", "2", "--max-steps", "30"]]
+        for argv in argvs:
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 2)
+            if code == 2:
+                lines = err.strip().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:"), err

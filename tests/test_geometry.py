@@ -106,6 +106,12 @@ class TestValidate:
         with pytest.raises(InvalidPolygon):
             validate_polygon([(0, 0), (1, 1)])
 
+    def test_vertex_bound(self, monkeypatch, l_shape, u_shape):
+        monkeypatch.setattr(geometry, "MAX_VERTICES", 6)
+        assert validate_polygon(l_shape.vertices) == l_shape
+        with pytest.raises(TooLarge, match="8 vertices; at most 6"):
+            validate_polygon(u_shape.vertices)
+
     def test_min_edge_and_bounds(self, l_shape):
         assert l_shape.bounds == (2, 2)
 

@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
+import random
 import warnings
+from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,15 +22,13 @@ from polysearch.errors import (
     TooLarge,
     TripleSizeError,
 )
-from polysearch.geometry import Cell, rasterize, validate_polygon
+from polysearch.geometry import CARDINAL_STEPS, Cell, polygon_from_cells, rasterize, validate_polygon
 from polysearch.polygen import (
+    RETRY_BUDGET,
     SweepRecord,
     ThreePartitionInstance,
-    _corner_masks,
     _corner_scan,
-    _cut,
-    _shift,
-    _stretch,
+    _stretch_cut,
     build_comb,
     comb_cells,
     inflate_cut,
@@ -117,21 +119,222 @@ class TestInflateCut:
         assert h.hexdigest() == "6304a990c69c75d5a1ff9e60931e1a31db057ac0b5e077331b517ed57b432cff"
 
 
+# Set-based reference oracle of inflate_cut: every round works over a set of
+# Cells, stretches the whole set and floods it for connectivity.
+
+# Incidence bits of a cell at a lattice point: the two diagonal pairings are
+# the pinch patterns.
+_NE, _NW, _SE, _SW = 1, 2, 4, 8
+_PINCH_MASKS = (_NE | _SW, _NW | _SE)
+
+
+def ref_corner_masks(cells):
+    """Incidence bits of the cells around each lattice point they touch."""
+    around = defaultdict(int)
+    for c, r in cells:
+        around[(c, r)] |= _NE
+        around[(c + 1, r)] |= _NW
+        around[(c, r + 1)] |= _SE
+        around[(c + 1, r + 1)] |= _SW
+    return around
+
+
+def ref_corner_scan(cells):
+    """(convex corners, number of polygon vertices, whether the set pinches at a point)."""
+    convex, vertices, pinch = [], 0, False
+    for p, mask in ref_corner_masks(cells).items():
+        n = bin(mask).count("1")
+        if n == 1:
+            convex.append(p)
+        if n in (1, 3):
+            vertices += 1
+        elif n == 2 and mask in _PINCH_MASKS:
+            pinch = True
+    return convex, vertices, pinch
+
+
+def ref_stretch(cells, at):
+    """Double the row and column through `at`; its image is a 2x2 block."""
+    out = set()
+    for c, r in cells:
+        cs = (c,) if c < at.col else ((c, c + 1) if c == at.col else (c + 1,))
+        rs = (r,) if r < at.row else ((r, r + 1) if r == at.row else (r + 1,))
+        out.update(Cell(nc, nr) for nc in cs for nr in rs)
+    return out
+
+
+def ref_shift(p, at):
+    """Lattice point p as it lies after ref_stretch(_, at)."""
+    return p[0] + (p[0] > at.col), p[1] + (p[1] > at.row)
+
+
+def ref_cut(cells, at, corner):
+    """Cells of ref_stretch(cells, at) between the shifted corner and the
+    center of at's block, or None if one is missing. Checked without
+    stretching: their preimages are the cells between the corner and `at`."""
+    x, y = corner
+    if any((c, r) not in cells for c in range(min(x, at.col), max(x, at.col + 1))
+           for r in range(min(y, at.row), max(y, at.row + 1))):
+        return None
+    (x, y), (cx, cy) = ref_shift(corner, at), (at.col + 1, at.row + 1)
+    return {Cell(c, r) for c in range(min(x, cx), max(x, cx)) for r in range(min(y, cy), max(y, cy))}
+
+
+def ref_pieces(cells):
+    """Number of 4-connected components of a cell set, by flood fill."""
+    seen, pieces = set(), 0
+    for start in cells:
+        if start in seen:
+            continue
+        pieces += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            c, r = stack.pop()
+            for dx, dy in CARDINAL_STEPS:
+                nb = (c + dx, r + dy)
+                if nb in cells and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+    return pieces
+
+
+def ref_inflate_cut(target_vertices, seed):
+    """inflate_cut over sets: the same rng draws, a flood for connectivity."""
+    rng = random.Random(seed)
+    cells = {Cell(0, 0)}
+    convex, vertices, _ = ref_corner_scan(cells)
+    while vertices < target_vertices:
+        ordered = sorted(cells, key=lambda c: (c.row, c.col))
+        convex.sort()
+        for _ in range(RETRY_BUDGET):
+            at = ordered[rng.randrange(len(ordered))]
+            cut = ref_cut(cells, at, convex[rng.randrange(len(convex))])
+            if cut is None:
+                continue
+            remaining = ref_stretch(cells, at) - cut
+            if ref_pieces(remaining) != 1:
+                continue
+            corners, count, pinch = ref_corner_scan(remaining)
+            if pinch or count != vertices + 2:
+                continue
+            cells, convex, vertices = remaining, corners, count
+            break
+        else:
+            raise IterationBudgetExceeded("no acceptable cut")
+    return polygon_from_cells(cells)
+
+
+def bitmap(cells):
+    """Bool array a[row, col] of a set of cells at nonnegative coordinates."""
+    a = np.zeros((max(r for _, r in cells) + 1, max(c for c, _ in cells) + 1), dtype=bool)
+    for c, r in cells:
+        a[r, c] = True
+    return a
+
+
+def cells_of(a):
+    return {Cell(int(c), int(r)) for r, c in zip(*np.nonzero(a))}
+
+
+def picture(rows):
+    """Bitmap of a picture, top row first, '#' for a cell."""
+    return np.array([[ch == "#" for ch in line] for line in reversed(rows)])
+
+
+def scan(rows):
+    convex, vertices, one_piece = _corner_scan(picture(rows))
+    return [tuple(p) for p in convex.tolist()], vertices, one_piece
+
+
+class TestCornerScan:
+    def test_unit_square(self):
+        assert scan(["#"]) == ([(0, 0), (0, 1), (1, 0), (1, 1)], 4, True)
+
+    def test_l(self):
+        convex, vertices, one_piece = scan(["#.", "##"])
+        assert convex == [(0, 0), (0, 2), (1, 2), (2, 0), (2, 1)]
+        assert (vertices, one_piece) == (6, True)
+
+    def test_two_disjoint_squares(self):
+        convex, vertices, one_piece = scan(["#.#"])
+        assert len(convex) == 8 and vertices == 8 and not one_piece
+
+    def test_diagonal_pinch(self):
+        for rows in (["#.", ".#"], [".#", "#."]):
+            convex, vertices, one_piece = scan(rows)
+            assert len(convex) == 6 and vertices == 6 and not one_piece
+
+    def test_ring(self):
+        convex, vertices, one_piece = scan(["###", "#.#", "###"])
+        assert len(convex) == 4 and vertices == 8 and not one_piece
+
+    def test_island_in_a_hole_counts_as_one_piece(self):
+        # Two pieces and one hole have the corner counts of one piece: the
+        # rule holds only for sets without holes, as inflate_cut's cuts are.
+        rows = ["#####", "#...#", "#.#.#", "#...#", "#####"]
+        assert scan(rows)[1:] == (12, True)
+        assert ref_pieces(cells_of(picture(rows))) == 2
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    bits=st.lists(st.booleans(), min_size=36, max_size=36),
+)
+def test_property_corner_scan_matches_set_oracle(shape, bits):
+    """Convex corners, vertex count and one-piece flag of a random bitmap
+    against the set-based corner masks, and the flag against pieces less
+    holes, each counted by a flood."""
+    h, w = shape
+    a = np.array(bits[:h * w], dtype=bool).reshape(h, w)
+    cells = cells_of(a)
+    convex, vertices, one_piece = _corner_scan(a)
+    ref_convex, ref_vertices, pinch = ref_corner_scan(cells)
+    assert [tuple(p) for p in convex.tolist()] == sorted(ref_convex)
+    assert vertices == ref_vertices
+    box = {Cell(c, r) for c in range(-1, w + 1) for r in range(-1, h + 1)}
+    holes = ref_pieces(box - cells) - 1
+    assert one_piece == (not pinch and ref_pieces(cells) - holes == 1)
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(vertices=st.integers(2, 15).map(lambda h: 2 * h), seed=st.integers(0, 10**6))
 def test_property_cut_before_stretch_matches_stretched_oracle(vertices, seed):
-    """For every cell as `at` and every convex corner, the shifted corners and
-    the unstretched fit test agree with a full _stretch and _corner_masks."""
+    """For every cell as `at` and every convex corner, the shifted corners
+    and the unstretched fit test agree with a full stretch and its corner
+    masks, both in the set-based oracle and in _stretch_cut."""
     cells = set(rasterize(inflate_cut(vertices, seed)).cells)
-    convex = sorted(_corner_scan(cells)[0])
+    a = bitmap(cells)
+    convex = [tuple(p) for p in _corner_scan(a)[0].tolist()]
+    assert convex == sorted(ref_corner_scan(cells)[0])
     for at in cells:
-        inflated = _stretch(cells, at)
-        oracle = sorted(p for p, mask in _corner_masks(inflated).items() if bin(mask).count("1") == 1)
-        assert [_shift(p, at) for p in convex] == oracle
+        inflated = ref_stretch(cells, at)
+        oracle = sorted(ref_corner_scan(inflated)[0])
+        assert [ref_shift(p, at) for p in convex] == oracle
         cx, cy = at.col + 1, at.row + 1
         for corner, (x, y) in zip(convex, oracle):
             cut = {Cell(c, r) for c in range(min(x, cx), max(x, cx)) for r in range(min(y, cy), max(y, cy))}
-            assert _cut(cells, at, corner) == (cut if cut <= inflated else None)
+            fits = cut <= inflated
+            assert ref_cut(cells, at, corner) == (cut if fits else None)
+            got = _stretch_cut(a, at.row, at.col, *corner)
+            assert (got is not None) == fits
+            if fits:
+                assert got.shape == (a.shape[0] + 1, a.shape[1] + 1) and cells_of(got) == inflated - cut
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(vertices=st.integers(2, 35).map(lambda h: 2 * h), seed=st.integers(0, 10**6))
+def test_property_inflate_cut_equals_set_based_oracle(vertices, seed):
+    assert inflate_cut(vertices, seed) == ref_inflate_cut(vertices, seed)
+
+
+@pytest.mark.skipif(not os.environ.get("POLYSEARCH_WIDE_DIGEST"), reason="wide digest runs in CI only")
+def test_wide_inflate_cut_equals_set_based_oracle():
+    # Tier-1 reaches v = 70 only; these take a few seconds in the oracle.
+    for vertices in (100, 150, 200):
+        for seed in range(4):
+            assert inflate_cut(vertices, seed) == ref_inflate_cut(vertices, seed)
 
 
 class TestComb:
