@@ -15,9 +15,10 @@ import hashlib
 import io
 import itertools
 import math
+import multiprocessing
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields
 from numbers import Integral
 from typing import Callable, Sequence, get_type_hints
@@ -218,6 +219,29 @@ def _cell_worker(args: tuple[SweepCell, int, int, int | None]) -> SummaryRow:
     return run_cell(*args)
 
 
+_POOL: tuple = ()  # a pool worker's (jobs, claimed, finished), set by _pool_init
+
+
+def _pool_init(*shared) -> None:
+    global _POOL
+    _POOL = shared
+
+
+def _drain() -> list[tuple[int, SummaryRow]]:
+    """Run cells claimed one at a time from the shared counter until none is left."""
+    jobs, claimed, finished = _POOL
+    out = []
+    while True:
+        with claimed.get_lock():
+            index = claimed.value
+            claimed.value += 1
+        if index >= len(jobs):
+            return out
+        out.append((index, _cell_worker(jobs[index])))
+        with finished.get_lock():
+            finished.value += 1
+
+
 def run_sweep(
     spec: SweepSpec,
     workers: int = 1,
@@ -225,7 +249,7 @@ def run_sweep(
 ) -> list[SummaryRow]:
     """Run every cell; row order and content do not depend on `workers`.
 
-    The pool never holds more processes than there are cells or CPUs.
+    Pool workers, no more than cells or CPUs, claim cells one at a time.
     """
     cells = expand_cells(spec)
     jobs = [(c, spec.trials, spec.base_seed, spec.max_steps) for c in cells]
@@ -236,13 +260,21 @@ def run_sweep(
             rows.append(run_cell(*job))
             if progress is not None:
                 progress(len(rows), len(cells))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for row in pool.map(_cell_worker, jobs):
-                rows.append(row)
+        return rows
+    placed: dict[int, SummaryRow] = {}
+    claimed, finished = multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
+    with ProcessPoolExecutor(workers, initializer=_pool_init, initargs=(jobs, claimed, finished)) as pool:
+        pending = {pool.submit(_drain) for _ in range(workers)}
+        try:
+            while pending:
+                done, pending = wait(pending, timeout=0.2, return_when=FIRST_EXCEPTION)
+                for future in done:
+                    placed.update(future.result())
                 if progress is not None:
-                    progress(len(rows), len(cells))
-    return rows
+                    progress(finished.value, len(jobs))
+        finally:
+            claimed.value = len(jobs)  # after an error, workers stop after their current cell
+    return [placed[i] for i in range(len(jobs))]
 
 
 def rows_to_csv(rows: Sequence[SummaryRow]) -> str:

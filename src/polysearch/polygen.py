@@ -141,7 +141,8 @@ def comb_cells(
 
     `down` hangs teeth below the base (at negative rows) in the same slots,
     left to right; a zero depth on either side leaves that slot flat. More
-    than MAX_CELLS cells raise TooLarge before any is built.
+    than MAX_CELLS cells or MAX_VERTICES vertices raise TooLarge before any
+    cell is built.
     """
     n = len(spike_lengths)
     if n < 1 or spike_width < 1 or base_height < 1 or spike_gap < 1:
@@ -152,6 +153,10 @@ def comb_cells(
         raise InstanceInvalid("spike lengths must be nonnegative")
     width = n * (spike_width + spike_gap) + spike_gap
     check_cells(width * base_height + spike_width * (sum(spike_lengths) + sum(down)), "comb")
+    # Teeth never touch, so each nonzero one adds four corners to the base's four.
+    vertices = 4 + 4 * sum(1 for depth in (*spike_lengths, *down) if depth)
+    if vertices > MAX_VERTICES:
+        raise TooLarge(f"comb has {vertices} vertices; at most {MAX_VERTICES} are supported")
     cells = {Cell(c, r) for c in range(width) for r in range(base_height)}
     for i, (up, dn) in enumerate(zip_longest(spike_lengths, down, fillvalue=0)):
         x0 = spike_gap + i * (spike_width + spike_gap)

@@ -176,6 +176,9 @@ def test_simulate_trace_is_json(tmp_path, capsys):
                      id="generate-vertices-one-over"),
         pytest.param(["comb", "--depths", ",".join(["1"] * 125), "-o", "{out}"], MAX_VERTICES,
                      id="comb-vertices"),
+        # 132,004 vertices around about 99,000 cells, under MAX_CELLS.
+        pytest.param(["comb", "--depths", ",".join(["1"] * 33000), "-o", "{out}"], MAX_VERTICES,
+                     id="comb-vertices-33000-teeth"),
         pytest.param(["decompose", "{stairs}"], MAX_VERTICES, id="decompose-vertices"),
         pytest.param(["simulate", "{stairs}", "--strategy", "rs", "-k", "1"], MAX_VERTICES,
                      id="simulate-vertices"),

@@ -9,13 +9,19 @@ from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polysearch import harness, sim
-from polysearch.errors import EmptyInput
+from polysearch.errors import EmptyInput, InvalidConfig
 from polysearch.harness import (
     InstanceSpec,
     SummaryRow,
@@ -182,12 +188,13 @@ def test_worker_counts_agree_byte_for_byte():
 
 @pytest.fixture
 def pools(monkeypatch) -> list[int]:
-    """Pool sizes run_sweep asks for; the pool maps inline, starting no process."""
+    """Pool sizes run_sweep asks for; the pool runs inline, starting no process."""
     sizes: list[int] = []
 
     class InlinePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -195,8 +202,10 @@ def pools(monkeypatch) -> list[int]:
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn):
+            future = Future()
+            future.set_result(fn())
+            return future
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     return sizes
@@ -225,6 +234,85 @@ def test_progress_callback_sees_every_cell():
     seen = []
     run_sweep(spec, progress=lambda done, total: seen.append((done, total)))
     assert seen == [(i + 1, 12) for i in range(12)]
+
+
+def test_parallel_progress_never_decreases_and_ends_at_total(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    seen = []
+    run_sweep(tiny_spec(trials=2), workers=2, progress=lambda done, total: seen.append((done, total)))
+    done = [d for d, _ in seen]
+    assert done == sorted(done)
+    assert {total for _, total in seen} == {12}
+    assert seen[-1] == (12, 12)
+
+
+def test_oversubscribed_pool_runs_every_cell_once(monkeypatch):
+    """Six workers on any host: a lost claim or count would drop, repeat or miscount a cell."""
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
+    ks = tuple(range(1, 101))
+    spec = SweepSpec(tiny_spec().instances, ("rs", "baseline"), ks, ("static", "walk"), trials=1, max_steps=0)
+    serial = rows_to_csv(run_sweep(spec))
+    for _ in range(5):  # a race shows in some rounds only
+        seen = []
+        rows = run_sweep(spec, workers=6, progress=lambda done, total: seen.append(done))
+        assert rows_to_csv(rows) == serial
+        assert seen[-1] == 400
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patched run_cell reaches workers by fork"
+)
+def test_worker_error_stops_the_pool(monkeypatch, tmp_path):
+    """A cell that raises in a worker stops the sweep with that error."""
+    runs = tmp_path / "runs"
+    real = harness.run_cell
+
+    def failing(cell, *args):
+        with open(runs, "a", encoding="utf-8") as fh:
+            fh.write(f"{cell.index}\n")
+        if cell.index == 1:
+            raise InvalidConfig("cell 1 fails")
+        return real(cell, *args)
+
+    monkeypatch.setattr(harness, "run_cell", failing)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    spec = SweepSpec(tiny_spec().instances, ("rs", "baseline"), tuple(range(1, 41)), ("walk",), trials=20)
+    with pytest.raises(InvalidConfig, match="cell 1 fails"):
+        run_sweep(spec, workers=2)
+    ran = runs.read_text().split()
+    assert "1" in ran
+    assert len(ran) < len(expand_cells(spec))
+
+
+#: Runs a tiny sweep serially and with two spawned workers; prints whether the CSVs agree.
+SPAWN_SCRIPT = """
+import multiprocessing
+from polysearch import harness
+from polysearch.polygen import comb_polygon
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    harness.os.cpu_count = lambda: 2
+    poly = comb_polygon((2, 3), spike_width=1, base_height=2, spike_gap=1)
+    spec = harness.SweepSpec(
+        (harness.InstanceSpec("tiny", poly),), ("rs", "baseline", "sfc"), (1, 4), ("static", "walk"), 2, 9
+    )
+    serial = harness.rows_to_csv(harness.run_sweep(spec))
+    print(serial == harness.rows_to_csv(harness.run_sweep(spec, workers=2)))
+"""
+
+
+def test_spawned_workers_match_serial_csv(tmp_path):
+    """Spawned workers get the jobs and counters through the pool's initializer."""
+    script = tmp_path / "spawn_sweep.py"
+    script.write_text(SPAWN_SCRIPT, encoding="utf-8")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
 
 
 def test_presets_expand():

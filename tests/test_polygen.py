@@ -375,6 +375,21 @@ class TestComb:
         with pytest.raises(TooLarge, match=f"comb has {count} cells"):
             comb_cells(depths, width, height, gap, down)
 
+    def test_vertex_bound_is_checked_on_the_exact_count(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            depths = [rng.choice((0, 0, 1, 3)) for _ in range(n)]
+            down = [rng.choice((0, 0, 2)) for _ in range(rng.randint(0, n))]
+            shape = (depths, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3), down)
+            count = len(polygon_from_cells(comb_cells(*shape)).vertices)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(polygen, "MAX_VERTICES", count)
+                comb_cells(*shape)
+                mp.setattr(polygen, "MAX_VERTICES", count - 1)
+                with pytest.raises(TooLarge, match=f"comb has {count} vertices"):
+                    comb_cells(*shape)
+
     def test_negative_depth_rejected(self):
         with pytest.raises(InstanceInvalid):
             comb_cells((2, -1))
