@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from numbers import Real
-from typing import Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     CellOutsideGraph,
@@ -42,16 +42,15 @@ MAX_CELLS = 100_000
 #: Most vertices a polygon may have: validate_polygon's self-intersection
 #: test is quadratic in them, and the largest preset polygon has 28.
 MAX_VERTICES = 500
+#: Cells' worth of derived values a grid may keep (see GridGraph.memo): no
+#: preset grid comes near it, and every grid keeps at least two entries.
+MAX_MEMO_CELLS = 1 << 21
 
 
 def check_cells(count: int, what: str) -> None:
     """Raise TooLarge when `what` would have more than MAX_CELLS cells."""
     if count > MAX_CELLS:
         raise TooLarge(f"{what} has {count} cells; at most {MAX_CELLS} are supported")
-
-
-# Neighbor probing order: N, E, S, W (row grows northward).
-CARDINAL_STEPS: tuple[Point, ...] = ((0, 1), (1, 0), (0, -1), (-1, 0))
 
 
 @dataclass(frozen=True)
@@ -95,10 +94,11 @@ def _shoelace(vertices: Sequence[Point]) -> int:
 def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
     """Check a vertex loop and normalize it (CCW, min corner at origin).
 
-    Raises InvalidPolygon when a vertex is not a pair of finite numbers, and
-    its subclasses NonIntegralVertex, OddVertexCount, DegenerateEdge,
-    NonOrthogonalEdge, CollinearEdges, SelfIntersection; more than
-    MAX_VERTICES vertices raise TooLarge.
+    Raises InvalidPolygon when a vertex is not a pair of finite numbers
+    (bools, as JSON true and false load, do not count), and its subclasses
+    NonIntegralVertex, OddVertexCount, DegenerateEdge, NonOrthogonalEdge,
+    CollinearEdges, SelfIntersection; more than MAX_VERTICES vertices raise
+    TooLarge.
     """
     try:
         coords = [(v, tuple(v)) for v in vertices]
@@ -106,7 +106,7 @@ def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
         raise InvalidPolygon("vertices must be a list of [x, y] pairs") from None
     pts: list[Point] = []
     for v, xy in coords:
-        if len(xy) != 2 or not all(isinstance(c, Real) and math.isfinite(c) for c in xy):
+        if len(xy) != 2 or not all(isinstance(c, Real) and type(c) is not bool and math.isfinite(c) for c in xy):
             raise InvalidPolygon(f"vertex {v!r} is not an [x, y] pair of finite numbers")
         x, y = xy
         if x != int(x) or y != int(y):
@@ -168,7 +168,7 @@ class GridGraph:
 
     Cells are sorted row-major (row, then col) unless given so; `adjacency[i]`
     lists neighbor indices in N, E, S, W order, absent directions skipped.
-    Treated as immutable; `cache` is scratch for memoized derived structures.
+    Treated as immutable; `memo` keeps what is derived from it in `cache`.
     """
 
     __slots__ = ("cells", "index", "adjacency", "cols", "rows", "bounds", "cache")
@@ -194,6 +194,21 @@ class GridGraph:
 
     def __len__(self) -> int:
         return len(self.cells)
+
+    def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The value kept under `key`; on a miss, `build()`'s result, kept.
+
+        Each value holds about one entry per cell, so a grid keeps at most
+        max(2, MAX_MEMO_CELLS // len(self)) of them; the oldest goes first.
+        """
+        try:
+            return self.cache[key]
+        except KeyError:
+            pass
+        value = self.cache[key] = build()
+        if len(self.cache) > max(2, MAX_MEMO_CELLS // len(self.cells)):
+            del self.cache[next(iter(self.cache))]
+        return value
 
     def __contains__(self, cell: Cell) -> bool:
         return cell in self.index

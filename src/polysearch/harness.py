@@ -117,8 +117,8 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     for name in ("instances", "strategies", "intruders", "ks"):
         if not isinstance(getattr(spec, name), (tuple, list)):
             raise InvalidConfig(f"{name} must be a list, got {getattr(spec, name)!r}")
-    if not spec.instances or not spec.strategies or not spec.ks:
-        raise EmptyInput("sweep needs at least one instance, strategy and team size")
+    if not spec.instances or not spec.strategies or not spec.intruders or not spec.ks:
+        raise EmptyInput("sweep needs at least one instance, strategy, intruder model and team size")
     for inst in spec.instances:
         # Before Python 3.13 the CSV writer leaves a lone \r unquoted.
         if not isinstance(inst.id, str) or "\r" in inst.id:

@@ -8,10 +8,10 @@ admissible because every entered cell contributes at least 1.
 many targets in one batched Dijkstra call, in exact integer units of
 VISIT_COST; `hungarian` solves once and breaks ties over the tight edges
 of the recovered duals. `shortest_indices` walks a per-goal next-hop
-table that one unweighted csgraph search fills. A grid's `cache` keeps
-what they derive from the grid alone: A*'s |dcol| and |drow| lists, one
+table that one unweighted csgraph search fills. What they derive from the
+grid alone goes into its bounded `memo`: A*'s |dcol| and |drow| lists, one
 per goal column and row; the reversed CSR structure; the unit-weight
-graph with an (n, 4) neighbor table; at most one next-hop row per cell.
+graph with an (n, 4) neighbor table; one next-hop row per goal.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csgraph, csr_matrix
 
 from .errors import InvalidConfig, NegativeEntry, NonSquare, Unreachable
-from .geometry import CARDINAL_STEPS, GridGraph
+from .geometry import GridGraph
 
 VISIT_COST = 0.05
 
@@ -63,8 +63,9 @@ def plan_indices(g: GridGraph, cm: CostMap, start: int, goal: int) -> list[int]:
     cell's distance becomes -1.0, below any new distance, so it is never
     reopened.
     """
-    hx = _axis_distance(g, "col", g.cols, g.cols[goal])
-    hy = _axis_distance(g, "row", g.rows, g.rows[goal])
+    gc, gr = g.cols[goal], g.rows[goal]
+    hx = g.memo(("col", gc), lambda: [abs(c - gc) for c in g.cols])
+    hy = g.memo(("row", gr), lambda: [abs(r - gr) for r in g.rows])
     entry = cm.entry
     adjacency = g.adjacency
     dist = [float("inf")] * len(g.cells)
@@ -106,14 +107,6 @@ def plan_indices(g: GridGraph, cm: CostMap, start: int, goal: int) -> list[int]:
     raise Unreachable(f"no path from {tuple(g.cells[start])} to {tuple(g.cells[goal])}")
 
 
-def _axis_distance(g: GridGraph, axis: str, coords: Sequence[int], at: int) -> list[int]:
-    """|coords[i] - at| per cell, kept in `g.cache`: one list per distinct column or row."""
-    hit = g.cache.get((axis, at))
-    if hit is None:
-        hit = g.cache[axis, at] = [abs(c - at) for c in coords]
-    return hit
-
-
 def shortest_indices(g: GridGraph, start: int, goal: int) -> tuple[int, ...]:
     """Unweighted shortest path of cell indices, walked along `_next_hops`.
 
@@ -121,7 +114,7 @@ def shortest_indices(g: GridGraph, start: int, goal: int) -> tuple[int, ...]:
     is lexicographically smallest: the path a FIFO breadth-first search
     from `start` with N, E, S, W pushes returns.
     """
-    nxt = _next_hops(g, goal)
+    nxt = g.memo(("next_hop", goal), lambda: _next_hops(g, goal))
     if nxt[start] < 0:
         raise Unreachable(f"no path from {tuple(g.cells[start])} to {tuple(g.cells[goal])}")
     path = [start]
@@ -133,38 +126,31 @@ def shortest_indices(g: GridGraph, start: int, goal: int) -> tuple[int, ...]:
 def _next_hops(g: GridGraph, goal: int) -> np.ndarray:
     """First neighbor, in N, E, S, W order, one BFS layer closer to `goal`.
 
-    One int32 row per goal, -1 where `goal` is unreachable, filled by one
-    unweighted csgraph search and kept in `g.cache`: at most n rows.
+    One int32 row, -1 where `goal` is unreachable, filled by one unweighted
+    csgraph search; `shortest_indices` keeps one per goal in `g.memo`.
     """
-    key = ("next_hop", goal)
-    hit = g.cache.get(key)
-    if hit is None:
-        graph, nbrs = _unit_graph(g)
-        far = csgraph.dijkstra(graph, indices=goal, unweighted=True)
-        # Layer -1 marks unreachable cells; none borders the goal, the only
-        # cell whose layer - 1 is -1. The padding index n gets -3, which no
-        # layer - 1 equals.
-        layer = np.append(np.where(np.isfinite(far), far, -1), -3)
-        closer = layer[nbrs] == (layer[:-1] - 1)[:, None]
-        first = nbrs[np.arange(len(nbrs)), closer.argmax(axis=1)]
-        hit = np.where(closer.any(axis=1), first, -1).astype(np.int32)
-        hit[goal] = goal
-        g.cache[key] = hit
-    return hit
+    graph, nbrs = g.memo("unit_graph", lambda: _unit_graph(g))
+    far = csgraph.dijkstra(graph, indices=goal, unweighted=True)
+    # Layer -1 marks unreachable cells; none borders the goal, the only
+    # cell whose layer - 1 is -1. The padding index n gets -3, which no
+    # layer - 1 equals.
+    layer = np.append(np.where(np.isfinite(far), far, -1), -3)
+    closer = layer[nbrs] == (layer[:-1] - 1)[:, None]
+    first = nbrs[np.arange(len(nbrs)), closer.argmax(axis=1)]
+    row = np.where(closer.any(axis=1), first, -1).astype(np.int32)
+    row[goal] = goal
+    return row
 
 
 def _unit_graph(g: GridGraph) -> tuple[csr_matrix, np.ndarray]:
-    """Unit-weight csr_matrix of the grid and its (n, 4) N, E, S, W neighbor
-    table, n where a neighbor is missing; built once per grid, kept in `g.cache`."""
-    hit = g.cache.get("unit_graph")
-    if hit is None:
-        indptr, indices, _ = _reverse_csr(g)
-        n = len(g.cells)
-        graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-        steps = [[g.index.get((c + dx, r + dy), n) for dx, dy in CARDINAL_STEPS] for c, r in g.cells]
-        nbrs = np.array(steps, dtype=np.int32).reshape(n, 4)
-        hit = g.cache["unit_graph"] = (graph, nbrs)
-    return hit
+    """Unit-weight csr_matrix of the grid and its (n, 4) neighbor table: each
+    row lists a cell's adjacency in N, E, S, W order, padded with n."""
+    indptr, indices, owner = _reverse_csr(g)
+    n = len(g.cells)
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    nbrs = np.full((n, 4), n, dtype=np.int32)
+    nbrs[owner, np.arange(len(indices)) - indptr[owner]] = indices
+    return graph, nbrs
 
 
 def _reverse_csr(g: GridGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,18 +159,18 @@ def _reverse_csr(g: GridGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Adjacency is symmetric, so the reversed graph has the same structure;
     only the weights move: edge v -> u of the reversed graph costs the
     entry of v. A cell's edges keep the N, E, S, W order of its
-    adjacency. Built once per grid and kept in `g.cache`.
+    adjacency. Built once per grid and kept in `g.memo`.
     """
-    hit = g.cache.get("reverse_csr")
-    if hit is None:
+
+    def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         degrees = [len(nbrs) for nbrs in g.adjacency]
         indptr = np.zeros(len(degrees) + 1, dtype=np.int32)
         np.cumsum(degrees, out=indptr[1:])
         indices = np.array([u for nbrs in g.adjacency for u in nbrs], dtype=np.int32)
         owner = np.repeat(np.arange(len(degrees)), degrees)
-        hit = (indptr, indices, owner)
-        g.cache["reverse_csr"] = hit
-    return hit
+        return indptr, indices, owner
+
+    return g.memo("reverse_csr", build)
 
 
 def costs_to_target(g: GridGraph, cm: CostMap, targets: Sequence[int]) -> np.ndarray:

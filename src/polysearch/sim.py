@@ -131,66 +131,59 @@ class SfcLayout:
 
 
 def sfc_layout(grid: GridGraph, rect_seed: int = 0) -> SfcLayout:
-    """Build (or fetch) the patrol layout for `grid` under `rect_seed`.
+    """The patrol layout for `grid` under `rect_seed`, kept in `grid.memo`."""
 
-    A grid keeps the layout of one `rect_seed`; another seed replaces it.
-    """
-    hit = grid.cache.get("sfc_layout")
-    if hit is not None and hit[0] == rect_seed:
-        return hit[1]
-    r = rectangulate(grid, rect_seed)
-    curves = []
-    for rect in r.rects:
-        local = gilbert_curve(rect.width, rect.height)
-        routed = repair_curve(place_curve(rect, local), grid)
-        curves.append(tuple(map(grid.index.__getitem__, routed)))  # repairs stay in the grid
-    guards = tuple(grid.index[j.pairs[0][0]] for j in r.juncs)
-    layout = SfcLayout(rectangulation=r, curves=tuple(curves), guards=guards)
-    grid.cache["sfc_layout"] = (rect_seed, layout)
-    return layout
+    def build() -> SfcLayout:
+        r = rectangulate(grid, rect_seed)
+        curves = []
+        for rect in r.rects:
+            local = gilbert_curve(rect.width, rect.height)
+            routed = repair_curve(place_curve(rect, local), grid)
+            curves.append(tuple(map(grid.index.__getitem__, routed)))  # repairs stay in the grid
+        guards = tuple(grid.index[j.pairs[0][0]] for j in r.juncs)
+        return SfcLayout(rectangulation=r, curves=tuple(curves), guards=guards)
+
+    return grid.memo(("sfc_layout", rect_seed), build)
 
 
 def sfc_team(
     grid: GridGraph, strategy: str, k: int, rect_seed: int = 0
 ) -> tuple[tuple[Tour, ...], tuple[tuple[Tour, ...], ...]]:
-    """Build (or fetch) the k-robot sfc/sfc_g team for `grid`: (tours, through).
+    """The k-robot sfc/sfc_g team for `grid`, (tours, through), kept in `grid.memo`.
 
     Tours are in robot id order. Searchers come first, each with the
     ping-pong tour ``seg + seg[-2:0:-1]`` (period 2(L - 1)) of its curve
     segment, which is ``tour[:len(tour) // 2 + 1]``; then, for sfc_g, one
     guard per junction, whose tour is its doorway cell. ``through[c]``
     holds the tours that pass through cell c, the only robots that can
-    stand on c. A grid keeps one team; another (strategy, k, rect_seed)
-    replaces it. Raises TooFewRobots when the rectangles (and junctions)
+    stand on c. Raises TooFewRobots when the rectangles (and junctions)
     outnumber k, and TooManyRobots when a curve gets more searchers than
     cells.
     """
-    key = (strategy, k, rect_seed)
-    hit = grid.cache.get("sfc_team")
-    if hit is not None and hit[0] == key:
-        return hit[1]
-    layout = sfc_layout(grid, rect_seed)
-    guards = layout.guards if strategy == "sfc_g" else ()
-    m = len(layout.curves)
-    if k - len(guards) < m:
-        raise TooFewRobots(
-            f"{strategy} needs {m + len(guards)} robots here ({m} rectangles"
-            + (f", {len(guards)} junctions)" if guards else ")")
-            + f", got {k}"
-        )
-    tours = []
-    for curve, count in zip(layout.curves, allocate_robots(layout.rectangulation, k - len(guards))):
-        for start, stop in segment_bounds(len(curve), count):
-            seg = curve[start:stop]
-            tours.append(seg + seg[-2:0:-1])
-    tours.extend((cell,) for cell in guards)
-    through: list[tuple[Tour, ...]] = [()] * len(grid.cells)
-    for tour in tours:
-        for cell in dict.fromkeys(tour[: len(tour) // 2 + 1]):
-            through[cell] += (tour,)
-    team = (tuple(tours), tuple(through))
-    grid.cache["sfc_team"] = (key, team)
-    return team
+
+    def build() -> tuple[tuple[Tour, ...], tuple[tuple[Tour, ...], ...]]:
+        layout = sfc_layout(grid, rect_seed)
+        guards = layout.guards if strategy == "sfc_g" else ()
+        m = len(layout.curves)
+        if k - len(guards) < m:
+            raise TooFewRobots(
+                f"{strategy} needs {m + len(guards)} robots here ({m} rectangles"
+                + (f", {len(guards)} junctions)" if guards else ")")
+                + f", got {k}"
+            )
+        tours = []
+        for curve, count in zip(layout.curves, allocate_robots(layout.rectangulation, k - len(guards))):
+            for start, stop in segment_bounds(len(curve), count):
+                seg = curve[start:stop]
+                tours.append(seg + seg[-2:0:-1])
+        tours.extend((cell,) for cell in guards)
+        through: list[tuple[Tour, ...]] = [()] * len(grid.cells)
+        for tour in tours:
+            for cell in dict.fromkeys(tour[: len(tour) // 2 + 1]):
+                through[cell] += (tour,)
+        return tuple(tours), tuple(through)
+
+    return grid.memo(("sfc_team", strategy, k, rect_seed), build)
 
 
 def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:

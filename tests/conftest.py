@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import pytest
 
-from polysearch.geometry import CARDINAL_STEPS, Cell, GridGraph, OrthoPolygon, validate_polygon
+from polysearch.geometry import Cell, GridGraph, OrthoPolygon, validate_polygon
+
+# Neighbor probing order of the reference oracles: N, E, S, W (row grows northward).
+CARDINAL_STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
 
 
 def P(*pairs) -> OrthoPolygon:

@@ -240,6 +240,9 @@ def _spec(**overrides) -> str:
         pytest.param(["sweep", "--spec", "{zzz}", "-o", "{out}"], id="spec-unknown-strategy"),
         pytest.param(["sweep", "--spec", "{spec}", "--workers", "0", "-o", "{out}"], id="workers-flag-zero"),
         pytest.param(["decompose", "{short}"], id="polygon-vertex-not-a-pair"),
+        pytest.param(["decompose", "{vbool}"], id="polygon-vertex-bool"),
+        pytest.param(["sweep", "--spec", "{polybool}", "-o", "{out}"], id="spec-polygon-vertex-bool"),
+        pytest.param(["sweep", "--spec", "{nointruders}", "-o", "{out}"], id="spec-intruders-empty"),
         pytest.param(["decompose", "{cellsize}"], id="polygon-cell-size-not-a-number"),
         pytest.param(["decompose", "{sizeneg}"], id="polygon-cell-size-negative"),
         pytest.param(["decompose", "{sizezero}"], id="polygon-cell-size-zero"),
@@ -284,6 +287,12 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         "zzz": _write(tmp_path, "zzz.json", _spec(strategies=["zzz"])),
         "spec": _write(tmp_path, "spec.json", _spec()),
         "short": _write(tmp_path, "short.json", '{"vertices": [[0, 0], [1], [1, 1], [0, 1]]}'),
+        # With true read as 1 these would be a valid 1 x 2 rectangle.
+        "vbool": _write(tmp_path, "vbool.json", '{"vertices": [[true, 0], [2, 0], [2, 2], [1, 2]]}'),
+        "polybool": _write(
+            tmp_path, "polybool.json", _spec(instances=[{"id": "s", "polygon": [[True, 0], [2, 0], [2, 2], [1, 2]]}])
+        ),
+        "nointruders": _write(tmp_path, "nointruders.json", _spec(intruders=[])),
         "cellsize": _write(
             tmp_path, "cellsize.json", json.dumps({"vertices": strip, "cell_size_m": "5m"})
         ),

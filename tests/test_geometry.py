@@ -78,6 +78,13 @@ class TestValidate:
         with pytest.raises(NonIntegralVertex):
             validate_polygon([(0, 0), (1.5, 0), (1.5, 1), (0, 1)])
 
+    def test_bool_coordinate_rejected(self):
+        # JSON true loads as a bool, which would otherwise read as 1.
+        with pytest.raises(InvalidPolygon, match="not an"):
+            validate_polygon([[True, 0], [2, 0], [2, 2], [1, 2]])
+        with pytest.raises(InvalidPolygon):
+            validate_polygon([[0, 0], [2, 0], [2, 2], [0, False]])
+
     def test_diagonal_edge_rejected(self):
         with pytest.raises(NonOrthogonalEdge):
             validate_polygon([(0, 0), (2, 0), (2, 2), (1, 1)])

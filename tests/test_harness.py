@@ -7,7 +7,9 @@ per-trial seeds depend only on the sweep layout.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polysearch import harness, sim
+from polysearch import geometry, harness, sim
 from polysearch.errors import EmptyInput, InvalidConfig
 from polysearch.harness import (
     InstanceSpec,
@@ -132,6 +134,12 @@ def test_expand_rejects_unknown_names():
         expand_cells(bad)
     with pytest.raises(EmptyInput):
         expand_cells(SweepSpec((), ("rs",), (1,)))
+
+
+@pytest.mark.parametrize("name", ["instances", "strategies", "intruders", "ks"])
+def test_expand_rejects_an_empty_list(name):
+    with pytest.raises(EmptyInput):
+        expand_cells(dataclasses.replace(tiny_spec(), **{name: ()}))
 
 
 # ---------------------------------------------------------------- sweeps
@@ -340,6 +348,7 @@ def test_baseline_pursuit_cache_is_bounded():
     rows = [v for key, v in grid.cache.items() if isinstance(key, tuple) and key[0] == "next_hop"]
     assert 0 < len(rows) <= n
     assert all(row.dtype == np.int32 and row.shape == (n,) for row in rows)
+    assert len(grid.cache) <= max(2, geometry.MAX_MEMO_CELLS // n)
 
 
 def test_sfc_caches_are_bounded(monkeypatch):
@@ -356,12 +365,53 @@ def test_sfc_caches_are_bounded(monkeypatch):
         trials=3,
     )
     assert all(row.feasible for row in run_sweep(spec))
-    assert len(built) == len(expand_cells(spec))  # one team per cell, not per trial
+    # One team per (rect_seed, strategy, k), not per trial or per intruder model.
+    assert len(built) == len(expand_cells(spec)) // 2 == 8
     grid = harness._instance_grid(spikes4)
-    keys = [key for key in grid.cache if "sfc" in str(key)]
-    assert sorted(keys) == ["sfc_layout", "sfc_team"]
-    assert grid.cache["sfc_layout"][0] == 1
-    assert grid.cache["sfc_team"][0] == ("sfc_g", 20, 1)
+    assert sorted(key for key in grid.cache if key[0] == "sfc_layout") == [("sfc_layout", 0), ("sfc_layout", 1)]
+    teams = sorted(key[1:] for key in grid.cache if key[0] == "sfc_team")
+    assert teams == sorted(itertools.product(("sfc", "sfc_g"), (16, 20), (0, 1)))
+    assert len(grid.cache) <= max(2, geometry.MAX_MEMO_CELLS // len(grid))
+
+
+def test_memo_eviction_keeps_the_sweep_csv(monkeypatch):
+    spikes4 = preset_spikes4().instances[0]
+    spec = SweepSpec(
+        instances=(spikes4,),
+        strategies=STRATEGIES,
+        ks=(8, 20),
+        intruders=INTRUDER_MODELS,
+        trials=2,
+        base_seed=5,
+    )
+    monkeypatch.setattr(harness, "_GRIDS", {})
+    want = rows_to_csv(run_sweep(spec))
+    grid = harness._instance_grid(spikes4)
+    assert len(grid.cache) > 3
+    monkeypatch.setattr(harness, "_GRIDS", {})
+    monkeypatch.setattr(geometry, "MAX_MEMO_CELLS", 3 * len(grid))
+    assert rows_to_csv(run_sweep(spec)) == want
+    assert len(harness._instance_grid(spikes4).cache) == 3
+
+
+def test_memo_never_evicts_at_paper_scale(monkeypatch):
+    monkeypatch.setattr(harness, "_GRIDS", {})
+    area704 = next(i for i in preset_areas().instances if i.id == "area704")
+    spec = SweepSpec(
+        instances=(area704,),
+        strategies=("rs", "baseline"),
+        ks=(4, 20),
+        intruders=INTRUDER_MODELS,
+        trials=2,
+        base_seed=1,
+        max_steps=300,
+    )
+    run_sweep(spec)
+    grid = harness._instance_grid(area704)
+    # All that rs and baseline derive: a next-hop row per goal, an A* list
+    # per column and row, the CSR structure and the unit graph.
+    most = len(grid) + len(set(grid.cols)) + len(set(grid.rows)) + 2
+    assert len(grid.cache) <= most < max(2, geometry.MAX_MEMO_CELLS // len(grid))
 
 
 def test_grid_cache_is_capped(monkeypatch):

@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from polysearch import planning
+from polysearch import geometry, planning
 from polysearch.errors import CellOutsideGraph, NegativeEntry, NonSquare, Unreachable
 from polysearch.geometry import Cell, GridGraph, rasterize
 from polysearch.harness import preset_areas
-from polysearch.sim import SimConfig, _rs_move, init_trial, step
+from polysearch.sim import SimConfig, _rs_move, init_trial, run_trial, step
 from polysearch.planning import (
     STEP_UNITS,
     VISIT_COST,
@@ -475,3 +475,32 @@ class TestHungarian:
     )
     def test_property_equals_re_solve_oracle(self, m):
         assert hungarian(m) == ref_lex_assignment(m)
+
+
+class TestMemo:
+    def test_builds_once_and_drops_the_oldest(self, monkeypatch):
+        g = rasterize(P((0, 0), (4, 0), (4, 1), (0, 1)))
+        monkeypatch.setattr(geometry, "MAX_MEMO_CELLS", 3 * len(g))
+        built = []
+        for key in "abcad":
+            assert g.memo(key, lambda: built.append(key) or key.upper()) == key.upper()
+        assert built == ["a", "b", "c", "d"]
+        assert list(g.cache) == ["b", "c", "d"]
+
+    def test_every_grid_keeps_two_entries(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_MEMO_CELLS", 0)
+        g = rasterize(P((0, 0), (4, 0), (4, 1), (0, 1)))
+        for key in "xyz":
+            g.memo(key, lambda: key)
+        assert list(g.cache) == ["y", "z"]
+
+    def test_baseline_and_rs_trials_stay_within_the_bound(self, monkeypatch):
+        square = P((0, 0), (150, 0), (150, 150), (0, 150))
+        g = rasterize(square)
+        monkeypatch.setattr(geometry, "MAX_MEMO_CELLS", 8 * len(g))
+        for strategy, kind in (("baseline", "next_hop"), ("rs", "col")):
+            for seed in range(3):
+                cfg = SimConfig(polygon=square, strategy=strategy, k=3, intruder="walk", max_steps=40, seed=seed)
+                run_trial(cfg, g)
+                assert len(g.cache) <= 8
+            assert len(g.cache) == 8 and any(key[0] == kind for key in g.cache)

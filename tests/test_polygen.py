@@ -22,7 +22,7 @@ from polysearch.errors import (
     TooLarge,
     TripleSizeError,
 )
-from polysearch.geometry import CARDINAL_STEPS, Cell, polygon_from_cells, rasterize, validate_polygon
+from polysearch.geometry import Cell, polygon_from_cells, rasterize, validate_polygon
 from polysearch.polygen import (
     RETRY_BUDGET,
     SweepRecord,
@@ -35,6 +35,8 @@ from polysearch.polygen import (
     simulate_comb_sweep,
     verify_partition_schedule,
 )
+
+from conftest import CARDINAL_STEPS
 
 
 def triple_partitions(items):
