@@ -1,10 +1,10 @@
 """Multi-robot search for an intruder in grid-decomposed orthogonal polygons.
 
 The package covers the full pipeline: polygon validation and
-rasterization, random polygon generation, comb-shaped hard instances and
-their schedules, rectangular decomposition, space-filling patrol curves,
-cost-aware path planning, a discrete-time pursuit simulation, and a
-Monte-Carlo sweep harness with CSV and SVG reporting.
+rasterization, random polygon generation, comb-shaped hard instances,
+rectangular decomposition, space-filling patrol curves, cost-aware path
+planning, a discrete-time pursuit simulation, and a Monte-Carlo sweep
+harness with CSV and SVG reporting.
 """
 
 from .decomposition import (
@@ -37,14 +37,7 @@ from .harness import (
 )
 from .planning import CostMap, costs_to_target, hungarian
 from .plots import bar_chart, line_plot
-from .polygen import (
-    ThreePartitionInstance,
-    build_comb,
-    comb_polygon,
-    inflate_cut,
-    simulate_comb_sweep,
-    verify_partition_schedule,
-)
+from .polygen import comb_polygon, inflate_cut
 from .sfc import gilbert_curve, place_curve, repair_curve
 from .sim import (
     INTRUDER_MODELS,
@@ -74,11 +67,9 @@ __all__ = [
     "SimConfig",
     "SummaryRow",
     "SweepSpec",
-    "ThreePartitionInstance",
     "TrialResult",
     "allocate_robots",
     "bar_chart",
-    "build_comb",
     "comb_polygon",
     "costs_to_target",
     "gilbert_curve",
@@ -95,11 +86,9 @@ __all__ = [
     "repair_curve",
     "run_sweep",
     "run_trial",
-    "simulate_comb_sweep",
     "step",
     "summarize",
     "validate_polygon",
-    "verify_partition_schedule",
     "write_csv",
     "write_polygon_file",
 ]

@@ -54,18 +54,6 @@ class InstanceInvalid(PolySearchError):
     """3-Partition instance fails its structural checks."""
 
 
-class NotAPartition(PolySearchError):
-    """Proposed triples do not cover {1..3q} exactly once each."""
-
-
-class TripleSizeError(PolySearchError):
-    """A proposed group does not contain exactly three elements."""
-
-
-class ScheduleMismatch(PolySearchError):
-    """Simulated sweep disagrees with the closed-form schedule times."""
-
-
 class TooFewRobots(PolySearchError):
     """Robot count below the minimum the strategy needs on this input."""
 

@@ -7,19 +7,26 @@ admissible because every entered cell contributes at least 1.
 `plan_indices` is A* over that objective. `costs_to_target` gives it to
 many targets in one batched Dijkstra call, in exact integer units of
 VISIT_COST; `hungarian` solves once and breaks ties over the tight edges
-of the recovered duals. `shortest_indices` walks a per-goal next-hop
-table that one unweighted csgraph search fills. What they derive from the
-grid alone goes into its bounded `memo`: A*'s |dcol| and |drow| lists, one
-per goal column and row; the reversed CSR structure; the unit-weight
-graph with an (n, 4) neighbor table; one next-hop row per goal.
+of the recovered duals. Its solver, scipy's `linear_sum_assignment`, is
+loaded from scipy's self-contained `_lsap` extension, so importing this
+module skips the rest of `scipy.optimize`; where scipy's file layout
+differs, the public `from scipy.optimize import` is the fallback.
+`shortest_indices` walks a per-goal next-hop table that one unweighted
+csgraph search fills. What they derive from the grid alone goes into its
+bounded `memo`: A*'s |dcol| and |drow| lists, one per goal column and
+row; the reversed CSR structure; the unit-weight graph with an (n, 4)
+neighbor table; one next-hop row per goal.
 """
 from __future__ import annotations
 
 from heapq import heappop, heappush, heappushpop
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy
 from scipy.sparse import csgraph, csr_matrix
 
 from .errors import InvalidConfig, NegativeEntry, NonSquare, Unreachable
@@ -29,6 +36,29 @@ VISIT_COST = 0.05
 
 #: Cost of entering an unvisited cell in units of VISIT_COST (1 / VISIT_COST).
 STEP_UNITS = 20
+
+
+def _load_lsa():
+    """scipy's linear_sum_assignment from scipy/optimize/_lsap*.so alone, or
+    from the public import when that file is missing or fails to load."""
+    folder = Path(scipy.__file__).with_name("optimize")
+    try:
+        for suffix in EXTENSION_SUFFIXES:
+            path = folder / f"_lsap{suffix}"
+            if path.is_file():
+                spec = spec_from_file_location("scipy.optimize._lsap", path)
+                module = module_from_spec(spec)
+                spec.loader.exec_module(module)
+                return module.linear_sum_assignment
+    except Exception:
+        pass
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
+#: Looked up at call time, so tests and tracers may patch it.
+linear_sum_assignment = _load_lsa()
 
 
 class CostMap:

@@ -33,15 +33,12 @@ from polysearch.harness import (
     run_sweep,
 )
 from polysearch.planning import CostMap, hungarian, plan_indices
-from polysearch.polygen import (
-    ThreePartitionInstance,
-    inflate_cut,
-    verify_partition_schedule,
-)
+from polysearch.polygen import inflate_cut
 from polysearch.sfc import gilbert_curve, repair_curve
 from polysearch.sim import SimConfig, init_trial, run_trial, sfc_layout
 
 from conftest import P, rect_cells
+from three_partition import ThreePartitionInstance, verify_partition_schedule
 
 
 def _verdict(num: int, ok: bool, detail: str = "") -> None:

@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,6 +479,49 @@ class TestHungarian:
     )
     def test_property_equals_re_solve_oracle(self, m):
         assert hungarian(m) == ref_lex_assignment(m)
+
+
+class TestSolverLoader:
+    """The solver comes from scipy's _lsap extension alone, else from scipy.optimize."""
+
+    @staticmethod
+    def tie_matrices():
+        rng = random.Random(11)
+        for trial in range(90):
+            m = np.array(tie_heavy_matrix(rng, rng.choice((1, 2, 5, 13, 21)), trial % 3))
+            yield m
+            yield m.astype(np.int64)
+
+    def test_import_leaves_scipy_optimize_out(self):
+        src = str(Path(planning.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, polysearch, polysearch.cli; print('scipy.optimize' in sys.modules)"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+    def test_loaded_solver_equals_public_one(self):
+        for m in self.tie_matrices():
+            rows, cols = planning.linear_sum_assignment(m)
+            want_rows, want_cols = linear_sum_assignment(m)
+            assert rows.tolist() == want_rows.tolist()
+            assert cols.tolist() == want_cols.tolist(), m.tolist()
+
+    @pytest.mark.parametrize("unavailable", ["no-suffixes", "spec-fails"])
+    def test_fallback_when_extension_is_unavailable(self, monkeypatch, unavailable):
+        if unavailable == "no-suffixes":
+            monkeypatch.setattr(planning, "EXTENSION_SUFFIXES", [])
+        else:
+            def fail(*args, **kwargs):
+                raise ImportError("no loader")
+
+            monkeypatch.setattr(planning, "spec_from_file_location", fail)
+        solve = planning._load_lsa()
+        assert solve is linear_sum_assignment
+        for m in self.tie_matrices():
+            assert solve(m)[1].tolist() == planning.linear_sum_assignment(m)[1].tolist()
 
 
 class TestMemo:

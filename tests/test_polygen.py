@@ -14,29 +14,20 @@ from hypothesis import strategies as st
 
 from polysearch import geometry, polygen
 from polysearch.cli import main
-from polysearch.errors import (
-    InstanceInvalid,
-    IterationBudgetExceeded,
-    NotAPartition,
-    OddTargetVertices,
-    TooLarge,
-    TripleSizeError,
-)
+from polysearch.errors import InstanceInvalid, IterationBudgetExceeded, OddTargetVertices, TooLarge
 from polysearch.geometry import Cell, polygon_from_cells, rasterize, validate_polygon
-from polysearch.polygen import (
-    RETRY_BUDGET,
+from polysearch.polygen import RETRY_BUDGET, _corner_scan, _stretch_cut, comb_cells, inflate_cut
+
+from conftest import CARDINAL_STEPS
+from three_partition import (
+    NotAPartition,
     SweepRecord,
     ThreePartitionInstance,
-    _corner_scan,
-    _stretch_cut,
+    TripleSizeError,
     build_comb,
-    comb_cells,
-    inflate_cut,
     simulate_comb_sweep,
     verify_partition_schedule,
 )
-
-from conftest import CARDINAL_STEPS
 
 
 def triple_partitions(items):
