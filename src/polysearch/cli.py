@@ -65,24 +65,16 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     poly = read_polygon_file(args.polygon)
     grid = rasterize(poly)
     r = rectangulate(grid, seed=args.seed)
-    if args.json:
-        payload = {
-            "rectangles": [
-                {"anchor": list(rect.anchor), "width": rect.width, "height": rect.height}
-                for rect in r.rects
-            ],
-            "junctions": [
-                {"a": j.a, "b": j.b, "doorways": [[list(p[0]), list(p[1])] for p in j.pairs]}
-                for j in r.juncs
-            ],
-        }
-        print(json.dumps(payload, indent=2))
+    if args.json:  # tuples, cells among them, print as JSON arrays
+        rects = [{"anchor": rect.anchor, "width": rect.width, "height": rect.height} for rect in r.rects]
+        juncs = [{"a": j.a, "b": j.b, "doorways": j.pairs} for j in r.juncs]
+        print(json.dumps({"rectangles": rects, "junctions": juncs}, indent=2))
         return 0
     print(f"{len(r.rects)} rectangles, {len(r.juncs)} junctions")
     for i, rect in enumerate(r.rects):
         print(f"  R{i}: {rect.width}x{rect.height} at {tuple(rect.anchor)}")
     for j in r.juncs:
-        print(f"  J: R{j.a}-R{j.b} via {len(j.pairs)} doorway(s)")
+        print(f"  J: R{j.a}-R{j.b} via {j.hi - j.lo} doorway(s)")
     return 0
 
 

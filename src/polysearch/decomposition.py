@@ -2,8 +2,8 @@
 
 A rectangulation partitions the cells of a grid graph into axis-aligned
 rectangles. Junctions are the maximal straight shared segments between two
-rectangles, kept as ordered lists of straddling cell pairs; they are where a
-guard can cut one rectangle off from another.
+rectangles, kept as a line and a range that the straddling cell pairs
+(doorways) derive from; they are where a guard can cut one rectangle off.
 """
 from __future__ import annotations
 
@@ -29,15 +29,31 @@ class Rectangle:
 
 @dataclass(frozen=True)
 class Junction:
-    """Maximal shared segment between rectangles a < b.
-
-    pairs[i] = (cell in rect a, cell in rect b), consecutive along the shared
-    line in increasing row (vertical boundary) or column (horizontal) order.
-    """
+    """Maximal shared segment between rectangles a < b: rows (axis 0) or
+    columns (axis 1) lo..hi - 1 along the line x or y = `line`, with rect a
+    west or south of it when a_low, else east or north."""
 
     a: int
     b: int
-    pairs: tuple[tuple[Cell, Cell], ...]
+    axis: int
+    line: int
+    lo: int
+    hi: int
+    a_low: bool
+
+    @property
+    def door(self) -> tuple[int, int]:
+        """(col, row) of the first doorway's cell in rect a."""
+        at_a = self.line - self.a_low  # the column or row of a's doorway cells
+        return (at_a, self.lo) if self.axis == 0 else (self.lo, at_a)
+
+    @property
+    def pairs(self) -> tuple[tuple[Cell, Cell], ...]:
+        """(cell in rect a, cell in rect b) per doorway, by increasing row or column."""
+        at_a, at_b = (self.line - 1, self.line) if self.a_low else (self.line, self.line - 1)
+        if self.axis == 0:
+            return tuple((Cell(at_a, t), Cell(at_b, t)) for t in range(self.lo, self.hi))
+        return tuple((Cell(t, at_a), Cell(t, at_b)) for t in range(self.lo, self.hi))
 
 
 @dataclass(frozen=True)
@@ -108,19 +124,11 @@ def _find_junctions(rects: Sequence[Rectangle]) -> tuple[Junction, ...]:
     for a, (ax0, ax1, ay0, ay1) in enumerate(boxes):
         for b in range(a + 1, len(boxes)):
             bx0, bx1, by0, by1 = boxes[b]
-            rows = range(max(ay0, by0), min(ay1, by1))
-            cols = range(max(ax0, bx0), min(ax1, bx1))
-            if rows and (ax1 == bx0 or bx1 == ax0):
-                x = max(ax0, bx0)
-                pairs = [(Cell(x - 1, row), Cell(x, row)) for row in rows]  # (west, east)
-                a_second = ax0 == x
-            elif cols and (ay1 == by0 or by1 == ay0):
-                y = max(ay0, by0)
-                pairs = [(Cell(col, y - 1), Cell(col, y)) for col in cols]  # (south, north)
-                a_second = ay0 == y
-            else:
-                continue
-            juncs.append(Junction(a, b, tuple((q, p) if a_second else (p, q) for p, q in pairs)))
+            rows, cols = (max(ay0, by0), min(ay1, by1)), (max(ax0, bx0), min(ax1, bx1))
+            if rows[0] < rows[1] and (ax1 == bx0 or bx1 == ax0):
+                juncs.append(Junction(a, b, 0, cols[0], *rows, ax1 == bx0))
+            elif cols[0] < cols[1] and (ay1 == by0 or by1 == ay0):
+                juncs.append(Junction(a, b, 1, rows[0], *cols, ay1 == by0))
     return tuple(juncs)
 
 

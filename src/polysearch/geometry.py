@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import (
     CellOutsideGraph,
     CollinearEdges,
@@ -253,55 +255,52 @@ def rasterize(poly: OrthoPolygon) -> GridGraph:
     return g
 
 
+def corner_counts(sw: np.ndarray, se: np.ndarray, nw: np.ndarray, ne: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cells around each lattice point, whether just two diagonal ones are)
+    from the 0/1 flags of its sw, se, nw and ne cells. A vertex of the cells'
+    boundary has one (convex) or three (reflex) cells around it."""
+    n = sw + se + nw + ne
+    return n, (n == 2) & (ne == sw)
+
+
 def polygon_from_cells(cells: Iterable[Cell]) -> OrthoPolygon:
     """Trace the boundary of a 4-connected, simply connected cell set.
 
-    Walks the directed boundary edges (interior kept on the left), merging
-    collinear runs; raises InvalidPolygon if the set pinches at a point or
-    has more than one boundary loop.
+    The corners with one or three cells around them are the vertices; sorted
+    along each lattice line, they pair up into the edges. The walk starts east
+    from the lowest-leftmost vertex. Raises InvalidPolygon on a pinch, or when
+    the walk misses a vertex: a hole or a second piece.
     """
-    cset = {Cell(*c) for c in cells}
-    if not cset:
+    xy = np.array([*cells], dtype=np.int64)
+    if not len(xy):
         raise EmptyInterior("no cells to trace")
-
-    # Directed unit edges with the interior on the left.
-    out_edges: dict[Point, Point] = {}
-
-    def add(a: Point, b: Point) -> None:
-        if a in out_edges:
-            raise InvalidPolygon(f"cell set pinches at point {a}")
-        out_edges[a] = b
-
-    for c, r in cset:
-        if (c, r - 1) not in cset:
-            add((c, r), (c + 1, r))
-        if (c + 1, r) not in cset:
-            add((c + 1, r), (c + 1, r + 1))
-        if (c, r + 1) not in cset:
-            add((c + 1, r + 1), (c, r + 1))
-        if (c - 1, r) not in cset:
-            add((c, r + 1), (c, r))
-
-    start = min(out_edges, key=lambda p: (p[1], p[0]))
-    loop: list[Point] = [start]
-    cur = out_edges[start]
-    visited = 1
-    while cur != start:
-        loop.append(cur)
-        cur = out_edges[cur]
-        visited += 1
-    if visited != len(out_edges):
+    origin = xy.min(axis=0)
+    xy -= origin
+    w, h = (xy.max(axis=0) + 1).tolist()
+    if w + h - 1 > len(xy):  # one 4-connected piece of n cells spans w + h <= n + 1
         raise InvalidPolygon("cell set has more than one boundary loop")
+    stride = h + 1  # lattice point (x, y) is key x * stride + y, so keys sort by x, then y
+    key = np.unique(xy[:, 0] * stride + xy[:, 1])
+    # Cell (x, y) is the ne, se, nw and sw cell of points (x, y), (x, y + 1),
+    # (x + 1, y) and (x + 1, y + 1): bits 8, 2, 4 and 1 of their masks.
+    points, owner = np.unique(np.concatenate([key, key + 1, key + stride, key + stride + 1]), return_inverse=True)
+    mask = np.bincount(owner, np.repeat([8, 2, 4, 1], len(key))).astype(np.uint8)
+    n, pinch = corner_counts(mask & 1, mask >> 1 & 1, mask >> 2 & 1, mask >> 3)
+    if pinch.any():
+        x, y = divmod(int(points[pinch][0]), stride)
+        raise InvalidPolygon(f"cell set pinches at point {(x + int(origin[0]), y + int(origin[1]))}")
 
-    verts: list[Point] = []
-    m = len(loop)
-    for i in range(m):
-        prev, here, nxt = loop[i - 1], loop[i], loop[(i + 1) % m]
-        d0 = (here[0] - prev[0], here[1] - prev[1])
-        d1 = (nxt[0] - here[0], nxt[1] - here[1])
-        if d0 != d1:
-            verts.append(here)
-    return validate_polygon(verts)
+    xs, ys = np.divmod(points[(n == 1) | (n == 3)], stride)  # vertical edges pair 2i, 2i + 1
+    by_y = np.lexsort((xs, ys))  # horizontal edges pair its entries 2i, 2i + 1
+    along = np.empty_like(by_y)  # the other end of each vertex's horizontal edge
+    along[by_y[0::2]], along[by_y[1::2]] = by_y[1::2], by_y[0::2]
+    along, start = along.tolist(), int(by_y[0])
+    loop = [start, along[start]]  # east along the lowest row first
+    while (i := loop[-1] ^ 1) != start:  # north or south, then east or west
+        loop += (i, along[i])
+    if len(loop) != len(xs):
+        raise InvalidPolygon("cell set has more than one boundary loop")
+    return validate_polygon(np.column_stack((xs, ys))[loop].tolist())
 
 
 def read_json(path: str):

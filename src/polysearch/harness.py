@@ -98,7 +98,15 @@ _FORMAT = {
     float: lambda x: "" if math.isnan(x) else f"{x:.4f}",
     bool: lambda b: "true" if b else "false",
 }
-_PARSE = {str: str, int: int, float: lambda text: float(text or "nan"), bool: _parse_bool}
+
+
+def _parse_float(text: str) -> float:
+    if text and not math.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value if text else math.nan
+
+
+_PARSE = {str: str, int: int, float: _parse_float, bool: _parse_bool}
 
 
 def trial_seed(base_seed: int, cell_index: int, trial_index: int) -> int:
@@ -344,11 +352,7 @@ def preset_shapes() -> SweepSpec:
         (10, 0, 10, 0, 10), spike_width=2, base_height=4, spike_gap=2, down=(0, 7, 0, 7, 0)
     )
     return SweepSpec(
-        instances=(
-            InstanceSpec("shape0", p0),
-            InstanceSpec("shape1", p1),
-            InstanceSpec("shape2", p2),
-        ),
+        instances=tuple(InstanceSpec(f"shape{i}", p) for i, p in enumerate((p0, p1, p2))),
         strategies=STRATEGIES,
         ks=(13,),
         intruders=("static", "random"),

@@ -11,7 +11,7 @@ import math
 from typing import Sequence
 from xml.sax.saxutils import escape
 
-from .errors import EmptyInput
+from .errors import EmptyInput, PolySearchError
 from .harness import SummaryRow
 
 PALETTE = {
@@ -26,6 +26,8 @@ DASHES = {"static": "", "random": "6 3", "walk": "2 3"}
 WIDTH, HEIGHT = 780, 460
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 180, 44, 52
 X_LABEL, Y_LABEL = "team size", "mean steps to capture"
+#: Largest axis value a chart shows; adding a tick step still moves a float this large.
+MAX_AXIS = 1e12
 
 
 def _usable(rows: Sequence[SummaryRow]) -> list[SummaryRow]:
@@ -66,6 +68,8 @@ class _Frame:
     """Maps data coordinates onto the plot rectangle."""
 
     def __init__(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
+        if not all(abs(v) <= MAX_AXIS for v in (x_lo, x_hi, y_lo, y_hi)):
+            raise PolySearchError(f"team sizes or mean steps pass {MAX_AXIS:g}, too large to chart")
         self.x_lo, self.x_hi = x_lo, max(x_hi, x_lo + 1e-9)
         self.y_lo, self.y_hi = y_lo, max(y_hi, y_lo + 1e-9)
         self.left, self.right = MARGIN_L, WIDTH - MARGIN_R
@@ -199,10 +203,7 @@ def bar_chart(rows: Sequence[SummaryRow], title: str = "") -> str:
         label = lambda r: f"k={r.k}"
     else:
         label = lambda r: r.instance
-    cats: list[str] = []
-    for row in usable:
-        if label(row) not in cats:
-            cats.append(label(row))
+    cats = list(dict.fromkeys(map(label, usable)))
     series: dict[tuple[str, str], dict[str, SummaryRow]] = {}
     for row in usable:
         series.setdefault((row.strategy, row.intruder), {})[label(row)] = row

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InstanceInvalid, IterationBudgetExceeded, OddTargetVertices, TooLarge
-from .geometry import MAX_VERTICES, Cell, OrthoPolygon, check_cells, polygon_from_cells
+from .geometry import MAX_VERTICES, Cell, OrthoPolygon, check_cells, corner_counts, polygon_from_cells
 
 RETRY_BUDGET = 10_000
 
@@ -27,12 +27,10 @@ def _corner_scan(a: np.ndarray) -> tuple[np.ndarray, int, bool]:
     a hole-free set is one pinch-free piece) of the cells a[row, col]. In a
     pinch-free set, convex less reflex corners is 4 x (pieces - holes)."""
     p = np.pad(a, 1).view(np.uint8)
-    sw, se, nw, ne = p[:-1, :-1], p[:-1, 1:], p[1:, :-1], p[1:, 1:]
-    n = sw + se + nw + ne  # cells around each lattice point
+    n, pinch = corner_counts(p[:-1, :-1], p[:-1, 1:], p[1:, :-1], p[1:, 1:])
     convex, reflex = n == 1, n == 3
-    pinch = bool(((n == 2) & (ne == sw)).any())
     c, r = int(convex.sum()), int(reflex.sum())
-    return np.argwhere(convex.T), c + r, not pinch and c - r == 4
+    return np.argwhere(convex.T), c + r, not pinch.any() and c - r == 4
 
 
 def _stretch_cut(a: np.ndarray, row: int, col: int, x: int, y: int) -> np.ndarray | None:
@@ -92,8 +90,7 @@ def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
             raise IterationBudgetExceeded(
                 f"no acceptable cut in {RETRY_BUDGET} attempts at {vertices} vertices"
             )
-    rows, cols = np.nonzero(a)
-    return polygon_from_cells(map(Cell, cols.tolist(), rows.tolist()))
+    return polygon_from_cells(np.argwhere(a.T).tolist())
 
 
 def comb_cells(
@@ -126,9 +123,7 @@ def comb_cells(
     cells = {Cell(c, r) for c in range(width) for r in range(base_height)}
     for i, (up, dn) in enumerate(zip_longest(spike_lengths, down, fillvalue=0)):
         x0 = spike_gap + i * (spike_width + spike_gap)
-        for c in range(x0, x0 + spike_width):
-            for r in range(-dn, base_height + up):
-                cells.add(Cell(c, r))
+        cells.update(Cell(c, r) for c in range(x0, x0 + spike_width) for r in range(-dn, base_height + up))
     return cells
 
 

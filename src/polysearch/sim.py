@@ -140,7 +140,7 @@ def sfc_layout(grid: GridGraph, rect_seed: int = 0) -> SfcLayout:
             local = gilbert_curve(rect.width, rect.height)
             routed = repair_curve(place_curve(rect, local), grid)
             curves.append(tuple(map(grid.index.__getitem__, routed)))  # repairs stay in the grid
-        guards = tuple(grid.index[j.pairs[0][0]] for j in r.juncs)
+        guards = tuple(grid.index[j.door] for j in r.juncs)
         return SfcLayout(rectangulation=r, curves=tuple(curves), guards=guards)
 
     return grid.memo(("sfc_layout", rect_seed), build)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from polysearch.errors import EmptyInterior, InvalidPolygon
 from polysearch.geometry import Cell, GridGraph, OrthoPolygon, validate_polygon
 
 # Neighbor probing order of the reference oracles: N, E, S, W (row grows northward).
@@ -127,3 +128,44 @@ def ref_grid_fields(cells) -> tuple:
                 row.append(nb)
         adj.append(tuple(row))
     return tuple(ordered), index, tuple(c.col for c in ordered), tuple(c.row for c in ordered), tuple(adj)
+
+
+def ref_polygon_from_cells(cells) -> OrthoPolygon:
+    """The unit-edge walk, an oracle for `polygon_from_cells`.
+
+    Collects every directed boundary unit edge with the interior on its left,
+    walks them from the lowest-leftmost point and keeps the points where the
+    direction turns. Raises InvalidPolygon if two edges leave one point (a
+    pinch) or the walk misses an edge (a hole or a second piece).
+    """
+    cset = {Cell(*c) for c in cells}
+    if not cset:
+        raise EmptyInterior("no cells to trace")
+    out_edges: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def add(a, b) -> None:
+        if a in out_edges:
+            raise InvalidPolygon(f"cell set pinches at point {a}")
+        out_edges[a] = b
+
+    for c, r in cset:
+        if (c, r - 1) not in cset:
+            add((c, r), (c + 1, r))
+        if (c + 1, r) not in cset:
+            add((c + 1, r), (c + 1, r + 1))
+        if (c, r + 1) not in cset:
+            add((c + 1, r + 1), (c, r + 1))
+        if (c - 1, r) not in cset:
+            add((c, r + 1), (c, r))
+
+    start = min(out_edges, key=lambda p: (p[1], p[0]))
+    loop = [start]
+    while (cur := out_edges[loop[-1]]) != start:
+        loop.append(cur)
+    if len(loop) != len(out_edges):
+        raise InvalidPolygon("cell set has more than one boundary loop")
+    turns = []
+    for prev, here, nxt in zip(loop[-1:] + loop[:-1], loop, loop[1:] + loop[:1]):
+        if (here[0] - prev[0], here[1] - prev[1]) != (nxt[0] - here[0], nxt[1] - here[1]):
+            turns.append(here)
+    return validate_polygon(turns)

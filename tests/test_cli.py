@@ -14,8 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polysearch.cli import main
-from polysearch.geometry import MAX_CELLS, MAX_VERTICES, read_polygon_file
-from polysearch.harness import CSV_COLUMNS, read_csv
+from polysearch.geometry import MAX_CELLS, MAX_VERTICES, read_polygon_file, write_polygon_file
+from polysearch.harness import CSV_COLUMNS, PRESETS, read_csv
+from polysearch.polygen import inflate_cut
 from polysearch.sim import INTRUDER_MODELS, MAX_ROBOTS, SimConfig, run_trial
 
 
@@ -272,6 +273,9 @@ def _spec(**overrides) -> str:
         pytest.param(["plot", "{kabc}", "-o", "{svg}"], id="plot-csv-k-not-an-integer"),
         pytest.param(["plot", "{shortrow}", "-o", "{svg}"], id="plot-csv-short-row"),
         pytest.param(["plot", "{feasibleyes}", "-o", "{svg}"], id="plot-csv-feasible-not-a-bool"),
+        pytest.param(["plot", "{meaninf}", "-o", "{svg}"], id="plot-csv-mean-inf"),
+        pytest.param(["plot", "{meanhuge}", "-o", "{svg}"], id="plot-csv-mean-huge"),
+        pytest.param(["plot", "{meanhuge}", "--kind", "bar", "-o", "{svg}"], id="plot-csv-mean-huge-bar"),
         pytest.param(["plot", "{csv}", "-o", "{nodir}"], id="plot-output-dir-missing"),
     ],
 )
@@ -330,6 +334,11 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
             "feasibleyes.csv",
             f"{header}\n{row.format(k=1, feasible='true')}\n{row.format(k=2, feasible='yes')}\n",
         ),
+        # mean_steps of inf does not load; 1e308 does, but no chart axis reaches it.
+        **{
+            name: _write(tmp_path, f"{name}.csv", f"{header}\n{row.format(k=1, feasible='true')}\n".replace("3.0000", mean))
+            for name, mean in [("meaninf", "inf"), ("meanhuge", "1e308")]
+        },
         "out": str(tmp_path / "out.csv"),
         "svg": str(tmp_path / "out.svg"),
         "nodir": str(tmp_path / "nodir" / "out"),
@@ -383,6 +392,28 @@ def test_simulate_trace_output_is_pinned(tmp_path, capsys, strategy):
                      "--intruder", intruder, "--seed", "3", "--trace"]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == SIMULATE_TRACE_DIGESTS[strategy]
+
+
+#: sha256 of the `decompose` text and `--json` outputs at rect seeds 0..2 over
+#: the areas and spikes4 combs and inflate_cut(v, s) for v = 20, 40, 60, s = 0..2.
+DECOMPOSE_DIGESTS = {
+    "json": "67c81c6700115949a6879c7c06df33ebde897c606fb99ea58d21e734b2241aa0",
+    "text": "70e5c1ca8309abc6263c264553b9f4cac3c6abe0ef81a80f02ca7e9d15f140f5",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(DECOMPOSE_DIGESTS))
+def test_decompose_output_is_pinned(tmp_path, capsys, mode):
+    polys = [inst.polygon for name in ("areas", "spikes4") for inst in PRESETS[name]().instances]
+    polys += [inflate_cut(v, s) for v in (20, 40, 60) for s in range(3)]
+    digest = hashlib.sha256()
+    for i, poly in enumerate(polys):
+        path = str(tmp_path / f"poly{i}.json")
+        write_polygon_file(path, poly)
+        for rect_seed in range(3):
+            assert main(["decompose", path, "--seed", str(rect_seed)] + ["--json"] * (mode == "json")) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == DECOMPOSE_DIGESTS[mode]
 
 
 def test_sweep_ids_with_csv_specials_round_trip(tmp_path, capsys):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from polysearch.errors import (
     CellOutsideGraph,
     CollinearEdges,
     DegenerateEdge,
+    EmptyInterior,
     InvalidPolygon,
     NonIntegralVertex,
     NonOrthogonalEdge,
@@ -29,7 +33,7 @@ from polysearch.geometry import (
     write_polygon_file,
 )
 from polysearch.harness import PRESETS
-from polysearch.polygen import inflate_cut
+from polysearch.polygen import comb_cells, inflate_cut
 
 from conftest import (
     TWO_PART_CELLS,
@@ -39,6 +43,7 @@ from conftest import (
     ref_in_closed_region,
     ref_inside,
     ref_on_boundary,
+    ref_polygon_from_cells,
     ref_raster_cells,
     two_part_grid,
 )
@@ -300,6 +305,65 @@ class TestTrace:
     def test_pinched_set_rejected(self):
         with pytest.raises(InvalidPolygon):
             polygon_from_cells([Cell(0, 0), Cell(1, 1)])
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            pytest.param([(c, r) for c in range(3) for r in range(3) if (c, r) != (1, 1)], id="ring"),
+            # The walk misses the lone cell's corners; the far piece fails the span test first.
+            pytest.param([(c, r) for c in range(3) for r in range(3)] + [(4, 0)], id="second-piece"),
+            pytest.param([(0, 0), (1, 0), (1, 1), (-4, 7)], id="far-piece"),
+        ],
+    )
+    def test_hole_or_second_piece_rejected(self, cells):
+        for trace in (polygon_from_cells, ref_polygon_from_cells):
+            with pytest.raises(InvalidPolygon, match="more than one boundary loop"):
+                trace(cells)
+
+    def test_no_cells_rejected(self):
+        with pytest.raises(EmptyInterior):
+            polygon_from_cells([])
+
+    def test_sparse_bounding_box(self):
+        # 9,001 cells in a 6,001 x 3,001 box: the trace works on the cells'
+        # corners, so cells far apart cost no memory either.
+        cells = comb_cells((3000,), spike_gap=3000)
+        assert polygon_from_cells(cells) == ref_polygon_from_cells(cells)
+        with pytest.raises(InvalidPolygon, match="more than one boundary loop"):
+            polygon_from_cells([(0, 0), (10**15, -(10**15))])
+
+    def test_equals_unit_edge_walk(self, unit_square, l_shape, u_shape, staircase):
+        # The corner-key trace against the unit-edge walk, on cells given in
+        # any order, as Cells or an array, at any offset.
+        polys = [unit_square, l_shape, u_shape, staircase]
+        polys += [inst.polygon for make in PRESETS.values() for inst in make().instances]
+        for poly in polys:
+            cells = rasterize(poly).cells
+            moved = np.array(cells[::-1]) - (3, 5)
+            assert polygon_from_cells(cells) == polygon_from_cells(moved) == ref_polygon_from_cells(cells) == poly
+        for shape in [((3, 0, 2), 1, 2, 1, (1, 2)), ((0, 4), 2, 1, 3, (5,)), ((1,), 1, 1, 1, (0,))]:
+            cells = comb_cells(*shape)
+            assert polygon_from_cells(cells) == ref_polygon_from_cells(cells)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_unit_edge_walk_on_patrol_polygons(self, seed):
+        # The 24 polygons of the bench's patrol_cold workload at this seed.
+        rng = random.Random(seed)
+        for _ in range(24):
+            vertices = rng.choice(range(48, 61, 2))
+            poly = inflate_cut(vertices, rng.randrange(2**31))
+            cells = rasterize(poly).cells
+            assert polygon_from_cells(cells) == ref_polygon_from_cells(cells) == poly
+
+
+@pytest.mark.skipif(not os.environ.get("POLYSEARCH_WIDE_DIGEST"), reason="wide digest runs in CI only")
+def test_wide_trace_equals_unit_edge_walk():
+    # The 442 polygons of the wide digest, v = 4..70 even, seeds 0..12.
+    for vertices in range(4, 71, 2):
+        for seed in range(13):
+            poly = inflate_cut(vertices, seed)
+            cells = rasterize(poly).cells
+            assert polygon_from_cells(cells) == ref_polygon_from_cells(cells) == poly, (vertices, seed)
 
 
 class TestPolygonIO:

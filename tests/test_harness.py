@@ -23,8 +23,9 @@ import numpy as np
 import pytest
 
 from polysearch import geometry, harness, sim
-from polysearch.errors import EmptyInput, InvalidConfig
+from polysearch.errors import EmptyInput, InvalidConfig, IoError
 from polysearch.harness import (
+    CSV_COLUMNS,
     InstanceSpec,
     SummaryRow,
     SweepCell,
@@ -464,6 +465,17 @@ def test_csv_rejects_foreign_files(tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("a,b,c\n1,2,3\n")
     with pytest.raises(EmptyInput):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan", "1e999"])
+def test_csv_rejects_non_finite_floats(tmp_path, text):
+    # write_csv writes NaN as an empty cell and never a non-finite number.
+    path = str(tmp_path / "sweep.csv")
+    row = "strip,rs,static,1,4,4,1.0000,3.0000,1.0000,,true"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n" + row + "\n" + row.replace("3.0000", text) + "\n")
+    with pytest.raises(IoError, match=f"{path}, line 3: '{text}' is not a finite number"):
         read_csv(path)
 
 
