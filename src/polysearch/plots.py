@@ -70,8 +70,8 @@ class _Frame:
     def __init__(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
         if not all(abs(v) <= MAX_AXIS for v in (x_lo, x_hi, y_lo, y_hi)):
             raise PolySearchError(f"team sizes or mean steps pass {MAX_AXIS:g}, too large to chart")
-        self.x_lo, self.x_hi = x_lo, max(x_hi, x_lo + 1e-9)
-        self.y_lo, self.y_hi = y_lo, max(y_hi, y_lo + 1e-9)
+        self.x_lo, self.x_hi = x_lo, x_hi if x_hi > x_lo else x_lo + 1.0  # one value spans a unit, as in _ticks
+        self.y_lo, self.y_hi = y_lo, y_hi if y_hi > y_lo else y_lo + 1.0
         self.left, self.right = MARGIN_L, WIDTH - MARGIN_R
         self.top, self.bottom = MARGIN_T, HEIGHT - MARGIN_B
 

@@ -13,6 +13,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -42,7 +43,7 @@ from polysearch.harness import (
     preset_shapes,
     preset_spikes4,
 )
-from polysearch.plots import bar_chart, line_plot
+from polysearch.plots import HEIGHT, MARGIN_T, WIDTH, bar_chart, line_plot
 from polysearch.polygen import comb_polygon
 from polysearch.sim import INTRUDER_MODELS, STRATEGIES, TrialResult
 
@@ -520,6 +521,16 @@ def test_chart_bytes_are_pinned():
     bars = hashlib.sha256(bar_chart(rows, title="tiny sweep").encode()).hexdigest()
     assert line == "1ddbb98e04f6f979355428592c3bc61c1c4392bf1a2516a589b5b9a9096be81f"
     assert bars == "e924b6557f309d22c039c662174040eaf5cdfcaaf1e0729879ce158f91bff4e1"
+
+
+@pytest.mark.parametrize(("k", "mean"), [(5, 5.0), (2**24, 5.0), (5, 0.0)])
+def test_one_point_line_chart_stays_on_the_canvas(k, mean):
+    # One team size (or all captures at step 0) spans no range on its axis;
+    # the top y tick may pass the frame by half a step, as in every chart.
+    svg = line_plot([SummaryRow("x", "rs", "static", k, 4, 4, 1.0, mean, 0.0, 0.0, True)])
+    xs = [float(v) for v in re.findall(r' (?:x[12]?|cx)="([^"]+)"', svg)]
+    ys = [float(v) for v in re.findall(r' (?:y[12]?|cy)="([^"]+)"', svg)]
+    assert 0 <= min(xs) and max(xs) <= WIDTH and -MARGIN_T <= min(ys) and max(ys) <= HEIGHT
 
 
 def test_charts_need_plottable_rows():
