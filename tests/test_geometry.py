@@ -310,8 +310,10 @@ class TestTrace:
         "cells",
         [
             pytest.param([(c, r) for c in range(3) for r in range(3) if (c, r) != (1, 1)], id="ring"),
-            # The walk misses the lone cell's corners; the far piece fails the span test first.
+            # The walk misses the lone cell's corners; two cells apart and the
+            # far piece fail the span test first.
             pytest.param([(c, r) for c in range(3) for r in range(3)] + [(4, 0)], id="second-piece"),
+            pytest.param([(0, 0), (2, 0)], id="two-cells"),
             pytest.param([(0, 0), (1, 0), (1, 1), (-4, 7)], id="far-piece"),
         ],
     )
