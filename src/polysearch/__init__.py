@@ -38,7 +38,7 @@ from .harness import (
 from .planning import CostMap, costs_to_target, hungarian
 from .plots import bar_chart, line_plot
 from .polygen import comb_polygon, inflate_cut
-from .sfc import gilbert_curve, place_curve, repair_curve
+from .sfc import gilbert_curve, repair_curve
 from .sim import (
     INTRUDER_MODELS,
     STRATEGIES,
@@ -77,7 +77,6 @@ __all__ = [
     "inflate_cut",
     "init_trial",
     "line_plot",
-    "place_curve",
     "polygon_from_cells",
     "rasterize",
     "read_csv",

@@ -11,6 +11,7 @@ captured trials only, while the capture rate counts everything.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import itertools
@@ -171,20 +172,15 @@ def summarize(cell: SweepCell, results: Sequence[TrialResult]) -> SummaryRow:
     )
 
 
-#: Rasterized grids kept per process; the oldest is dropped beyond this.
-MAX_GRIDS = 64
-_GRIDS: dict[tuple[str, OrthoPolygon], GridGraph] = {}
+@functools.lru_cache(maxsize=1)
+def _instance_grid(inst_id: str, polygon: OrthoPolygon) -> GridGraph:
+    """`rasterize(polygon)`, kept for the last (id, polygon) asked for.
 
-
-def _instance_grid(inst: InstanceSpec) -> GridGraph:
-    key = (inst.id, inst.polygon)
-    grid = _GRIDS.get(key)
-    if grid is None:
-        grid = rasterize(inst.polygon)
-        if len(_GRIDS) >= MAX_GRIDS:
-            del _GRIDS[next(iter(_GRIDS))]
-        _GRIDS[key] = grid
-    return grid
+    Cells run instance by instance, and a pool worker claims them in index
+    order, so no sweep asks for an earlier instance's grid again: a process
+    holds one grid and its memo.
+    """
+    return rasterize(polygon)
 
 
 def _infeasible_row(cell: SweepCell) -> SummaryRow:
@@ -200,7 +196,7 @@ def run_cell(cell: SweepCell, trials: int, base_seed: int, max_steps: int | None
     A team too small for the strategy, or a patrol team that `sfc_team`
     cannot field, gives an infeasible row with no trials.
     """
-    grid = _instance_grid(cell.instance)
+    grid = _instance_grid(cell.instance.id, cell.instance.polygon)
     if cell.k < 1:
         return _infeasible_row(cell)
     if cell.strategy in ("sfc", "sfc_g"):

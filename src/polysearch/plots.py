@@ -51,10 +51,11 @@ def _ticks(lo: float, hi: float, bins: int = 5) -> list[float]:
         hi = lo + 1.0
     step = _nice_step(hi - lo, bins)
     first = math.floor(lo / step) * step
+    tol = step * 1e-9  # float slack; a tick outside [lo, hi] would leave the frame
     ticks = []
     t = first
-    while t <= hi + step / 2:
-        if t >= lo - step / 2:
+    while t <= hi + tol:
+        if t >= lo - tol:
             ticks.append(round(t, 10))
         t += step
     return ticks

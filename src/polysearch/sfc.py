@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .decomposition import Rectangle
 from .errors import DimensionMismatch, TooManyRobots
-from .geometry import Cell, GridGraph, check_cells
+from .geometry import Cell, check_cells
 
 
 def _sgn(x: int) -> int:
@@ -80,44 +79,23 @@ def gilbert_curve(width: int, height: int) -> tuple[Cell, ...]:
     return tuple(_generate(0, 0, 0, height, width, 0))
 
 
-def repair_curve(c: tuple[Cell, ...], g: GridGraph) -> tuple[Cell, ...]:
-    """Replace diagonal steps with an L-detour through an in-graph cell.
+def repair_curve(c: tuple[Cell, ...]) -> tuple[Cell, ...]:
+    """Replace each diagonal step with an L-detour through its horizontal corner.
 
-    The horizontal intermediate is preferred; the detour revisits one cell,
-    so the result can be longer than the input but is 4-adjacent throughout.
+    Both corners of a diagonal step lie in any rectangle that holds its two
+    ends, so the detour stays on the rectangle's cells. It revisits one cell:
+    the result can be longer than the input but is 4-adjacent throughout.
     """
     out: list[Cell] = [c[0]]
     for nxt in c[1:]:
         cur = out[-1]
         dx, dy = nxt.col - cur.col, nxt.row - cur.row
-        if abs(dx) + abs(dy) == 1:
-            out.append(nxt)
-            continue
         if abs(dx) == 1 and abs(dy) == 1:
-            horizontal = Cell(cur.col + dx, cur.row)
-            vertical = Cell(cur.col, cur.row + dy)
-            if horizontal in g:
-                out.append(horizontal)
-            elif vertical in g:
-                out.append(vertical)
-            else:
-                raise DimensionMismatch(f"no in-graph detour between {tuple(cur)} and {tuple(nxt)}")
-            out.append(nxt)
-            continue
-        raise DimensionMismatch(f"curve jumps from {tuple(cur)} to {tuple(nxt)}")
+            out.append(Cell(nxt.col, cur.row))
+        elif abs(dx) + abs(dy) != 1:
+            raise DimensionMismatch(f"curve jumps from {tuple(cur)} to {tuple(nxt)}")
+        out.append(nxt)
     return tuple(out)
-
-
-def place_curve(rect: Rectangle, c: tuple[Cell, ...]) -> tuple[Cell, ...]:
-    """Translate a rectangle-local curve onto the rectangle's grid cells."""
-    cols = [cell.col for cell in c]
-    rows = [cell.row for cell in c]
-    if min(cols) != 0 or min(rows) != 0 or max(cols) != rect.width - 1 or max(rows) != rect.height - 1:
-        raise DimensionMismatch(
-            f"curve spans {max(cols) + 1}x{max(rows) + 1}, rectangle is {rect.width}x{rect.height}"
-        )
-    dc, dr = rect.anchor.col, rect.anchor.row
-    return tuple(Cell(col + dc, row + dr) for col, row in c)
 
 
 def segment_bounds(n: int, count: int) -> list[tuple[int, int]]:

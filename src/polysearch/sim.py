@@ -43,7 +43,7 @@ from .planning import (
     plan_indices,
     shortest_indices,
 )
-from .sfc import gilbert_curve, place_curve, repair_curve, segment_bounds
+from .sfc import gilbert_curve, repair_curve, segment_bounds
 
 STRATEGIES = ("sfc", "sfc_g", "rs", "crs", "baseline")
 INTRUDER_MODELS = ("static", "random", "walk")
@@ -137,9 +137,10 @@ def sfc_layout(grid: GridGraph, rect_seed: int = 0) -> SfcLayout:
         r = rectangulate(grid, rect_seed)
         curves = []
         for rect in r.rects:
-            local = gilbert_curve(rect.width, rect.height)
-            routed = repair_curve(place_curve(rect, local), grid)
-            curves.append(tuple(map(grid.index.__getitem__, routed)))  # repairs stay in the grid
+            local = repair_curve(gilbert_curve(rect.width, rect.height))
+            col, row = rect.anchor
+            starts = [grid.index[col, row + y] for y in range(rect.height)]  # a row is a run of indices
+            curves.append(tuple(starts[y] + x for x, y in local))
         guards = tuple(grid.index[j.door] for j in r.juncs)
         return SfcLayout(rectangulation=r, curves=tuple(curves), guards=guards)
 

@@ -3,8 +3,10 @@ from __future__ import annotations
 
 import pytest
 
+from polysearch.decomposition import rectangulate
 from polysearch.errors import EmptyInterior, InvalidPolygon
 from polysearch.geometry import Cell, GridGraph, OrthoPolygon, validate_polygon
+from polysearch.sfc import gilbert_curve
 
 # Neighbor probing order of the reference oracles: N, E, S, W (row grows northward).
 CARDINAL_STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
@@ -169,3 +171,32 @@ def ref_polygon_from_cells(cells) -> OrthoPolygon:
         if (here[0] - prev[0], here[1] - prev[1]) != (nxt[0] - here[0], nxt[1] - here[1]):
             turns.append(here)
     return validate_polygon(turns)
+
+
+def ref_sfc_curves(grid: GridGraph, rect_seed: int) -> tuple[tuple[int, ...], ...]:
+    """The Cell path, an oracle for `sfc_layout(grid, rect_seed).curves`.
+
+    Moves each rectangle's curve onto its cells, checking that it spans the
+    rectangle, detours every diagonal step through an in-grid corner (the
+    horizontal one first, else the vertical one) and looks each cell up in
+    `grid.index`.
+    """
+    curves = []
+    for rect in rectangulate(grid, rect_seed).rects:
+        local = gilbert_curve(rect.width, rect.height)
+        assert {c.col for c in local} == set(range(rect.width))
+        assert {c.row for c in local} == set(range(rect.height))
+        placed = [Cell(col + rect.anchor.col, row + rect.anchor.row) for col, row in local]
+        routed = [placed[0]]
+        for nxt in placed[1:]:
+            cur = routed[-1]
+            dx, dy = nxt.col - cur.col, nxt.row - cur.row
+            if abs(dx) == abs(dy) == 1:
+                horizontal, vertical = Cell(cur.col + dx, cur.row), Cell(cur.col, cur.row + dy)
+                routed.append(horizontal if horizontal in grid else vertical)
+                assert routed[-1] in grid
+            else:
+                assert abs(dx) + abs(dy) == 1
+            routed.append(nxt)
+        curves.append(tuple(grid.index[c] for c in routed))
+    return tuple(curves)

@@ -110,7 +110,7 @@ def test_criterion_01_curve_correctness():
                 for a, b in zip(cells, cells[1:])
             )
             grid = rasterize(P((0, 0), (w, 0), (w, h), (0, h)))
-            fixed = repair_curve(cells, grid)
+            fixed = repair_curve(cells)
             ok &= all(
                 abs(a.col - b.col) + abs(a.row - b.row) == 1
                 for a, b in zip(fixed, fixed[1:])

@@ -43,7 +43,7 @@ from polysearch.harness import (
     preset_shapes,
     preset_spikes4,
 )
-from polysearch.plots import HEIGHT, MARGIN_T, WIDTH, bar_chart, line_plot
+from polysearch.plots import HEIGHT, WIDTH, _ticks, bar_chart, line_plot
 from polysearch.polygen import comb_polygon
 from polysearch.sim import INTRUDER_MODELS, STRATEGIES, TrialResult
 
@@ -344,7 +344,7 @@ def test_baseline_pursuit_cache_is_bounded():
         base_seed=3,
     )
     run_sweep(spec)
-    grid = harness._instance_grid(area704)
+    grid = harness._instance_grid(area704.id, area704.polygon)
     n = len(grid)
     assert not [key for key in grid.cache if isinstance(key, tuple) and key[0] == "path"]
     rows = [v for key, v in grid.cache.items() if isinstance(key, tuple) and key[0] == "next_hop"]
@@ -354,7 +354,7 @@ def test_baseline_pursuit_cache_is_bounded():
 
 
 def test_sfc_caches_are_bounded(monkeypatch):
-    monkeypatch.setattr(harness, "_GRIDS", {})
+    harness._instance_grid.cache_clear()
     built = []
     real = sim.allocate_robots
     monkeypatch.setattr(sim, "allocate_robots", lambda r, k_s: built.append(k_s) or real(r, k_s))
@@ -369,7 +369,7 @@ def test_sfc_caches_are_bounded(monkeypatch):
     assert all(row.feasible for row in run_sweep(spec))
     # One team per (rect_seed, strategy, k), not per trial or per intruder model.
     assert len(built) == len(expand_cells(spec)) // 2 == 8
-    grid = harness._instance_grid(spikes4)
+    grid = harness._instance_grid(spikes4.id, spikes4.polygon)
     assert sorted(key for key in grid.cache if key[0] == "sfc_layout") == [("sfc_layout", 0), ("sfc_layout", 1)]
     teams = sorted(key[1:] for key in grid.cache if key[0] == "sfc_team")
     assert teams == sorted(itertools.product(("sfc", "sfc_g"), (16, 20), (0, 1)))
@@ -386,18 +386,18 @@ def test_memo_eviction_keeps_the_sweep_csv(monkeypatch):
         trials=2,
         base_seed=5,
     )
-    monkeypatch.setattr(harness, "_GRIDS", {})
+    harness._instance_grid.cache_clear()
     want = rows_to_csv(run_sweep(spec))
-    grid = harness._instance_grid(spikes4)
+    grid = harness._instance_grid(spikes4.id, spikes4.polygon)
     assert len(grid.cache) > 3
-    monkeypatch.setattr(harness, "_GRIDS", {})
+    harness._instance_grid.cache_clear()
     monkeypatch.setattr(geometry, "MAX_MEMO_CELLS", 3 * len(grid))
     assert rows_to_csv(run_sweep(spec)) == want
-    assert len(harness._instance_grid(spikes4).cache) == 3
+    assert len(harness._instance_grid(spikes4.id, spikes4.polygon).cache) == 3
 
 
-def test_memo_never_evicts_at_paper_scale(monkeypatch):
-    monkeypatch.setattr(harness, "_GRIDS", {})
+def test_memo_never_evicts_at_paper_scale():
+    harness._instance_grid.cache_clear()
     area704 = next(i for i in preset_areas().instances if i.id == "area704")
     spec = SweepSpec(
         instances=(area704,),
@@ -409,25 +409,42 @@ def test_memo_never_evicts_at_paper_scale(monkeypatch):
         max_steps=300,
     )
     run_sweep(spec)
-    grid = harness._instance_grid(area704)
+    grid = harness._instance_grid(area704.id, area704.polygon)
     # All that rs and baseline derive: a next-hop row per goal, an A* list
     # per column and row, the CSR structure and the unit graph.
     most = len(grid) + len(set(grid.cols)) + len(set(grid.rows)) + 2
     assert len(grid.cache) <= most < max(2, geometry.MAX_MEMO_CELLS // len(grid))
 
 
-def test_grid_cache_is_capped(monkeypatch):
-    monkeypatch.setattr(harness, "_GRIDS", {})
+def _count_rasterize(monkeypatch) -> list:
+    harness._instance_grid.cache_clear()
     rasterized = []
     real = harness.rasterize
     monkeypatch.setattr(harness, "rasterize", lambda poly: rasterized.append(poly) or real(poly))
+    return rasterized
+
+
+def test_grid_is_kept_for_the_same_instance(monkeypatch):
+    rasterized = _count_rasterize(monkeypatch)
     square = P((0, 0), (2, 0), (2, 2), (0, 2))
-    insts = [InstanceSpec(f"sq{i}", square) for i in range(harness.MAX_GRIDS + 5)]
-    grids = [harness._instance_grid(inst) for inst in insts]
-    assert len(harness._GRIDS) == harness.MAX_GRIDS
-    assert [key[0] for key in harness._GRIDS] == [inst.id for inst in insts[5:]]
-    assert harness._instance_grid(insts[-1]) is grids[-1]
-    assert len(rasterized) == len(insts)  # a kept grid is not rasterized again
+    assert harness._instance_grid("a", square) is harness._instance_grid("a", square)
+    assert len(rasterized) == 1
+
+
+def test_grid_cache_keeps_one_instance(monkeypatch):
+    rasterized = _count_rasterize(monkeypatch)
+    square = P((0, 0), (2, 0), (2, 2), (0, 2))
+    for inst_id in ("a", "b", "a"):
+        harness._instance_grid(inst_id, square)
+    assert len(rasterized) == 3
+
+
+def test_serial_sweep_keeps_one_grid(monkeypatch):
+    rasterized = _count_rasterize(monkeypatch)
+    insts = [InstanceSpec(f"sq{n}", P((0, 0), (n, 0), (n, n), (0, n))) for n in (3, 4, 5)]
+    run_sweep(SweepSpec(instances=tuple(insts), strategies=("sfc", "rs"), ks=(2, 3), trials=2))
+    assert rasterized == [inst.polygon for inst in insts]
+    assert harness._instance_grid.cache_info().currsize == 1
 
 
 def test_golden_sweep_csv_hash():
@@ -519,18 +536,24 @@ def test_chart_bytes_are_pinned():
     rows = _rows_for_plot()
     line = hashlib.sha256(line_plot(rows, title="tiny sweep").encode()).hexdigest()
     bars = hashlib.sha256(bar_chart(rows, title="tiny sweep").encode()).hexdigest()
-    assert line == "1ddbb98e04f6f979355428592c3bc61c1c4392bf1a2516a589b5b9a9096be81f"
-    assert bars == "e924b6557f309d22c039c662174040eaf5cdfcaaf1e0729879ce158f91bff4e1"
+    assert line == "6ab839bb9b9c50ee566ffa967cd4c368052a19a351f87342bda42c12f8af1e91"
+    assert bars == "4eb37113e1184d70691e9ad15d860c18d91b453bcb2cf2152844cf88680c0df8"
 
 
-@pytest.mark.parametrize(("k", "mean"), [(5, 5.0), (2**24, 5.0), (5, 0.0)])
+@pytest.mark.parametrize(("k", "mean"), [(5, 5.0), (2**24, 5.0), (5, 0.0), (5, 125.4)])
 def test_one_point_line_chart_stays_on_the_canvas(k, mean):
-    # One team size (or all captures at step 0) spans no range on its axis;
-    # the top y tick may pass the frame by half a step, as in every chart.
+    # One team size (or all captures at step 0) spans no range on its axis,
+    # and no tick may pass the top of the data range.
     svg = line_plot([SummaryRow("x", "rs", "static", k, 4, 4, 1.0, mean, 0.0, 0.0, True)])
     xs = [float(v) for v in re.findall(r' (?:x[12]?|cx)="([^"]+)"', svg)]
     ys = [float(v) for v in re.findall(r' (?:y[12]?|cy)="([^"]+)"', svg)]
-    assert 0 <= min(xs) and max(xs) <= WIDTH and -MARGIN_T <= min(ys) and max(ys) <= HEIGHT
+    assert 0 <= min(xs) and max(xs) <= WIDTH and 0 <= min(ys) and max(ys) <= HEIGHT
+
+
+@pytest.mark.parametrize(("lo", "hi"), [(2, 59), (0.0, 125.4 * 1.05), (0.0, 26.25), (0.1, 0.7)])
+def test_ticks_stay_within_the_range(lo, hi):
+    ticks = _ticks(lo, hi)
+    assert ticks and lo <= ticks[0] and ticks[-1] <= hi
 
 
 def test_charts_need_plottable_rows():

@@ -2,12 +2,11 @@ from __future__ import annotations
 
 import pytest
 
-from polysearch.decomposition import Rectangle
 from polysearch.errors import DimensionMismatch, TooManyRobots
 from polysearch.geometry import Cell, rasterize
-from polysearch.sfc import gilbert_curve, place_curve, repair_curve, segment_bounds
+from polysearch.sfc import gilbert_curve, repair_curve, segment_bounds
 
-from conftest import P, rect_cells
+from conftest import P
 
 
 def full_rect_grid(w: int, h: int):
@@ -40,7 +39,7 @@ class TestGilbert:
         assert len(c) == 9
         assert len(set(c)) == 9
         assert all(abs(dx) + abs(dy) == 1 for dx, dy in steps(c))
-        assert repair_curve(c, full_rect_grid(3, 3)) == c
+        assert repair_curve(c) == c
 
     def test_exhaustive_up_to_12(self):
         for w in range(1, 13):
@@ -62,58 +61,34 @@ class TestGilbert:
 
 class TestRepair:
     def test_identity_when_no_diagonal(self):
-        g = full_rect_grid(4, 4)
         c = gilbert_curve(4, 4)
-        assert repair_curve(c, g) == c
+        assert repair_curve(c) == c
 
     def test_4x5_diagonal_removed(self):
         c = gilbert_curve(4, 5)
         assert sum(1 for dx, dy in steps(c) if abs(dx) == 1 and abs(dy) == 1) == 1
-        r = repair_curve(c, full_rect_grid(4, 5))
+        r = repair_curve(c)
         assert len(r) == len(c) + 1
         assert all(abs(dx) + abs(dy) == 1 for dx, dy in steps(r))
         assert set(r) == set(c)
 
     def test_horizontal_intermediate_preferred(self):
-        g = full_rect_grid(2, 2)
         c = (Cell(0, 0), Cell(1, 1))
-        r = repair_curve(c, g)
+        r = repair_curve(c)
         assert list(r) == [Cell(0, 0), Cell(1, 0), Cell(1, 1)]
 
-    def test_vertical_fallback(self):
-        # L-shaped grid without the horizontal intermediate cell
-        g = rasterize(P((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)))
-        c = (Cell(0, 0), Cell(1, 1))
-        r = repair_curve(c, g)
-        assert list(r) == [Cell(0, 0), Cell(0, 1), Cell(1, 1)]
-
     def test_gap_rejected(self):
-        g = full_rect_grid(4, 1)
         with pytest.raises(DimensionMismatch):
-            repair_curve((Cell(0, 0), Cell(2, 0)), g)
+            repair_curve((Cell(0, 0), Cell(2, 0)))
 
     def test_exhaustive_repaired_up_to_12(self):
         for w in range(1, 13):
             for h in range(1, 13):
                 g = full_rect_grid(w, h)
-                r = repair_curve(gilbert_curve(w, h), g)
+                r = repair_curve(gilbert_curve(w, h))
                 assert set(r) == set(g.cells)
                 assert len(r) <= w * h + 1
                 assert all(abs(dx) + abs(dy) == 1 for dx, dy in steps(r))
-
-
-class TestPlace:
-    def test_translation(self):
-        rect = Rectangle(Cell(3, 2), 2, 2)
-        c = gilbert_curve(2, 2)
-        placed = place_curve(rect, c)
-        assert set(placed) == set(rect_cells(rect))
-        assert steps(placed) == steps(c)
-
-    def test_dimension_mismatch(self):
-        rect = Rectangle(Cell(0, 0), 3, 2)
-        with pytest.raises(DimensionMismatch):
-            place_curve(rect, gilbert_curve(2, 3))
 
 
 class TestSegments:

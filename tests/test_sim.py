@@ -20,6 +20,7 @@ from scipy import stats
 from polysearch.decomposition import allocate_robots
 from polysearch.errors import TooFewRobots
 from polysearch.geometry import Cell, rasterize
+from polysearch.harness import preset_areas, preset_spikes4
 from polysearch.polygen import comb_polygon, inflate_cut
 from polysearch.sfc import gilbert_curve, segment_bounds
 from polysearch.sim import (
@@ -33,7 +34,7 @@ from polysearch.sim import (
     step,
 )
 
-from conftest import P, rect_cells
+from conftest import P, rect_cells, ref_sfc_curves
 
 
 def sfc_minimum(strategy: str, grid) -> int:
@@ -171,20 +172,24 @@ def test_property_sfc_curves_cover_their_rectangles(vertices, poly_seed, rect_se
     for rect, curve in zip(layout.rectangulation.rects, layout.curves):
         assert all(0 <= i < len(grid.cells) for i in curve)
         cells = [grid.cells[i] for i in curve]
-        inside = set(rect_cells(rect))
-        assert inside <= set(cells)
+        assert set(cells) == set(rect_cells(rect))
         # 4-adjacent steps only
         assert all(abs(a.col - b.col) + abs(a.row - b.row) == 1 for a, b in zip(cells, cells[1:]))
-        # a cell outside the rectangle can only be the corner of a repaired
-        # diagonal step between two of its cells
-        for p, c in enumerate(cells):
-            if c not in inside:
-                assert 0 < p < len(cells) - 1
-                a, b = cells[p - 1], cells[p + 1]
-                assert a in inside and b in inside and abs(a.col - b.col) == abs(a.row - b.row) == 1
         raw = gilbert_curve(rect.width, rect.height)
         detours = sum(abs(a.col - b.col) == abs(a.row - b.row) == 1 for a, b in zip(raw, raw[1:]))
         assert len(curve) == rect.area + detours
+
+
+@pytest.mark.parametrize("rect_seed", [0, 1])
+def test_sfc_curves_equal_the_cell_path(rect_seed):
+    # The 24 polygons of the bench's patrol_cold workload at seed 0, then
+    # the spikes4 and areas combs.
+    rng = random.Random(0)
+    polys = [inflate_cut(rng.choice(range(48, 61, 2)), rng.randrange(2**31)) for _ in range(24)]
+    polys += [inst.polygon for make in (preset_spikes4, preset_areas) for inst in make().instances]
+    for poly in polys:
+        grid = rasterize(poly)
+        assert sfc_layout(grid, rect_seed).curves == ref_sfc_curves(grid, rect_seed)
 
 
 # ---------------------------------------------------------------- determinism
