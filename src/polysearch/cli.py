@@ -14,7 +14,7 @@ import os
 import sys
 
 from .decomposition import rectangulate
-from .errors import InstanceInvalid, InvalidConfig, IoError, PolySearchError
+from .errors import InvalidConfig, IoError, PolySearchError
 from .geometry import (
     rasterize,
     read_json,
@@ -49,7 +49,7 @@ def _cmd_comb(args: argparse.Namespace) -> int:
     try:
         depths = tuple(int(d) for d in args.depths.split(","))
     except ValueError:
-        raise InstanceInvalid(f"--depths must be comma-separated integers, got {args.depths!r}") from None
+        raise InvalidConfig(f"--depths must be comma-separated integers, got {args.depths!r}") from None
     poly = comb_polygon(
         depths,
         spike_width=args.spike_width,
@@ -97,9 +97,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         max_steps=args.max_steps,
         seed=args.seed,
         rect_seed=args.rect_seed,
-        trace=args.trace,
     )
-    res = run_trial(cfg)
+    grid = rasterize(poly)
+    rows: list | None = [] if args.trace else None
+    res = run_trial(cfg, grid, rows)
     payload = {
         "captured": res.captured,
         "via_swap": res.via_swap,
@@ -109,8 +110,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "k": cfg.k,
         "seed": cfg.seed,
     }
-    if res.trace is not None:
-        payload["trace"] = res.trace  # cells are tuples, which json writes as arrays
+    if rows is not None:  # cells are tuples, which json writes as arrays
+        cells, last = grid.cells, len(rows) - 1
+        payload["trace"] = [
+            {
+                "t": t,
+                "robots": [cells[i] for i in row[1:]],
+                "intruder": cells[row[0]],
+                "captured": res.captured and t == last,
+                "via_swap": res.via_swap and t == last,
+            }
+            for t, row in enumerate(rows)
+        ]
     print(json.dumps(payload, indent=2))
     return 0
 

@@ -16,19 +16,7 @@ from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (
-    CellOutsideGraph,
-    CollinearEdges,
-    DegenerateEdge,
-    EmptyInterior,
-    InvalidPolygon,
-    IoError,
-    NonIntegralVertex,
-    NonOrthogonalEdge,
-    OddVertexCount,
-    SelfIntersection,
-    TooLarge,
-)
+from .errors import InvalidConfig, InvalidPolygon, IoError, TooLarge
 
 Point = tuple[int, int]
 
@@ -97,10 +85,10 @@ def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
     """Check a vertex loop and normalize it (CCW, min corner at origin).
 
     Raises InvalidPolygon when a vertex is not a pair of finite numbers
-    (bools, as JSON true and false load, do not count), and its subclasses
-    NonIntegralVertex, OddVertexCount, DegenerateEdge, NonOrthogonalEdge,
-    CollinearEdges, SelfIntersection; more than MAX_VERTICES vertices raise
-    TooLarge.
+    (bools, as JSON true and false load, do not count) or not on the integer
+    lattice, when the count is odd, and when an edge is zero-length, not
+    axis-parallel, collinear with the next or meets another; more than
+    MAX_VERTICES vertices raise TooLarge.
     """
     try:
         coords = [(v, tuple(v)) for v in vertices]
@@ -112,11 +100,11 @@ def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
             raise InvalidPolygon(f"vertex {v!r} is not an [x, y] pair of finite numbers")
         x, y = xy
         if x != int(x) or y != int(y):
-            raise NonIntegralVertex(f"vertex ({x}, {y}) is not on the integer lattice")
+            raise InvalidPolygon(f"vertex ({x}, {y}) is not on the integer lattice")
         pts.append((int(x), int(y)))
 
     if len(pts) % 2 == 1:
-        raise OddVertexCount(f"{len(pts)} vertices; orthogonal polygons have an even count")
+        raise InvalidPolygon(f"{len(pts)} vertices; orthogonal polygons have an even count")
     if len(pts) < 4:
         raise InvalidPolygon("a polygon needs at least 4 vertices")
     if len(pts) > MAX_VERTICES:
@@ -128,15 +116,15 @@ def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
         (x0, y0), (x1, y1) = pts[i], pts[(i + 1) % n]
         dx, dy = x1 - x0, y1 - y0
         if dx == 0 and dy == 0:
-            raise DegenerateEdge(f"zero-length edge at vertex {i}")
+            raise InvalidPolygon(f"zero-length edge at vertex {i}")
         if dx != 0 and dy != 0:
-            raise NonOrthogonalEdge(f"edge {i} from {pts[i]} to {pts[(i + 1) % n]} is not axis-parallel")
+            raise InvalidPolygon(f"edge {i} from {pts[i]} to {pts[(i + 1) % n]} is not axis-parallel")
         dirs.append((0 if dx == 0 else (1 if dx > 0 else -1), 0 if dy == 0 else (1 if dy > 0 else -1)))
 
     for i in range(n):
         a, b = dirs[i - 1], dirs[i]
         if (a[0] == 0) == (b[0] == 0):
-            raise CollinearEdges(f"edges meeting at vertex {i} do not alternate horizontal/vertical")
+            raise InvalidPolygon(f"edges meeting at vertex {i} do not alternate horizontal/vertical")
 
     _check_self_intersection(pts)
 
@@ -162,7 +150,7 @@ def _check_self_intersection(pts: list[Point]) -> None:
         for j in range(i + 2, n - (i == 0)):
             bxlo, bxhi, bylo, byhi = boxes[j]
             if axlo <= bxhi and bxlo <= axhi and aylo <= byhi and bylo <= ayhi:
-                raise SelfIntersection(f"edges {i} and {j} meet")
+                raise InvalidPolygon(f"edges {i} and {j} meet")
 
 
 class GridGraph:
@@ -219,7 +207,7 @@ class GridGraph:
         try:
             return self.index[Cell(*cell)]
         except KeyError:
-            raise CellOutsideGraph(f"cell {tuple(cell)} is not in the grid") from None
+            raise InvalidConfig(f"cell {tuple(cell)} is not in the grid") from None
 
 
 def rasterize(poly: OrthoPolygon) -> GridGraph:
@@ -242,7 +230,7 @@ def rasterize(poly: OrthoPolygon) -> GridGraph:
             cells.extend(Cell(col, row) for col in range(lo, hi))
 
     if not cells:
-        raise EmptyInterior("polygon encloses no unit cells")
+        raise InvalidPolygon("polygon encloses no unit cells")
     g = GridGraph(cells, (w, h))
     seen, stack = bytearray(len(cells)), [0]  # flood over adjacency indices
     while stack:
@@ -251,7 +239,7 @@ def rasterize(poly: OrthoPolygon) -> GridGraph:
             seen[i] = 1
             stack.extend(g.adjacency[i])
     if not all(seen):
-        raise SelfIntersection("interior cells are not 4-connected; boundary is not simple")
+        raise InvalidPolygon("interior cells are not 4-connected; boundary is not simple")
     return g
 
 
@@ -273,7 +261,7 @@ def polygon_from_cells(cells: Iterable[Cell]) -> OrthoPolygon:
     """
     xy = np.array([*cells], dtype=np.int64)
     if not len(xy):
-        raise EmptyInterior("no cells to trace")
+        raise InvalidPolygon("no cells to trace")
     origin = xy.min(axis=0)
     xy -= origin
     w, h = (xy.max(axis=0) + 1).tolist()

@@ -150,6 +150,11 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
         check_robots(k)
     if spec.max_steps is not None and (not _is_int(spec.max_steps) or spec.max_steps < 0):
         raise InvalidConfig(f"max_steps must be a nonnegative integer, got {spec.max_steps!r}")
+    # A repeat would write two CSV rows under one label.
+    for name in ("strategies", "intruders", "ks"):
+        values = getattr(spec, name)
+        if len(set(values)) < len(values):
+            raise InvalidConfig(f"{name} repeats a value, got {values!r}")
     combos = itertools.product(spec.instances, spec.strategies, spec.intruders, spec.ks)
     return [SweepCell(index, *combo) for index, combo in enumerate(combos)]
 

@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 from scipy.sparse import csgraph, csr_matrix
 
-from .errors import InvalidConfig, NegativeEntry, NonSquare, Unreachable
+from .errors import InvalidConfig, Unreachable
 from .geometry import GridGraph
 
 VISIT_COST = 0.05
@@ -232,11 +232,11 @@ def hungarian(cost_matrix: Sequence[Sequence[float]]) -> tuple[int, ...]:
     """
     m = np.asarray(cost_matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise NonSquare(f"cost matrix shape {m.shape} is not square")
+        raise InvalidConfig(f"cost matrix shape {m.shape} is not square")
     if not np.all(np.isfinite(m)):
         raise InvalidConfig("cost matrix entries must be finite")
     if np.any(m < 0):
-        raise NegativeEntry("cost matrix entries must be non-negative")
+        raise InvalidConfig("cost matrix entries must be non-negative")
 
     k = m.shape[0]
     _, cols = linear_sum_assignment(m)

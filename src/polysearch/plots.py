@@ -47,17 +47,20 @@ def _nice_step(span: float, bins: int) -> float:
 
 
 def _ticks(lo: float, hi: float, bins: int = 5) -> list[float]:
+    """Nice ticks inside [lo, hi]; when fewer than three land there, the bins double, twice at most."""
     if hi <= lo:
         hi = lo + 1.0
-    step = _nice_step(hi - lo, bins)
-    first = math.floor(lo / step) * step
-    tol = step * 1e-9  # float slack; a tick outside [lo, hi] would leave the frame
-    ticks = []
-    t = first
-    while t <= hi + tol:
-        if t >= lo - tol:
-            ticks.append(round(t, 10))
-        t += step
+    for bins in (bins, 2 * bins, 4 * bins):
+        step = _nice_step(hi - lo, bins)
+        tol = step * 1e-9  # float slack; a tick outside [lo, hi] would leave the frame
+        ticks = []
+        t = math.floor(lo / step) * step
+        while t <= hi + tol:
+            if t >= lo - tol:
+                ticks.append(round(t, 10))
+            t += step
+        if len(ticks) >= 3:
+            break
     return ticks
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InstanceInvalid, IterationBudgetExceeded, OddTargetVertices, TooLarge
+from .errors import InvalidConfig, IterationBudgetExceeded, TooLarge
 from .geometry import MAX_VERTICES, Cell, OrthoPolygon, check_cells, corner_counts, polygon_from_cells
 
 RETRY_BUDGET = 10_000
@@ -61,9 +61,9 @@ def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
     rejected attempts in a round, and TooLarge above MAX_VERTICES.
     """
     if target_vertices % 2:
-        raise OddTargetVertices(f"{target_vertices} is odd; orthogonal polygons have even vertex counts")
+        raise InvalidConfig(f"{target_vertices} is odd; orthogonal polygons have even vertex counts")
     if target_vertices < 4:
-        raise OddTargetVertices(f"{target_vertices} < 4; no such orthogonal polygon")
+        raise InvalidConfig(f"{target_vertices} < 4; no such orthogonal polygon")
     if target_vertices > MAX_VERTICES:
         raise TooLarge(f"{target_vertices} vertices; at most {MAX_VERTICES} are supported")
 
@@ -109,11 +109,11 @@ def comb_cells(
     """
     n = len(spike_lengths)
     if n < 1 or spike_width < 1 or base_height < 1 or spike_gap < 1:
-        raise InstanceInvalid("comb dimensions must be positive")
+        raise InvalidConfig("comb dimensions must be positive")
     if len(down) > n:
-        raise InstanceInvalid(f"{len(down)} bottom teeth for {n} slots")
+        raise InvalidConfig(f"{len(down)} bottom teeth for {n} slots")
     if any(s < 0 for s in (*spike_lengths, *down)):
-        raise InstanceInvalid("spike lengths must be nonnegative")
+        raise InvalidConfig("spike lengths must be nonnegative")
     width = n * (spike_width + spike_gap) + spike_gap
     check_cells(width * base_height + spike_width * (sum(spike_lengths) + sum(down)), "comb")
     # Teeth never touch, so each nonzero one adds four corners to the base's four.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import DimensionMismatch, TooManyRobots
+from .errors import InvalidConfig, TooManyRobots
 from .geometry import Cell, check_cells
 
 
@@ -72,7 +72,7 @@ def gilbert_curve(width: int, height: int) -> tuple[Cell, ...]:
     More than MAX_CELLS cells raise TooLarge before any is built.
     """
     if width < 1 or height < 1:
-        raise DimensionMismatch(f"rectangle {width}x{height} has no cells")
+        raise InvalidConfig(f"rectangle {width}x{height} has no cells")
     check_cells(width * height, f"rectangle {width}x{height}")
     if width >= height:
         return tuple(_generate(0, 0, width, 0, 0, height))
@@ -93,7 +93,7 @@ def repair_curve(c: tuple[Cell, ...]) -> tuple[Cell, ...]:
         if abs(dx) == 1 and abs(dy) == 1:
             out.append(Cell(nxt.col, cur.row))
         elif abs(dx) + abs(dy) != 1:
-            raise DimensionMismatch(f"curve jumps from {tuple(cur)} to {tuple(nxt)}")
+            raise InvalidConfig(f"curve jumps from {tuple(cur)} to {tuple(nxt)}")
         out.append(nxt)
     return tuple(out)
 

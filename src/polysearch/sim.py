@@ -75,7 +75,6 @@ class SimConfig:
     rect_seed: int = 0
     robot_positions: tuple[Cell, ...] | None = None
     intruder_position: Cell | None = None
-    trace: bool = False
 
 
 @dataclass
@@ -103,7 +102,6 @@ class SimState:
     t: int = 0
     captured: bool = False
     via_swap: bool = False
-    trace: list[dict] | None = None
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,6 @@ class TrialResult:
     captured: bool
     steps: int
     via_swap: bool = False
-    trace: tuple[dict, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -239,10 +236,8 @@ def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
         tours=tours,
         through=through,
         plans=[[] for _ in pos] if cost is not None else [],
-        trace=[] if cfg.trace else None,
     )
     state.captured = _patrol_on(through, intruder, 0) if tours else intruder in pos
-    _record(state)
     return state
 
 
@@ -369,35 +364,23 @@ def step(state: SimState) -> None:
     if co_located or swapped:
         state.captured = True
         state.via_swap = swapped
-    _record(state)
 
 
-def run_trial(cfg: SimConfig, grid: GridGraph | None = None) -> TrialResult:
-    """Run one trial to capture or to the step cap."""
+def run_trial(cfg: SimConfig, grid: GridGraph | None = None, trace: list | None = None) -> TrialResult:
+    """Run one trial to capture or to the step cap.
+
+    When `trace` is a list, the loop appends ``[intruder, *positions]``, cell
+    indices, before each step and once at the end: one row for each t in
+    0..steps, so ``np.array(trace)`` is a (steps + 1, k + 1) array.
+    """
     state = init_trial(cfg, grid)
     while not state.captured and state.t < state.max_steps:
+        if trace is not None:
+            trace.append([state.intruder, *positions(state)])
         step(state)
-    return TrialResult(
-        captured=state.captured,
-        steps=state.t,
-        via_swap=state.via_swap,
-        trace=tuple(state.trace) if state.trace is not None else None,
-    )
-
-
-def _record(state: SimState) -> None:
-    if state.trace is None:
-        return
-    cells = state.grid.cells
-    state.trace.append(
-        {
-            "t": state.t,
-            "robots": tuple(cells[i] for i in positions(state)),
-            "intruder": cells[state.intruder],
-            "captured": state.captured,
-            "via_swap": state.via_swap,
-        }
-    )
+    if trace is not None:
+        trace.append([state.intruder, *positions(state)])
+    return TrialResult(captured=state.captured, steps=state.t, via_swap=state.via_swap)
 
 
 def _draw_target(state: SimState, current: int) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from polysearch.decomposition import rectangulate
-from polysearch.errors import EmptyInterior, InvalidPolygon
+from polysearch.errors import InvalidPolygon
 from polysearch.geometry import Cell, GridGraph, OrthoPolygon, validate_polygon
 from polysearch.sfc import gilbert_curve
 
@@ -142,7 +142,7 @@ def ref_polygon_from_cells(cells) -> OrthoPolygon:
     """
     cset = {Cell(*c) for c in cells}
     if not cset:
-        raise EmptyInterior("no cells to trace")
+        raise InvalidPolygon("no cells to trace")
     out_edges: dict[tuple[int, int], tuple[int, int]] = {}
 
     def add(a, b) -> None:

@@ -10,18 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysearch import geometry
-from polysearch.errors import (
-    CellOutsideGraph,
-    CollinearEdges,
-    DegenerateEdge,
-    EmptyInterior,
-    InvalidPolygon,
-    NonIntegralVertex,
-    NonOrthogonalEdge,
-    OddVertexCount,
-    SelfIntersection,
-    TooLarge,
-)
+from polysearch.errors import InvalidConfig, InvalidPolygon, TooLarge
 from polysearch.geometry import (
     Cell,
     GridGraph,
@@ -80,7 +69,7 @@ class TestValidate:
         assert poly.area == 2
 
     def test_non_integral_rejected(self):
-        with pytest.raises(NonIntegralVertex):
+        with pytest.raises(InvalidPolygon, match="not on the integer lattice"):
             validate_polygon([(0, 0), (1.5, 0), (1.5, 1), (0, 1)])
 
     def test_bool_coordinate_rejected(self):
@@ -91,27 +80,27 @@ class TestValidate:
             validate_polygon([[0, 0], [2, 0], [2, 2], [0, False]])
 
     def test_diagonal_edge_rejected(self):
-        with pytest.raises(NonOrthogonalEdge):
+        with pytest.raises(InvalidPolygon, match="is not axis-parallel"):
             validate_polygon([(0, 0), (2, 0), (2, 2), (1, 1)])
 
     def test_odd_vertex_count_rejected(self):
-        with pytest.raises(OddVertexCount):
+        with pytest.raises(InvalidPolygon, match="orthogonal polygons have an even count"):
             validate_polygon([(0, 0), (2, 0), (2, 2), (1, 2), (0, 2)])
 
     def test_zero_length_edge_rejected(self):
-        with pytest.raises(DegenerateEdge):
+        with pytest.raises(InvalidPolygon, match="zero-length edge"):
             validate_polygon([(0, 0), (2, 0), (2, 0), (2, 2), (0, 2), (0, 1)])
 
     def test_collinear_consecutive_edges_rejected(self):
-        with pytest.raises(CollinearEdges):
+        with pytest.raises(InvalidPolygon, match="do not alternate horizontal/vertical"):
             validate_polygon([(0, 0), (1, 0), (2, 0), (2, 2), (1, 2), (0, 2)])
 
     def test_self_crossing_rejected(self):
-        with pytest.raises(SelfIntersection):
+        with pytest.raises(InvalidPolygon, match="edges 2 and 5 meet"):
             validate_polygon([(0, 0), (4, 0), (4, 2), (1, 2), (1, 1), (3, 1), (3, 3), (0, 3)])
 
     def test_vertex_pinch_rejected(self):
-        with pytest.raises(SelfIntersection):
+        with pytest.raises(InvalidPolygon, match="edges 1 and 5 meet"):
             validate_polygon([(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (1, 2), (1, 1), (0, 1)])
 
     def test_too_few_vertices(self):
@@ -191,7 +180,7 @@ class TestRasterize:
         # Two squares touching at (1, 1): the loop passes that vertex twice,
         # so the cells are inside but not 4-connected.
         pinched = OrthoPolygon(((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (1, 2), (1, 1), (0, 1)))
-        with pytest.raises(SelfIntersection):
+        with pytest.raises(InvalidPolygon, match="interior cells are not 4-connected"):
             rasterize(pinched)
 
 
@@ -260,7 +249,7 @@ class TestGridGraph:
 
     def test_outside_cell_raises(self, l_shape):
         g = rasterize(l_shape)
-        with pytest.raises(CellOutsideGraph):
+        with pytest.raises(InvalidConfig, match="is not in the grid"):
             g.require(Cell(1, 1))
         assert Cell(1, 1) not in g
 
@@ -323,7 +312,7 @@ class TestTrace:
                 trace(cells)
 
     def test_no_cells_rejected(self):
-        with pytest.raises(EmptyInterior):
+        with pytest.raises(InvalidPolygon, match="no cells to trace"):
             polygon_from_cells([])
 
     def test_sparse_bounding_box(self):

@@ -144,6 +144,16 @@ def test_expand_rejects_an_empty_list(name):
         expand_cells(dataclasses.replace(tiny_spec(), **{name: ()}))
 
 
+@pytest.mark.parametrize("name", ["strategies", "intruders", "ks"])
+def test_expand_rejects_a_repeated_value(name):
+    # Each repeat would get its own cell and seeds, so two CSV rows would
+    # share one label with different numbers.
+    spec = tiny_spec()
+    values = getattr(spec, name)
+    with pytest.raises(InvalidConfig, match=f"{name} repeats a value"):
+        expand_cells(dataclasses.replace(spec, **{name: values + values[:1]}))
+
+
 # ---------------------------------------------------------------- sweeps
 
 
@@ -553,7 +563,7 @@ def test_one_point_line_chart_stays_on_the_canvas(k, mean):
 @pytest.mark.parametrize(("lo", "hi"), [(2, 59), (0.0, 125.4 * 1.05), (0.0, 26.25), (0.1, 0.7)])
 def test_ticks_stay_within_the_range(lo, hi):
     ticks = _ticks(lo, hi)
-    assert ticks and lo <= ticks[0] and ticks[-1] <= hi
+    assert len(ticks) >= 3 and lo <= ticks[0] and ticks[-1] <= hi
 
 
 def test_charts_need_plottable_rows():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from polysearch import geometry, planning
-from polysearch.errors import CellOutsideGraph, NegativeEntry, NonSquare, Unreachable
+from polysearch.errors import InvalidConfig, Unreachable
 from polysearch.geometry import Cell, GridGraph, rasterize
 from polysearch.harness import preset_areas
 from polysearch.sim import SimConfig, _rs_move, init_trial, run_trial, step
@@ -249,7 +249,7 @@ class TestCostMap:
 
     def test_bump_outside_raises(self):
         g = rasterize(P((0, 0), (2, 0), (2, 2), (0, 2)))
-        with pytest.raises(CellOutsideGraph):
+        with pytest.raises(InvalidConfig, match="is not in the grid"):
             g.require(Cell(5, 5))
 
     def test_path_cost_counts_entered_cells(self):
@@ -428,11 +428,11 @@ class TestHungarian:
         assert hungarian([[1.0, 1.0], [1.0, 1.0]]) == (0, 1)
 
     def test_non_square(self):
-        with pytest.raises(NonSquare):
+        with pytest.raises(InvalidConfig, match="is not square"):
             hungarian([[1.0, 2.0]])
 
     def test_negative_entry(self):
-        with pytest.raises(NegativeEntry):
+        with pytest.raises(InvalidConfig, match="must be non-negative"):
             hungarian([[1.0, -0.5], [0.0, 1.0]])
 
     def test_matches_brute_force(self):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from polysearch import geometry, polygen
 from polysearch.cli import main
-from polysearch.errors import InstanceInvalid, IterationBudgetExceeded, OddTargetVertices, TooLarge
+from polysearch.errors import InvalidConfig, IterationBudgetExceeded, TooLarge
 from polysearch.geometry import Cell, polygon_from_cells, rasterize, validate_polygon
 from polysearch.polygen import RETRY_BUDGET, _corner_scan, _stretch_cut, comb_cells, inflate_cut
 
@@ -60,9 +60,9 @@ class TestInflateCut:
             assert poly.area == 3  # an L-tromino is the only 6-vertex option here
 
     def test_odd_target_rejected(self):
-        with pytest.raises(OddTargetVertices):
+        with pytest.raises(InvalidConfig, match="is odd"):
             inflate_cut(5, 0)
-        with pytest.raises(OddTargetVertices):
+        with pytest.raises(InvalidConfig, match="no such orthogonal polygon"):
             inflate_cut(2, 0)
 
     def test_vertex_bound(self, monkeypatch):
@@ -384,9 +384,9 @@ class TestComb:
                     comb_cells(*shape)
 
     def test_negative_depth_rejected(self):
-        with pytest.raises(InstanceInvalid):
+        with pytest.raises(InvalidConfig, match="spike lengths must be nonnegative"):
             comb_cells((2, -1))
-        with pytest.raises(InstanceInvalid):
+        with pytest.raises(InvalidConfig, match="spike lengths must be nonnegative"):
             comb_cells((2, 2), down=(0, -1))
 
     def test_spike_depths_ordered_left_to_right(self):
@@ -401,11 +401,11 @@ class TestComb:
             assert Cell(col, 2 + depth) not in g
 
     def test_sum_mismatch_rejected(self):
-        with pytest.raises(InstanceInvalid):
+        with pytest.raises(InvalidConfig, match="expected qT"):
             build_comb(quiet_instance((1, 2, 3), 1, 7))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(InstanceInvalid):
+        with pytest.raises(InvalidConfig, match="expected 3q"):
             build_comb(quiet_instance((1, 2, 3, 4), 1, 10))
 
     def test_out_of_band_depths_warn(self):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from polysearch.errors import DimensionMismatch, TooManyRobots
+from polysearch.errors import InvalidConfig, TooManyRobots
 from polysearch.geometry import Cell, rasterize
 from polysearch.sfc import gilbert_curve, repair_curve, segment_bounds
 
@@ -55,7 +55,7 @@ class TestGilbert:
                 assert diagonals <= 1
 
     def test_empty_rectangle_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidConfig, match="has no cells"):
             gilbert_curve(0, 3)
 
 
@@ -78,7 +78,7 @@ class TestRepair:
         assert list(r) == [Cell(0, 0), Cell(1, 0), Cell(1, 1)]
 
     def test_gap_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidConfig, match="curve jumps"):
             repair_curve((Cell(0, 0), Cell(2, 0)))
 
     def test_exhaustive_repaired_up_to_12(self):

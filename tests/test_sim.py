@@ -9,7 +9,6 @@ crs redeployment barrier, swap captures) are checked white-box.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,18 +197,20 @@ def test_sfc_curves_equal_the_cell_path(rect_seed):
 def test_repeated_trials_are_identical(comb_grid):
     poly, grid = comb_grid
     for strategy in ("rs", "crs", "baseline", "sfc"):
-        cfg = SimConfig(
-            polygon=poly, strategy=strategy, k=4, intruder="random", seed=11, trace=True
-        )
-        assert run_trial(cfg, grid) == run_trial(cfg, grid)
+        cfg = SimConfig(polygon=poly, strategy=strategy, k=4, intruder="random", seed=11)
+        first, second = [], []
+        assert run_trial(cfg, grid, first) == run_trial(cfg, grid, second)
+        assert first == second
 
 
 def test_shared_grid_matches_fresh_grid(comb_grid):
     poly, grid = comb_grid
-    cfg = SimConfig(polygon=poly, strategy="crs", k=4, intruder="walk", seed=3, trace=True)
+    cfg = SimConfig(polygon=poly, strategy="crs", k=4, intruder="walk", seed=3)
     warmup = SimConfig(polygon=poly, strategy="baseline", k=2, seed=9)
     run_trial(warmup, grid)  # populate path caches
-    assert run_trial(cfg, grid) == run_trial(cfg)
+    shared, fresh = [], []
+    assert run_trial(cfg, grid, shared) == run_trial(cfg, None, fresh)
+    assert shared == fresh
 
 
 def test_different_seeds_differ(comb_grid):
@@ -234,11 +235,12 @@ def test_swap_capture_on_two_cell_corridor():
         intruder="walk",
         robot_positions=(Cell(0, 0),),
         intruder_position=Cell(1, 0),
-        trace=True,
     )
-    res = run_trial(cfg)
-    assert res.captured and res.steps == 1
-    assert res.trace[-1]["via_swap"]
+    rows = []
+    res = run_trial(cfg, None, rows)
+    assert res.captured and res.steps == 1 and res.via_swap
+    # The intruder (column 0) and the robot trade cells 1 and 0.
+    assert rows == [[1, 0], [0, 1]]
 
 
 def test_trial_result_carries_via_swap():
@@ -284,16 +286,14 @@ def test_baseline_closes_distance_each_step():
         k=1,
         robot_positions=(grid.cells[0],),
         intruder_position=grid.cells[-1],
-        trace=True,
     )
-    res = run_trial(cfg, grid)
+    rows = []
+    res = run_trial(cfg, grid, rows)
     assert res.captured
     lengths = []
     from polysearch.planning import shortest_indices
 
-    for row in res.trace:
-        r = grid.require(row["robots"][0])
-        i = grid.require(row["intruder"])
+    for i, r in rows:
         lengths.append(len(shortest_indices(grid, r, i)) - 1)
     assert lengths[0] == res.steps
     assert all(a - b == 1 for a, b in zip(lengths, lengths[1:]))
@@ -323,18 +323,18 @@ def bfs_layers(grid, goal: int) -> list[int]:
 def test_property_baseline_steps_one_layer_closer(vertices, poly_seed, k, intruder, seed):
     poly = inflate_cut(vertices, poly_seed)
     grid = rasterize(poly)
-    cfg = SimConfig(polygon=poly, strategy="baseline", k=k, intruder=intruder, seed=seed, trace=True)
-    res = run_trial(cfg, grid)
-    for prev_row, row in zip(res.trace, res.trace[1:]):
+    cfg = SimConfig(polygon=poly, strategy="baseline", k=k, intruder=intruder, seed=seed)
+    rows = []
+    run_trial(cfg, grid, rows)
+    for prev_row, row in zip(rows, rows[1:]):
         # Robots move before the intruder, so they chase its previous cell.
-        dist = bfs_layers(grid, grid.require(prev_row["intruder"]))
-        for a, b in zip(prev_row["robots"], row["robots"]):
-            da, db = dist[grid.require(a)], dist[grid.require(b)]
-            if da == 0:
+        dist = bfs_layers(grid, prev_row[0])
+        for a, b in zip(prev_row[1:], row[1:]):
+            if dist[a] == 0:
                 assert b == a
             else:
-                assert abs(a.col - b.col) + abs(a.row - b.row) == 1
-                assert db == da - 1
+                assert b in grid.adjacency[a]
+                assert dist[b] == dist[a] - 1
 
 
 def test_static_corridor_capture_time_is_initial_distance():
@@ -459,8 +459,9 @@ def test_single_cell_segment_stays_put():
     assert all(len(tour[: len(tour) // 2 + 1]) == 1 for tour in state.tours)
 
 
-def ref_patrol_trace(cfg: SimConfig, grid) -> list[dict]:
-    """Trace rows of an sfc/sfc_g trial from the reference patrol stepper.
+def ref_patrol_trace(cfg: SimConfig, grid) -> tuple[list[list[int]], tuple[bool, int, bool]]:
+    """Index rows ``[intruder, *robots]`` of an sfc/sfc_g trial and its
+    (captured, steps, via_swap), from the reference patrol stepper.
 
     Oracle only: each searcher keeps a segment position and a direction and
     turns at the segment's ends; capture is tested over every robot for
@@ -478,16 +479,7 @@ def ref_patrol_trace(cfg: SimConfig, grid) -> list[dict]:
     intruder = rng.randrange(len(grid))
     t, captured, via_swap = 0, intruder in idx, False
 
-    def row():
-        return {
-            "t": t,
-            "robots": tuple(grid.cells[i] for i in idx),
-            "intruder": grid.cells[intruder],
-            "captured": captured,
-            "via_swap": via_swap,
-        }
-
-    rows = [row()]
+    rows = [[intruder, *idx]]
     while not captured and t < cfg.max_steps:
         prev = list(idx)
         for i, seg in enumerate(segs):
@@ -511,8 +503,8 @@ def ref_patrol_trace(cfg: SimConfig, grid) -> list[dict]:
         t += 1
         if co_located or swapped:
             captured, via_swap = True, swapped and not co_located
-        rows.append(row())
-    return rows
+        rows.append([intruder, *idx])
+    return rows, (captured, t, via_swap)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -533,18 +525,15 @@ def test_property_patrol_trace_equals_reference(
     k = min(sfc_minimum(strategy, grid) + extra, len(grid))
     cfg = SimConfig(
         polygon=poly, strategy=strategy, k=k, intruder=intruder, seed=seed,
-        max_steps=max_steps, trace=True,
+        max_steps=max_steps,
     )
-    res = run_trial(cfg, grid)
-    ref = ref_patrol_trace(cfg, grid)
-    assert list(res.trace) == ref
-    assert res.via_swap == res.trace[-1]["via_swap"]
+    rows = []
+    res = run_trial(cfg, grid, rows)
+    ref_rows, ref_result = ref_patrol_trace(cfg, grid)
+    assert rows == ref_rows
+    assert (res.captured, res.steps, res.via_swap) == ref_result
     # The untraced path, which sweeps take, must end the same way.
-    last = ref[-1]
-    untraced = run_trial(replace(cfg, trace=False), grid)
-    assert (untraced.captured, untraced.steps, untraced.via_swap) == (
-        last["captured"], last["t"], last["via_swap"]
-    )
+    assert run_trial(cfg, grid) == res
 
 
 def test_patrol_catches_static_intruder_within_one_sweep(comb_grid):
@@ -605,14 +594,13 @@ def test_crs_arrivals_wait_for_the_team(comb_grid):
 def test_guards_never_move(comb_grid):
     poly, grid = comb_grid
     k = sfc_minimum("sfc_g", grid)
-    cfg = SimConfig(polygon=poly, strategy="sfc_g", k=k + 2, seed=1, intruder="walk", trace=True)
-    guard_ids = range(cfg.k - len(sfc_layout(grid).guards), cfg.k)
-    assert len(guard_ids) > 0
-    res = run_trial(cfg, grid)
-    first = res.trace[0]["robots"]
-    for row in res.trace:
-        for gid in guard_ids:
-            assert row["robots"][gid] == first[gid]
+    cfg = SimConfig(polygon=poly, strategy="sfc_g", k=k + 2, seed=1, intruder="walk")
+    guards = slice(1 + cfg.k - len(sfc_layout(grid).guards), None)  # column 0 is the intruder
+    rows = []
+    run_trial(cfg, grid, rows)
+    assert rows[0][guards]
+    for row in rows:
+        assert row[guards] == rows[0][guards]
 
 
 # ---------------------------------------------------------------- trace invariants
@@ -621,17 +609,14 @@ def test_guards_never_move(comb_grid):
 def test_trace_moves_are_legal(comb_grid):
     poly, grid = comb_grid
     for strategy in ("sfc", "rs", "crs", "baseline"):
-        cfg = SimConfig(
-            polygon=poly, strategy=strategy, k=4, seed=8, intruder="random", trace=True
-        )
-        res = run_trial(cfg, grid)
-        for prev_row, row in zip(res.trace, res.trace[1:]):
-            assert row["t"] == prev_row["t"] + 1
-            movers = list(prev_row["robots"]) + [prev_row["intruder"]]
-            landed = list(row["robots"]) + [row["intruder"]]
-            for a, b in zip(movers, landed):
-                assert b in grid
-                assert abs(a.col - b.col) + abs(a.row - b.row) <= 1
+        cfg = SimConfig(polygon=poly, strategy=strategy, k=4, seed=8, intruder="random")
+        rows = []
+        res = run_trial(cfg, grid, rows)
+        assert len(rows) == res.steps + 1
+        for prev_row, row in zip(rows, rows[1:]):
+            assert len(row) == cfg.k + 1
+            for a, b in zip(prev_row, row):
+                assert b == a or b in grid.adjacency[a]
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -645,47 +630,42 @@ def test_trace_moves_are_legal(comb_grid):
     max_steps=st.one_of(st.none(), st.integers(0, 400)),
 )
 def test_property_pursuit_trace_is_legal(vertices, poly_seed, strategy, intruder, k, seed, max_steps):
-    """Trace rows of an rs, crs or baseline trial on an inflate_cut grid.
+    """Index rows of an rs, crs or baseline trial on an inflate_cut grid.
 
     Every robot and intruder move is a stay or a 4-adjacent step inside the
     grid; the trial ends exactly at the first co-location or swap, or at the
-    step cap; `via_swap` is the last row's flag. A static intruder never
+    step cap; `via_swap` is the last step's swap. A static intruder never
     moves and a walking one always does; rs robots never idle.
     """
     poly = inflate_cut(vertices, poly_seed)
     grid = rasterize(poly)
     cfg = SimConfig(
         polygon=poly, strategy=strategy, k=k, intruder=intruder, seed=seed,
-        max_steps=max_steps, trace=True,
+        max_steps=max_steps,
     )
-    res = run_trial(cfg, grid)
-    rows = res.trace
-    assert rows[0]["t"] == 0 and not rows[0]["via_swap"]
-    assert rows[0]["captured"] == (rows[0]["intruder"] in rows[0]["robots"])
+    rows = []
+    res = run_trial(cfg, grid, rows)
+    # The capture and swap flags of each row, derived from it and the row before.
+    captured, swaps = [rows[0][0] in rows[0][1:]], [False]
     for prev_row, row in zip(rows, rows[1:]):
-        assert row["t"] == prev_row["t"] + 1
-        assert not prev_row["captured"]
-        for a, b in zip(prev_row["robots"] + (prev_row["intruder"],), row["robots"] + (row["intruder"],)):
-            assert b in grid
-            assert abs(a.col - b.col) + abs(a.row - b.row) <= 1
-        was, now = prev_row["intruder"], row["intruder"]
+        for a, b in zip(prev_row, row):
+            assert b == a or b in grid.adjacency[a]
+        was, now = prev_row[0], row[0]
         if cfg.intruder != "random":
             assert (now == was) == (cfg.intruder == "static")
-        co_located = now in row["robots"]
-        swapped = now != was and any(
-            p == now and r == was for p, r in zip(prev_row["robots"], row["robots"])
-        )
-        assert row["captured"] == (co_located or swapped)
-        assert row["via_swap"] == (swapped and not co_located)
-    last = rows[-1]
+        co_located = now in row[1:]
+        swapped = now != was and any(p == now and r == was for p, r in zip(prev_row[1:], row[1:]))
+        captured.append(co_located or swapped)
+        swaps.append(swapped and not co_located)
+    assert not any(captured[:-1])
     cap = DEFAULT_STEP_FACTOR * len(grid) if cfg.max_steps is None else cfg.max_steps
-    assert last["captured"] or last["t"] == cap
-    assert res.captured == last["captured"] and res.steps == last["t"]
-    assert res.via_swap == last["via_swap"]
+    assert captured[-1] or len(rows) - 1 == cap
+    assert (res.captured, res.steps, res.via_swap) == (captured[-1], len(rows) - 1, swaps[-1])
+    assert run_trial(cfg, grid) == res
     if cfg.strategy == "rs":
         # A robot that arrives replans at once, toward a cell other than its own.
         for prev_row, row in zip(rows, rows[1:]):
-            assert all(a != b for a, b in zip(prev_row["robots"], row["robots"]))
+            assert all(a != b for a, b in zip(prev_row[1:], row[1:]))
 
 
 def test_step_after_capture_is_a_noop():

@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from polysearch.errors import InstanceInvalid, PolySearchError
+from polysearch.errors import InvalidConfig, PolySearchError
 from polysearch.geometry import Cell, OrthoPolygon, rasterize
 from polysearch.polygen import comb_polygon
 
@@ -40,13 +40,13 @@ class ThreePartitionInstance:
 
 def _check_instance(inst: ThreePartitionInstance) -> None:
     if inst.q < 1:
-        raise InstanceInvalid("q must be at least 1")
+        raise InvalidConfig("q must be at least 1")
     if len(inst.S) != 3 * inst.q:
-        raise InstanceInvalid(f"|S| = {len(inst.S)}, expected 3q = {3 * inst.q}")
+        raise InvalidConfig(f"|S| = {len(inst.S)}, expected 3q = {3 * inst.q}")
     if any(int(s) != s or s < 1 for s in inst.S):
-        raise InstanceInvalid("S entries must be positive integers")
+        raise InvalidConfig("S entries must be positive integers")
     if sum(inst.S) != inst.q * inst.T:
-        raise InstanceInvalid(f"sum(S) = {sum(inst.S)}, expected qT = {inst.q * inst.T}")
+        raise InvalidConfig(f"sum(S) = {sum(inst.S)}, expected qT = {inst.q * inst.T}")
     if any(not (inst.T / 4 < s < inst.T / 2) for s in inst.S):
         warnings.warn(
             "spike depths outside (T/4, T/2); triples of other sizes could also balance",
