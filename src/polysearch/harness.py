@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import gc
 import hashlib
 import io
 import itertools
@@ -155,6 +156,11 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
         values = getattr(spec, name)
         if len(set(values)) < len(values):
             raise InvalidConfig(f"{name} repeats a value, got {values!r}")
+    seen: set[str] = set()
+    for inst in spec.instances:
+        if inst.id in seen:
+            raise InvalidConfig(f"instance id {inst.id!r} repeats")
+        seen.add(inst.id)
     combos = itertools.product(spec.instances, spec.strategies, spec.intruders, spec.ks)
     return [SweepCell(index, *combo) for index, combo in enumerate(combos)]
 
@@ -259,16 +265,30 @@ def run_sweep(
     """Run every cell; row order and content do not depend on `workers`.
 
     Pool workers, no more than cells or CPUs, claim cells one at a time.
+    The cells run on a frozen heap (`gc.freeze`), unless the caller froze it.
     """
     cells = expand_cells(spec)
     jobs = [(c, spec.trials, spec.base_seed, spec.max_steps) for c in cells]
-    rows: list[SummaryRow] = []
     workers = min(workers, len(cells), os.cpu_count() or 1)
+    # A full collection scans every tracked object and writes its GC header, so
+    # over the import heap it costs a serial sweep time, and in a forked worker
+    # it copies each page of the parent's heap. Frozen objects are not scanned.
+    if gc.get_freeze_count():
+        return _run_jobs(jobs, workers, progress)
+    gc.freeze()
+    try:
+        return _run_jobs(jobs, workers, progress)
+    finally:
+        gc.unfreeze()
+
+
+def _run_jobs(jobs: list, workers: int, progress: Callable[[int, int], None] | None) -> list[SummaryRow]:
+    rows: list[SummaryRow] = []
     if workers <= 1:
         for job in jobs:
             rows.append(run_cell(*job))
             if progress is not None:
-                progress(len(rows), len(cells))
+                progress(len(rows), len(jobs))
         return rows
     placed: dict[int, SummaryRow] = {}
     claimed, finished = multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)

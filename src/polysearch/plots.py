@@ -8,8 +8,8 @@ emitting them directly keeps the output a single portable file.
 from __future__ import annotations
 
 import math
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .errors import EmptyInput, PolySearchError
 from .harness import SummaryRow
@@ -96,7 +96,7 @@ def _header(title: str) -> list[str]:
     ]
     if title:
         parts.append(
-            f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{escape(title)}</text>'
+            f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{escape(title, quote=False)}</text>'
         )
     return parts
 
@@ -126,11 +126,11 @@ def _axes(frame: _Frame, x_label: str, x_ticks: Sequence[float], y_ticks: Sequen
         f'<line x1="{frame.left}" y1="{frame.top}" x2="{frame.left}" y2="{frame.bottom}" stroke="#333"/>'
     )
     parts.append(
-        f'<text x="{(frame.left + frame.right) / 2}" y="{HEIGHT - 14}" text-anchor="middle">{escape(x_label)}</text>'
+        f'<text x="{(frame.left + frame.right) / 2}" y="{HEIGHT - 14}" text-anchor="middle">{escape(x_label, quote=False)}</text>'
     )
     parts.append(
         f'<text x="18" y="{(frame.top + frame.bottom) / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {(frame.top + frame.bottom) / 2})">{escape(Y_LABEL)}</text>'
+        f'transform="rotate(-90 18 {(frame.top + frame.bottom) / 2})">{escape(Y_LABEL, quote=False)}</text>'
     )
     return parts
 
@@ -146,7 +146,7 @@ def _legend(keys: Sequence[tuple[str, str]]) -> list[str]:
         parts.append(
             f'<line x1="{x0}" y1="{y}" x2="{x0 + 26}" y2="{y}" stroke="{color}" stroke-width="2"{dash_attr}/>'
         )
-        parts.append(f'<text x="{x0 + 32}" y="{y + 4}">{escape(f"{strategy} / {intruder}")}</text>')
+        parts.append(f'<text x="{x0 + 32}" y="{y + 4}">{escape(f"{strategy} / {intruder}", quote=False)}</text>')
     return parts
 
 
@@ -222,7 +222,7 @@ def bar_chart(rows: Sequence[SummaryRow], title: str = "") -> str:
     for ci, cat in enumerate(cats):
         cx = frame.left + slot * (ci + 0.5)
         parts.append(
-            f'<text x="{round(cx, 2)}" y="{frame.bottom + 18}" text-anchor="middle">{escape(cat)}</text>'
+            f'<text x="{round(cx, 2)}" y="{frame.bottom + 18}" text-anchor="middle">{escape(cat, quote=False)}</text>'
         )
         for si, (key, by_cat) in enumerate(series.items()):
             row = by_cat.get(cat)

@@ -26,7 +26,8 @@ def _corner_scan(a: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """(convex corners as (x, y) rows sorted by x then y, vertex count, whether
     a hole-free set is one pinch-free piece) of the cells a[row, col]. In a
     pinch-free set, convex less reflex corners is 4 x (pieces - holes)."""
-    p = np.pad(a, 1).view(np.uint8)
+    p = np.zeros((a.shape[0] + 2, a.shape[1] + 2), np.uint8)
+    p[1:-1, 1:-1] = a
     n, pinch = corner_counts(p[:-1, :-1], p[:-1, 1:], p[1:, :-1], p[1:, 1:])
     convex, reflex = n == 1, n == 3
     c, r = int(convex.sum()), int(reflex.sum())
@@ -40,8 +41,10 @@ def _stretch_cut(a: np.ndarray, row: int, col: int, x: int, y: int) -> np.ndarra
     (col, row), lies in a."""
     if not a[min(y, row):max(y, row + 1), min(x, col):max(x, col + 1)].all():
         return None
-    s = np.insert(a, row, a[row], axis=0)
-    s = np.insert(s, col, s[:, col], axis=1)
+    rows, cols = np.arange(a.shape[0] + 1), np.arange(a.shape[1] + 1)
+    rows[row + 1:] -= 1
+    cols[col + 1:] -= 1
+    s = a[rows[:, None], cols]
     x, y = x + (x > col), y + (y > row)
     s[min(y, row + 1):max(y, row + 1), min(x, col + 1):max(x, col + 1)] = False
     return s

@@ -267,6 +267,7 @@ def _spec(**overrides) -> str:
         pytest.param(["sweep", "--spec", "{intruderstr}", "-o", "{out}"], id="spec-intruders-string"),
         pytest.param(["sweep", "--spec", "{ksbool}", "-o", "{out}"], id="spec-ks-bool"),
         pytest.param(["sweep", "--spec", "{ksrepeated}", "-o", "{out}"], id="spec-ks-repeated"),
+        pytest.param(["sweep", "--spec", "{idrepeated}", "-o", "{out}"], id="spec-instance-repeated"),
         pytest.param(["comb", "--depths", "3,x", "-o", "{out}"], id="comb-depth-not-an-integer"),
         pytest.param(["sweep", "--spec", "{negsteps}", "-o", "{out}"], id="spec-max-steps-negative"),
         pytest.param(["sweep", "--spec", "{spec}", "-o", "{nodir}"], id="sweep-output-dir-missing"),
@@ -326,6 +327,11 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         "intruderstr": _write(tmp_path, "intruderstr.json", _spec(intruders="static")),
         "ksbool": _write(tmp_path, "ksbool.json", _spec(ks=[True])),
         "ksrepeated": _write(tmp_path, "ksrepeated.json", _spec(ks=[3, 3])),
+        "idrepeated": _write(
+            tmp_path,
+            "idrepeated.json",
+            _spec(instances=[{"id": "s", "polygon": strip}, {"id": "s", "polygon": strip, "rect_seed": 1}]),
+        ),
         # Every cell is infeasible, so no trial would reject the step cap.
         "negsteps": _write(tmp_path, "negsteps.json", _spec(ks=[0], max_steps=-1)),
         "csv": _write(tmp_path, "ok.csv", f"{header}\n{row.format(k=1, feasible='true')}\n"),

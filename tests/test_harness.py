@@ -8,6 +8,7 @@ per-trial seeds depend only on the sweep layout.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import math
@@ -152,6 +153,14 @@ def test_expand_rejects_a_repeated_value(name):
     values = getattr(spec, name)
     with pytest.raises(InvalidConfig, match=f"{name} repeats a value"):
         expand_cells(dataclasses.replace(spec, **{name: values + values[:1]}))
+
+
+def test_expand_rejects_a_repeated_instance_id():
+    # rect_seed is not a CSV column, so two layouts of one id would share a label.
+    inst = tiny_spec().instances[0]
+    spec = dataclasses.replace(tiny_spec(), instances=(inst, dataclasses.replace(inst, rect_seed=1)))
+    with pytest.raises(InvalidConfig, match=f"instance id {inst.id!r} repeats"):
+        expand_cells(spec)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -304,6 +313,62 @@ def test_worker_error_stops_the_pool(monkeypatch, tmp_path):
     assert len(ran) < len(expand_cells(spec))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_unfreezes_the_heap(monkeypatch, workers):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    run_sweep(tiny_spec(trials=1), workers=workers)
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("workers, expect", [(1, []), (2, [2])])
+def test_sweep_unfreezes_the_heap_after_a_cell_raises(monkeypatch, pools, workers, expect):
+    frozen = []
+
+    def failing(*args):
+        frozen.append(gc.get_freeze_count())
+        raise InvalidConfig("cell fails")
+
+    monkeypatch.setattr(harness, "run_cell", failing)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    with pytest.raises(InvalidConfig, match="cell fails"):
+        run_sweep(tiny_spec(trials=1), workers=workers)
+    assert pools == expect and frozen[0] > 0
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_keeps_a_callers_frozen_heap(monkeypatch, workers):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    gc.freeze()
+    try:
+        run_sweep(tiny_spec(trials=1), workers=workers)
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patched run_cell reaches workers by fork"
+)
+def test_workers_fork_from_a_frozen_heap(monkeypatch, tmp_path):
+    """A full collection in a worker then skips the parent's objects, so it copies none of their pages."""
+    seen = tmp_path / "seen"
+    real = harness.run_cell
+
+    def reporting(*args):
+        with open(seen, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {gc.get_freeze_count()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "run_cell", reporting)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    spec = tiny_spec(trials=1)
+    run_sweep(spec, workers=2)
+    reports = [line.split() for line in seen.read_text().splitlines()]
+    assert len(reports) == len(expand_cells(spec))
+    assert all(int(pid) != os.getpid() and int(count) > 0 for pid, count in reports)
+
+
 #: Runs a tiny sweep serially and with two spawned workers; prints whether the CSVs agree.
 SPAWN_SCRIPT = """
 import multiprocessing
@@ -369,16 +434,20 @@ def test_sfc_caches_are_bounded(monkeypatch):
     real = sim.allocate_robots
     monkeypatch.setattr(sim, "allocate_robots", lambda r, k_s: built.append(k_s) or real(r, k_s))
     spikes4 = preset_spikes4().instances[0]
-    spec = SweepSpec(
-        instances=(spikes4, InstanceSpec(spikes4.id, spikes4.polygon, rect_seed=1)),
-        strategies=("sfc", "sfc_g"),
-        ks=(16, 20),
-        intruders=("random", "walk"),
-        trials=3,
-    )
-    assert all(row.feasible for row in run_sweep(spec))
+    specs = [
+        SweepSpec(
+            instances=(InstanceSpec(spikes4.id, spikes4.polygon, rect_seed),),
+            strategies=("sfc", "sfc_g"),
+            ks=(16, 20),
+            intruders=("random", "walk"),
+            trials=3,
+        )
+        for rect_seed in (0, 1)
+    ]
+    # The second sweep asks for the same (id, polygon), so it reuses the first one's grid.
+    assert all(row.feasible for spec in specs for row in run_sweep(spec))
     # One team per (rect_seed, strategy, k), not per trial or per intruder model.
-    assert len(built) == len(expand_cells(spec)) // 2 == 8
+    assert len(built) == sum(len(expand_cells(spec)) for spec in specs) // 2 == 8
     grid = harness._instance_grid(spikes4.id, spikes4.polygon)
     assert sorted(key for key in grid.cache if key[0] == "sfc_layout") == [("sfc_layout", 0), ("sfc_layout", 1)]
     teams = sorted(key[1:] for key in grid.cache if key[0] == "sfc_team")
@@ -548,6 +617,37 @@ def test_chart_bytes_are_pinned():
     bars = hashlib.sha256(bar_chart(rows, title="tiny sweep").encode()).hexdigest()
     assert line == "6ab839bb9b9c50ee566ffa967cd4c368052a19a351f87342bda42c12f8af1e91"
     assert bars == "4eb37113e1184d70691e9ad15d860c18d91b453bcb2cf2152844cf88680c0df8"
+
+
+def test_chart_text_escapes_markup_only():
+    text = "a&b<c>\"d'"
+    svg = bar_chart([SummaryRow(text, "rs", "static", 5, 4, 4, 1.0, 5.0, 0.0, 0.0, True)], title=text)
+    assert svg.count(">a&amp;b&lt;c&gt;\"d'</text>") == 2  # the title and the one category
+    assert ET.fromstring(svg).find(".//{*}text").text == text
+
+
+#: Prints the modules that importing the package adds to numpy and scipy's own.
+IMPORT_SCRIPT = """
+import sys
+import numpy, scipy.sparse.csgraph
+before = set(sys.modules)
+import polysearch, polysearch.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_import_adds_no_xml_or_network_modules():
+    # xml.sax.saxutils alone pulls in urllib.request, http.client and ssl, about 2 MB.
+    src = str(Path(harness.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    added = set(out.stdout.split())
+    assert "polysearch.plots" in added
+    assert not added & {"xml.sax", "urllib.request", "http.client", "ssl"}
 
 
 @pytest.mark.parametrize(("k", "mean"), [(5, 5.0), (2**24, 5.0), (5, 0.0), (5, 125.4)])
