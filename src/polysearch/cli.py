@@ -90,7 +90,6 @@ def _cmd_curve(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     poly = read_polygon_file(args.polygon)
     cfg = SimConfig(
-        polygon=poly,
         strategy=args.strategy,
         k=args.robots,
         intruder=args.intruder,

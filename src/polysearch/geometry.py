@@ -319,11 +319,12 @@ def read_polygon_file(path: str) -> OrthoPolygon:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write `text` to `path` as UTF-8; a failed open or write raises IoError."""
+    """Write `text` to `path` as UTF-8, encoded before the file opens; a failure raises IoError."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
+        data = text.encode("utf-8")
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except (OSError, UnicodeEncodeError) as exc:
         raise IoError(str(exc)) from exc
 
 

@@ -26,7 +26,7 @@ from numbers import Integral
 from typing import Callable, Sequence, get_type_hints
 
 from .errors import EmptyInput, InvalidConfig, IoError, TooFewRobots, TooManyRobots
-from .geometry import GridGraph, OrthoPolygon, rasterize, validate_polygon, write_text
+from .geometry import GridGraph, OrthoPolygon, rasterize, write_text
 from .polygen import comb_polygon
 from .sim import (
     INTRUDER_MODELS,
@@ -130,9 +130,9 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     if not spec.instances or not spec.strategies or not spec.intruders or not spec.ks:
         raise EmptyInput("sweep needs at least one instance, strategy, intruder model and team size")
     for inst in spec.instances:
-        # Before Python 3.13 the CSV writer leaves a lone \r unquoted.
-        if not isinstance(inst.id, str) or "\r" in inst.id:
-            raise InvalidConfig(f"instance id must be a string without \\r, got {inst.id!r}")
+        # Before Python 3.13 the CSV writer leaves a lone \r unquoted; a surrogate has no UTF-8 form.
+        if not isinstance(inst.id, str) or any(c == "\r" or "\ud800" <= c <= "\udfff" for c in inst.id):
+            raise InvalidConfig(f"instance id must be a string without \\r or surrogates, got {inst.id!r}")
         if not _is_int(inst.rect_seed):
             raise InvalidConfig(f"rect_seed must be an integer, got {inst.rect_seed!r}")
     if not _is_int(spec.base_seed):
@@ -218,7 +218,6 @@ def run_cell(cell: SweepCell, trials: int, base_seed: int, max_steps: int | None
     results = []
     for trial in range(trials):
         cfg = SimConfig(
-            polygon=cell.instance.polygon,
             strategy=cell.strategy,
             k=cell.k,
             intruder=cell.intruder,
@@ -344,15 +343,6 @@ def read_csv(path: str) -> list[SummaryRow]:
 # ---------------------------------------------------------------- presets
 
 
-def _scaled(poly: OrthoPolygon, num: int, den: int) -> OrthoPolygon:
-    verts = []
-    for x, y in poly.vertices:
-        if (x * num) % den or (y * num) % den:
-            raise InvalidConfig(f"scale {num}/{den} breaks integrality at ({x}, {y})")
-        verts.append((x * num // den, y * num // den))
-    return validate_polygon(verts)
-
-
 def preset_spikes4() -> SweepSpec:
     """Team-size sweep on one 4-tooth comb, every strategy, two intruders."""
     poly = comb_polygon((8, 10, 12, 10), spike_width=2, base_height=4, spike_gap=2)
@@ -383,12 +373,11 @@ def preset_shapes() -> SweepSpec:
 
 def preset_areas() -> SweepSpec:
     """The same comb at three scales (176, 396 and 704 cells), fixed team."""
-    base = comb_polygon((8, 10, 8, 10, 8), spike_width=2, base_height=4, spike_gap=2)
     return SweepSpec(
         instances=(
-            InstanceSpec("area176", base),
-            InstanceSpec("area396", _scaled(base, 3, 2)),
-            InstanceSpec("area704", _scaled(base, 2, 1)),
+            InstanceSpec("area176", comb_polygon((8, 10, 8, 10, 8), spike_width=2, base_height=4, spike_gap=2)),
+            InstanceSpec("area396", comb_polygon((12, 15, 12, 15, 12), spike_width=3, base_height=6, spike_gap=3)),
+            InstanceSpec("area704", comb_polygon((16, 20, 16, 20, 16), spike_width=4, base_height=8, spike_gap=4)),
         ),
         strategies=STRATEGIES,
         ks=(10,),

@@ -8,6 +8,7 @@ emitting them directly keeps the output a single portable file.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from html import escape
 from typing import Sequence
 
@@ -28,13 +29,20 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 180, 44, 52
 X_LABEL, Y_LABEL = "team size", "mean steps to capture"
 #: Largest axis value a chart shows; adding a tick step still moves a float this large.
 MAX_AXIS = 1e12
+#: Characters XML 1.0 forbids, mapped to U+FFFD; surrogates stay, since write_text refuses them.
+_NOT_XML = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
+
+
+def _text(s: str) -> str:
+    return escape(s, quote=False).translate(_NOT_XML)
 
 
 def _usable(rows: Sequence[SummaryRow]) -> list[SummaryRow]:
+    """Feasible rows with captures and a mean; a NaN ci95 (one captured trial) reads as 0.0."""
     out = [r for r in rows if r.feasible and r.captures > 0 and not math.isnan(r.mean_steps)]
     if not out:
         raise EmptyInput("no plottable rows (all infeasible or capture-free)")
-    return out
+    return [replace(r, ci95=0.0) if math.isnan(r.ci95) else r for r in out]
 
 
 def _nice_step(span: float, bins: int) -> float:
@@ -96,7 +104,7 @@ def _header(title: str) -> list[str]:
     ]
     if title:
         parts.append(
-            f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{escape(title, quote=False)}</text>'
+            f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{_text(title)}</text>'
         )
     return parts
 
@@ -126,11 +134,11 @@ def _axes(frame: _Frame, x_label: str, x_ticks: Sequence[float], y_ticks: Sequen
         f'<line x1="{frame.left}" y1="{frame.top}" x2="{frame.left}" y2="{frame.bottom}" stroke="#333"/>'
     )
     parts.append(
-        f'<text x="{(frame.left + frame.right) / 2}" y="{HEIGHT - 14}" text-anchor="middle">{escape(x_label, quote=False)}</text>'
+        f'<text x="{(frame.left + frame.right) / 2}" y="{HEIGHT - 14}" text-anchor="middle">{_text(x_label)}</text>'
     )
     parts.append(
         f'<text x="18" y="{(frame.top + frame.bottom) / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {(frame.top + frame.bottom) / 2})">{escape(Y_LABEL, quote=False)}</text>'
+        f'transform="rotate(-90 18 {(frame.top + frame.bottom) / 2})">{_text(Y_LABEL)}</text>'
     )
     return parts
 
@@ -146,7 +154,7 @@ def _legend(keys: Sequence[tuple[str, str]]) -> list[str]:
         parts.append(
             f'<line x1="{x0}" y1="{y}" x2="{x0 + 26}" y2="{y}" stroke="{color}" stroke-width="2"{dash_attr}/>'
         )
-        parts.append(f'<text x="{x0 + 32}" y="{y + 4}">{escape(f"{strategy} / {intruder}", quote=False)}</text>')
+        parts.append(f'<text x="{x0 + 32}" y="{y + 4}">{_text(f"{strategy} / {intruder}")}</text>')
     return parts
 
 
@@ -164,7 +172,7 @@ def line_plot(rows: Sequence[SummaryRow], title: str = "") -> str:
         pts.sort(key=lambda r: r.k)
 
     xs = [r.k for r in usable]
-    y_hi = max(r.mean_steps + (0.0 if math.isnan(r.ci95) else r.ci95) for r in usable)
+    y_hi = max(r.mean_steps + r.ci95 for r in usable)
     frame = _Frame(min(xs), max(xs), 0.0, y_hi * 1.05)
     parts = _header(title)
     parts += _axes(frame, X_LABEL, _ticks(min(xs), max(xs)), _ticks(0.0, y_hi * 1.05))
@@ -212,7 +220,7 @@ def bar_chart(rows: Sequence[SummaryRow], title: str = "") -> str:
     for row in usable:
         series.setdefault((row.strategy, row.intruder), {})[label(row)] = row
 
-    y_hi = max(r.mean_steps + (0.0 if math.isnan(r.ci95) else r.ci95) for r in usable)
+    y_hi = max(r.mean_steps + r.ci95 for r in usable)
     frame = _Frame(0.0, float(len(cats)), 0.0, y_hi * 1.05)
     parts = _header(title)
     parts += _axes(frame, "", [], _ticks(0.0, y_hi * 1.05))
@@ -222,7 +230,7 @@ def bar_chart(rows: Sequence[SummaryRow], title: str = "") -> str:
     for ci, cat in enumerate(cats):
         cx = frame.left + slot * (ci + 0.5)
         parts.append(
-            f'<text x="{round(cx, 2)}" y="{frame.bottom + 18}" text-anchor="middle">{escape(cat, quote=False)}</text>'
+            f'<text x="{round(cx, 2)}" y="{frame.bottom + 18}" text-anchor="middle">{_text(cat)}</text>'
         )
         for si, (key, by_cat) in enumerate(series.items()):
             row = by_cat.get(cat)
@@ -236,7 +244,7 @@ def bar_chart(rows: Sequence[SummaryRow], title: str = "") -> str:
                 f'height="{round(frame.bottom - y, 2)}" fill="{color}" '
                 f'fill-opacity="{1.0 if row.intruder == "static" else 0.55}"/>'
             )
-            if not math.isnan(row.ci95) and row.ci95 > 0:
+            if row.ci95 > 0:
                 wx = round(x + bar_w / 2, 2)
                 y0 = frame.y(row.mean_steps - row.ci95)
                 y1 = frame.y(row.mean_steps + row.ci95)

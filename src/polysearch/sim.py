@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from numbers import Integral
 
 from .decomposition import Rectangulation, allocate_robots, rectangulate
 from .errors import InvalidConfig, TooFewRobots, TooLarge
-from .geometry import Cell, GridGraph, OrthoPolygon, rasterize
+from .geometry import GridGraph
 from .planning import (
     CostMap,
     costs_to_target,
@@ -64,17 +65,16 @@ Tour = tuple[int, ...]
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything needed to reproduce one trial."""
+    """Everything needed to reproduce one trial on a grid; a fixed placement is in cell indices."""
 
-    polygon: OrthoPolygon
     strategy: str
     k: int
     intruder: str = "static"
     max_steps: int | None = None
     seed: int = 0
     rect_seed: int = 0
-    robot_positions: tuple[Cell, ...] | None = None
-    intruder_position: Cell | None = None
+    robot_cells: tuple[int, ...] | None = None
+    intruder_cell: int | None = None
 
 
 @dataclass
@@ -184,11 +184,12 @@ def sfc_team(
     return grid.memo(("sfc_team", strategy, k, rect_seed), build)
 
 
-def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
-    """Place the team and the intruder; a shared grid may be passed in.
+def init_trial(cfg: SimConfig, grid: GridGraph) -> SimState:
+    """Place the team and the intruder on `grid`.
 
     Random draws happen in a fixed order (robot positions in id order, then
-    the intruder), so a config and its seed pin the whole trial.
+    the intruder), so a config and its seed pin the whole trial; a placed
+    team or intruder draws nothing.
     """
     if cfg.strategy not in STRATEGIES:
         raise InvalidConfig(f"unknown strategy {cfg.strategy!r}")
@@ -199,8 +200,6 @@ def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
     check_robots(cfg.k)
     if cfg.max_steps is not None and cfg.max_steps < 0:
         raise InvalidConfig("max_steps must be nonnegative")
-    if grid is None:
-        grid = rasterize(cfg.polygon)
     n = len(grid.cells)
     rng = random.Random(cfg.seed)
     cost = CostMap(grid) if cfg.strategy in ("rs", "crs") else None
@@ -209,20 +208,17 @@ def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
     through: tuple[tuple[Tour, ...], ...] = ()
     pos: list[int] = []
     if cfg.strategy in ("sfc", "sfc_g"):
-        if cfg.robot_positions is not None:
-            raise InvalidConfig("robot_positions only apply to rs, crs and baseline")
+        if cfg.robot_cells is not None:
+            raise InvalidConfig("robot_cells only apply to rs, crs and baseline")
         tours, through = sfc_team(grid, cfg.strategy, cfg.k, cfg.rect_seed)
-    elif cfg.robot_positions is not None:
-        if len(cfg.robot_positions) != cfg.k:
-            raise InvalidConfig(f"{cfg.k} robots but {len(cfg.robot_positions)} positions")
-        pos = [grid.require(cell) for cell in cfg.robot_positions]
+    elif cfg.robot_cells is not None:
+        if len(cfg.robot_cells) != cfg.k:
+            raise InvalidConfig(f"{cfg.k} robots but {len(cfg.robot_cells)} cells")
+        pos = [_placed(idx, n) for idx in cfg.robot_cells]
     else:
         pos = [rng.randrange(n) for _ in range(cfg.k)]
 
-    if cfg.intruder_position is not None:
-        intruder = grid.require(cfg.intruder_position)
-    else:
-        intruder = rng.randrange(n)
+    intruder = rng.randrange(n) if cfg.intruder_cell is None else _placed(cfg.intruder_cell, n)
 
     max_steps = cfg.max_steps if cfg.max_steps is not None else DEFAULT_STEP_FACTOR * n
     state = SimState(
@@ -239,6 +235,12 @@ def init_trial(cfg: SimConfig, grid: GridGraph | None = None) -> SimState:
     )
     state.captured = _patrol_on(through, intruder, 0) if tours else intruder in pos
     return state
+
+
+def _placed(idx: int, n: int) -> int:
+    if isinstance(idx, bool) or not isinstance(idx, Integral) or not 0 <= idx < n:
+        raise InvalidConfig(f"cell index {idx!r} is not an integer in 0..{n - 1}, the grid's cells")
+    return int(idx)
 
 
 def check_robots(k: int) -> None:
@@ -366,7 +368,7 @@ def step(state: SimState) -> None:
         state.via_swap = swapped
 
 
-def run_trial(cfg: SimConfig, grid: GridGraph | None = None, trace: list | None = None) -> TrialResult:
+def run_trial(cfg: SimConfig, grid: GridGraph, trace: list | None = None) -> TrialResult:
     """Run one trial to capture or to the step cap.
 
     When `trace` is a list, the loop appends ``[intruder, *positions]``, cell

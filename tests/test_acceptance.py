@@ -242,7 +242,7 @@ def test_criterion_04_patrol_capture_guarantee():
         grid = rasterize(poly)
         layout = sfc_layout(grid)
         k = len(layout.curves)
-        cfg = SimConfig(polygon=poly, strategy="sfc", k=k, intruder="static", seed=trial)
+        cfg = SimConfig(strategy="sfc", k=k, intruder="static", seed=trial)
         state = init_trial(cfg, grid)
         period = max(2 * (len(t) // 2) for t in state.tours)
         res = run_trial(cfg, grid)

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polysearch.cli import main
-from polysearch.geometry import MAX_CELLS, MAX_VERTICES, read_polygon_file, write_polygon_file
+from polysearch.geometry import MAX_CELLS, MAX_VERTICES, rasterize, read_polygon_file, write_polygon_file
 from polysearch.harness import CSV_COLUMNS, PRESETS, read_csv
 from polysearch.polygen import inflate_cut
 from polysearch.sim import INTRUDER_MODELS, MAX_ROBOTS, SimConfig, run_trial
@@ -141,7 +141,7 @@ def test_simulate_trace_is_json(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert payload["trace"][0]["t"] == 0
         assert len(payload["trace"]) == payload["steps"] + 1
-        res = run_trial(SimConfig(polygon=poly, strategy="rs", k=1, intruder=intruder, seed=seed))
+        res = run_trial(SimConfig(strategy="rs", k=1, intruder=intruder, seed=seed), rasterize(poly))
         assert payload["via_swap"] is res.via_swap is (intruder == "walk")
         assert all("via_swap" in row for row in payload["trace"])
         assert payload["trace"][-1]["via_swap"] is res.via_swap
@@ -259,6 +259,7 @@ def _spec(**overrides) -> str:
         pytest.param(["sweep", "--spec", "{numid}", "-o", "{out}"], id="spec-instance-id-number"),
         pytest.param(["sweep", "--spec", "{numfile}", "-o", "{out}"], id="spec-instance-file-number"),
         pytest.param(["sweep", "--spec", "{crid}", "-o", "{out}"], id="spec-instance-id-carriage-return"),
+        pytest.param(["sweep", "--spec", "{surrogateid}", "-o", "{out}"], id="spec-instance-id-surrogate"),
         pytest.param(["sweep", "--spec", "{rectlist}", "-o", "{out}"], id="spec-rect-seed-list"),
         pytest.param(["sweep", "--spec", "{rectstr}", "-o", "{out}"], id="spec-rect-seed-string"),
         pytest.param(["sweep", "--spec", "{baselist}", "-o", "{out}"], id="spec-base-seed-list"),
@@ -279,6 +280,8 @@ def _spec(**overrides) -> str:
         pytest.param(["plot", "{meanhuge}", "-o", "{svg}"], id="plot-csv-mean-huge"),
         pytest.param(["plot", "{meanhuge}", "--kind", "bar", "-o", "{svg}"], id="plot-csv-mean-huge-bar"),
         pytest.param(["plot", "{csv}", "-o", "{nodir}"], id="plot-output-dir-missing"),
+        # argv decodes a byte that is not UTF-8 (here 0xff) to a lone surrogate.
+        pytest.param(["plot", "{csv}", "--title", "a\udcff", "-o", "{svg}"], id="plot-title-not-utf8"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
@@ -315,6 +318,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
         "numid": _write(tmp_path, "numid.json", _spec(instances=[{"id": 5, "polygon": strip}])),
         "numfile": _write(tmp_path, "numfile.json", _spec(instances=[{"id": "s", "file": 5}])),
         "crid": _write(tmp_path, "crid.json", _spec(instances=[{"id": "x\ry", "polygon": strip}])),
+        "surrogateid": _write(tmp_path, "surrogateid.json", _spec(instances=[{"id": "a\ud800b", "polygon": strip}])),
         "rectlist": _write(
             tmp_path, "rectlist.json", _spec(instances=[{"id": "s", "polygon": strip, "rect_seed": [1]}])
         ),
@@ -354,6 +358,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+    assert not pathlib.Path(paths["out"]).exists() and not pathlib.Path(paths["svg"]).exists()
 
 
 @pytest.mark.parametrize(

@@ -626,6 +626,40 @@ def test_chart_text_escapes_markup_only():
     assert ET.fromstring(svg).find(".//{*}text").text == text
 
 
+@pytest.mark.parametrize("chart", [line_plot, bar_chart])
+def test_chart_text_with_control_characters_parses(chart):
+    # JSON specs allow such ids; XML 1.0 allows no control character but \t, \n and \r.
+    row = SummaryRow("x\x01y", "rs", "static", 5, 4, 4, 1.0, 5.0, 0.0, 0.0, True)
+    svg = chart([row], title="a\x01b\x1f\ufffe")
+    texts = [n.text for n in ET.fromstring(svg).iter() if n.tag.endswith("text")]
+    assert texts[0] == "a\ufffdb\ufffd\ufffd"
+    assert chart is line_plot or "x\ufffdy" in texts
+
+
+def test_line_chart_reads_an_empty_ci95_as_zero(tmp_path):
+    # One captured trial gives a mean but no ci95, which the CSV holds as an empty cell.
+    path = str(tmp_path / "sweep.csv")
+    row = "strip,rs,static,{k},4,1,0.2500,3.0000,,,true"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n" + row.format(k=1) + "\n" + row.format(k=2) + "\n")
+    rows = read_csv(path)
+    assert math.isnan(rows[0].ci95)
+    svg = line_plot(rows)
+    assert "nan" not in svg
+    assert svg == line_plot([dataclasses.replace(r, ci95=0.0) for r in rows])
+
+
+def test_text_with_no_utf8_form_leaves_no_file(tmp_path):
+    path = tmp_path / "out.svg"
+    with pytest.raises(IoError, match="can't encode character '\\\\udcff'"):
+        geometry.write_text(str(path), "a\udcff")
+    assert not path.exists()
+    path.write_text("kept")
+    with pytest.raises(IoError):
+        geometry.write_text(str(path), "a\ud800")
+    assert path.read_text() == "kept"
+
+
 #: Prints the modules that importing the package adds to numpy and scipy's own.
 IMPORT_SCRIPT = """
 import sys

@@ -327,7 +327,7 @@ class TestAstar:
         rng = random.Random(29)
         for inst in preset_areas().instances:
             g = rasterize(inst.polygon)
-            state = init_trial(SimConfig(polygon=inst.polygon, strategy="rs", k=10, seed=30), g)
+            state = init_trial(SimConfig(strategy="rs", k=10, seed=30), g)
             for _ in range(30):
                 step(state)
             for _ in range(300):
@@ -340,7 +340,7 @@ class TestAstar:
         inst = preset_areas().instances[-1]
         g = rasterize(inst.polygon)
         assert len(g) == 704
-        state = init_trial(SimConfig(polygon=inst.polygon, strategy="rs", k=25, seed=31), g)
+        state = init_trial(SimConfig(strategy="rs", k=25, seed=31), g)
         for _ in range(400):
             state.pos = _rs_move(state)
             for i in state.pos:
@@ -547,7 +547,7 @@ class TestMemo:
         monkeypatch.setattr(geometry, "MAX_MEMO_CELLS", 8 * len(g))
         for strategy, kind in (("baseline", "next_hop"), ("rs", "col")):
             for seed in range(3):
-                cfg = SimConfig(polygon=square, strategy=strategy, k=3, intruder="walk", max_steps=40, seed=seed)
+                cfg = SimConfig(strategy=strategy, k=3, intruder="walk", max_steps=40, seed=seed)
                 run_trial(cfg, g)
                 assert len(g.cache) <= 8
             assert len(g.cache) == 8 and any(key[0] == kind for key in g.cache)

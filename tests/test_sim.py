@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from polysearch.decomposition import allocate_robots
-from polysearch.errors import TooFewRobots
+from polysearch.errors import InvalidConfig, TooFewRobots
 from polysearch.geometry import Cell, rasterize
 from polysearch.harness import preset_areas, preset_spikes4
 from polysearch.polygen import comb_polygon, inflate_cut
@@ -57,60 +57,88 @@ def comb_grid():
 
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
-        init_trial(SimConfig(polygon=corridor(4), strategy="teleport", k=1))
+        init_trial(SimConfig(strategy="teleport", k=1), rasterize(corridor(4)))
 
 
 def test_unknown_intruder_rejected():
     with pytest.raises(ValueError):
-        init_trial(SimConfig(polygon=corridor(4), strategy="rs", k=1, intruder="ghost"))
+        init_trial(SimConfig(strategy="rs", k=1, intruder="ghost"), rasterize(corridor(4)))
 
 
 def test_zero_robots_rejected():
     with pytest.raises(TooFewRobots):
-        init_trial(SimConfig(polygon=corridor(4), strategy="rs", k=0))
+        init_trial(SimConfig(strategy="rs", k=0), rasterize(corridor(4)))
 
 
 def test_sfc_rejects_fixed_positions():
-    cfg = SimConfig(polygon=corridor(4), strategy="sfc", k=1, robot_positions=(Cell(0, 0),))
+    grid = rasterize(corridor(4))
+    cfg = SimConfig(strategy="sfc", k=1, robot_cells=(grid.require(Cell(0, 0)),))
     with pytest.raises(ValueError):
-        init_trial(cfg)
+        init_trial(cfg, grid)
 
 
 def test_position_count_must_match_k():
-    cfg = SimConfig(polygon=corridor(4), strategy="rs", k=2, robot_positions=(Cell(0, 0),))
+    grid = rasterize(corridor(4))
+    cfg = SimConfig(strategy="rs", k=2, robot_cells=(grid.require(Cell(0, 0)),))
     with pytest.raises(ValueError):
-        init_trial(cfg)
+        init_trial(cfg, grid)
+
+
+@pytest.mark.parametrize("where", ["robot", "intruder"])
+@pytest.mark.parametrize("idx", [-1, 4, 1.0, True])
+def test_placed_index_must_be_in_the_grid(where, idx):
+    # -1 would otherwise read as the last cell; 4 is len(grid); a float or a
+    # bool would fail deep inside the first step.
+    grid = rasterize(corridor(4))
+    placed = {"robot_cells": (idx,)} if where == "robot" else {"intruder_cell": idx}
+    with pytest.raises(InvalidConfig, match=f"cell index {idx!r} is not an integer in 0..3"):
+        init_trial(SimConfig(strategy="baseline", k=1, **placed), grid)
+
+
+def test_placed_index_may_be_a_numpy_integer():
+    # A trace row read back through numpy holds numpy integers.
+    grid = rasterize(corridor(4))
+    cfg = SimConfig(strategy="baseline", k=1, robot_cells=(np.int64(0),), intruder_cell=np.int64(3))
+    state = init_trial(cfg, grid)
+    assert state.pos == [0] and state.intruder == 3 and type(state.intruder) is int
+
+
+def test_old_placement_keywords_fail_at_construction():
+    with pytest.raises(TypeError, match="robot_positions"):
+        SimConfig(strategy="rs", k=1, robot_positions=(Cell(0, 0),))
+    with pytest.raises(TypeError, match="polygon"):
+        SimConfig(polygon=corridor(4), strategy="rs", k=1)
 
 
 def test_colocated_start_is_an_immediate_capture():
+    grid = rasterize(corridor(4))
     cfg = SimConfig(
-        polygon=corridor(4),
         strategy="baseline",
         k=1,
-        robot_positions=(Cell(2, 0),),
-        intruder_position=Cell(2, 0),
+        robot_cells=(grid.require(Cell(2, 0)),),
+        intruder_cell=grid.require(Cell(2, 0)),
     )
-    res = run_trial(cfg)
+    res = run_trial(cfg, grid)
     assert res.captured and res.steps == 0
 
 
 def test_default_step_cap_scales_with_area():
     grid = rasterize(corridor(7))
-    state = init_trial(SimConfig(polygon=corridor(7), strategy="rs", k=1), grid)
+    state = init_trial(SimConfig(strategy="rs", k=1), grid)
     assert state.max_steps == DEFAULT_STEP_FACTOR * len(grid.cells)
 
 
 def test_uncaptured_trial_reports_the_cap():
     # one patrol robot pinned to a 1-cell segment can never reach the far cell
+    grid = rasterize(corridor(6))
     cfg = SimConfig(
-        polygon=corridor(6),
         strategy="rs",
         k=1,
         max_steps=0,
-        robot_positions=(Cell(0, 0),),
-        intruder_position=Cell(5, 0),
+        robot_cells=(grid.require(Cell(0, 0)),),
+        intruder_cell=grid.require(Cell(5, 0)),
     )
-    res = run_trial(cfg)
+    res = run_trial(cfg, grid)
     assert not res.captured and res.steps == 0
 
 
@@ -118,7 +146,7 @@ def test_sfc_robots_start_at_segment_starts():
     poly = corridor(6)
     grid = rasterize(poly)
     state = init_trial(
-        SimConfig(polygon=poly, strategy="sfc", k=2, intruder_position=Cell(5, 0)), grid
+        SimConfig(strategy="sfc", k=2, intruder_cell=grid.require(Cell(5, 0))), grid
     )
     layout = sfc_layout(grid)
     assert len(layout.curves) == 1
@@ -132,27 +160,27 @@ def test_sfc_too_few_robots(comb_grid):
     need = sfc_minimum("sfc", grid)
     assert need > 1
     with pytest.raises(TooFewRobots):
-        init_trial(SimConfig(polygon=poly, strategy="sfc", k=need - 1), grid)
-    init_trial(SimConfig(polygon=poly, strategy="sfc", k=need), grid)
+        init_trial(SimConfig(strategy="sfc", k=need - 1), grid)
+    init_trial(SimConfig(strategy="sfc", k=need), grid)
 
 
 def test_sfc_g_guards_sit_on_junction_doorways(comb_grid):
     poly, grid = comb_grid
     layout = sfc_layout(grid)
     k = sfc_minimum("sfc_g", grid)
-    state = init_trial(SimConfig(polygon=poly, strategy="sfc_g", k=k), grid)
+    state = init_trial(SimConfig(strategy="sfc_g", k=k), grid)
     guards = positions(state)[k - len(layout.guards):]
     assert len(guards) == len(layout.rectangulation.juncs) == len(layout.guards)
     assert guards == list(layout.guards)
     assert all(len(tour) == 1 for tour in state.tours[k - len(layout.guards):])
     with pytest.raises(TooFewRobots):
-        init_trial(SimConfig(polygon=poly, strategy="sfc_g", k=k - 1), grid)
+        init_trial(SimConfig(strategy="sfc_g", k=k - 1), grid)
 
 
 def test_segments_jointly_cover_the_grid(comb_grid):
     poly, grid = comb_grid
     for k in (4, 5, 9):
-        state = init_trial(SimConfig(polygon=poly, strategy="sfc", k=k, seed=k), grid)
+        state = init_trial(SimConfig(strategy="sfc", k=k, seed=k), grid)
         covered = set()
         for tour in state.tours:
             covered.update(tour[: len(tour) // 2 + 1])
@@ -197,7 +225,7 @@ def test_sfc_curves_equal_the_cell_path(rect_seed):
 def test_repeated_trials_are_identical(comb_grid):
     poly, grid = comb_grid
     for strategy in ("rs", "crs", "baseline", "sfc"):
-        cfg = SimConfig(polygon=poly, strategy=strategy, k=4, intruder="random", seed=11)
+        cfg = SimConfig(strategy=strategy, k=4, intruder="random", seed=11)
         first, second = [], []
         assert run_trial(cfg, grid, first) == run_trial(cfg, grid, second)
         assert first == second
@@ -205,11 +233,11 @@ def test_repeated_trials_are_identical(comb_grid):
 
 def test_shared_grid_matches_fresh_grid(comb_grid):
     poly, grid = comb_grid
-    cfg = SimConfig(polygon=poly, strategy="crs", k=4, intruder="walk", seed=3)
-    warmup = SimConfig(polygon=poly, strategy="baseline", k=2, seed=9)
+    cfg = SimConfig(strategy="crs", k=4, intruder="walk", seed=3)
+    warmup = SimConfig(strategy="baseline", k=2, seed=9)
     run_trial(warmup, grid)  # populate path caches
     shared, fresh = [], []
-    assert run_trial(cfg, grid, shared) == run_trial(cfg, None, fresh)
+    assert run_trial(cfg, grid, shared) == run_trial(cfg, rasterize(poly), fresh)
     assert shared == fresh
 
 
@@ -217,7 +245,7 @@ def test_different_seeds_differ(comb_grid):
     poly, grid = comb_grid
     results = {
         run_trial(
-            SimConfig(polygon=poly, strategy="rs", k=2, seed=s, intruder="random"), grid
+            SimConfig(strategy="rs", k=2, seed=s, intruder="random"), grid
         ).steps
         for s in range(12)
     }
@@ -228,52 +256,52 @@ def test_different_seeds_differ(comb_grid):
 
 
 def test_swap_capture_on_two_cell_corridor():
+    grid = rasterize(corridor(2))
     cfg = SimConfig(
-        polygon=corridor(2),
         strategy="baseline",
         k=1,
         intruder="walk",
-        robot_positions=(Cell(0, 0),),
-        intruder_position=Cell(1, 0),
+        robot_cells=(grid.require(Cell(0, 0)),),
+        intruder_cell=grid.require(Cell(1, 0)),
     )
     rows = []
-    res = run_trial(cfg, None, rows)
+    res = run_trial(cfg, grid, rows)
     assert res.captured and res.steps == 1 and res.via_swap
     # The intruder (column 0) and the robot trade cells 1 and 0.
     assert rows == [[1, 0], [0, 1]]
 
 
 def test_trial_result_carries_via_swap():
+    grid = rasterize(corridor(2))
     swap = SimConfig(
-        polygon=corridor(2),
         strategy="baseline",
         k=1,
         intruder="walk",
-        robot_positions=(Cell(0, 0),),
-        intruder_position=Cell(1, 0),
+        robot_cells=(grid.require(Cell(0, 0)),),
+        intruder_cell=grid.require(Cell(1, 0)),
     )
-    assert run_trial(swap).via_swap
+    assert run_trial(swap, grid).via_swap
+    grid = rasterize(corridor(3))
     met = SimConfig(
-        polygon=corridor(3),
         strategy="baseline",
         k=1,
-        robot_positions=(Cell(0, 0),),
-        intruder_position=Cell(1, 0),
+        robot_cells=(grid.require(Cell(0, 0)),),
+        intruder_cell=grid.require(Cell(1, 0)),
     )
-    res = run_trial(met)
+    res = run_trial(met, grid)
     assert res.captured and not res.via_swap
 
 
 def test_untraced_patrol_swap_capture():
     # the lone robot's tour is (0, 1): it steps onto Cell(1, 0) as the intruder leaves it
+    grid = rasterize(corridor(2))
     cfg = SimConfig(
-        polygon=corridor(2),
         strategy="sfc",
         k=1,
         intruder="walk",
-        intruder_position=Cell(1, 0),
+        intruder_cell=grid.require(Cell(1, 0)),
     )
-    res = run_trial(cfg)
+    res = run_trial(cfg, grid)
     assert res.captured and res.steps == 1 and res.via_swap
 
 
@@ -281,11 +309,10 @@ def test_baseline_closes_distance_each_step():
     poly = comb_polygon((2, 3), spike_width=2, base_height=2, spike_gap=1)
     grid = rasterize(poly)
     cfg = SimConfig(
-        polygon=poly,
         strategy="baseline",
         k=1,
-        robot_positions=(grid.cells[0],),
-        intruder_position=grid.cells[-1],
+        robot_cells=(0,),
+        intruder_cell=len(grid) - 1,
     )
     rows = []
     res = run_trial(cfg, grid, rows)
@@ -323,7 +350,7 @@ def bfs_layers(grid, goal: int) -> list[int]:
 def test_property_baseline_steps_one_layer_closer(vertices, poly_seed, k, intruder, seed):
     poly = inflate_cut(vertices, poly_seed)
     grid = rasterize(poly)
-    cfg = SimConfig(polygon=poly, strategy="baseline", k=k, intruder=intruder, seed=seed)
+    cfg = SimConfig(strategy="baseline", k=k, intruder=intruder, seed=seed)
     rows = []
     run_trial(cfg, grid, rows)
     for prev_row, row in zip(rows, rows[1:]):
@@ -344,7 +371,7 @@ def test_static_corridor_capture_time_is_initial_distance():
         replay = random.Random(seed)
         r0 = replay.randrange(20)
         i0 = replay.randrange(20)
-        res = run_trial(SimConfig(polygon=poly, strategy="baseline", k=1, seed=seed), grid)
+        res = run_trial(SimConfig(strategy="baseline", k=1, seed=seed), grid)
         assert res.captured and res.steps == abs(r0 - i0)
 
 
@@ -382,7 +409,7 @@ def test_pursuit_times_match_the_markov_chain():
     exact = _corridor_chain_expectation(n)
     steps = [
         run_trial(
-            SimConfig(polygon=poly, strategy="baseline", k=1, intruder="random", seed=s), grid
+            SimConfig(strategy="baseline", k=1, intruder="random", seed=s), grid
         ).steps
         for s in range(trials)
     ]
@@ -399,8 +426,8 @@ def _draw_counts(model: str, samples: int) -> dict[Cell, int]:
     grid = rasterize(poly)
     center = grid.require(Cell(1, 1))
     state = init_trial(
-        SimConfig(polygon=poly, strategy="rs", k=1, intruder=model, seed=5,
-                  robot_positions=(Cell(0, 0),), intruder_position=Cell(1, 1)),
+        SimConfig(strategy="rs", k=1, intruder=model, seed=5,
+                  robot_cells=(grid.require(Cell(0, 0)),), intruder_cell=center),
         grid,
     )
     counts: dict[Cell, int] = {}
@@ -435,7 +462,7 @@ def test_patrol_ping_pong():
     poly = corridor(5)
     grid = rasterize(poly)
     state = init_trial(
-        SimConfig(polygon=poly, strategy="sfc", k=1, intruder_position=Cell(4, 0)), grid
+        SimConfig(strategy="sfc", k=1, intruder_cell=grid.require(Cell(4, 0))), grid
     )
     seen = []
     for _ in range(12):
@@ -449,7 +476,7 @@ def test_single_cell_segment_stays_put():
     poly = corridor(3)
     grid = rasterize(poly)
     state = init_trial(
-        SimConfig(polygon=poly, strategy="sfc", k=3, intruder_position=Cell(2, 0)), grid
+        SimConfig(strategy="sfc", k=3, intruder_cell=grid.require(Cell(2, 0))), grid
     )
     start = positions(state)
     for _ in range(4):
@@ -523,10 +550,7 @@ def test_property_patrol_trace_equals_reference(
     poly = inflate_cut(vertices, poly_seed)
     grid = rasterize(poly)
     k = min(sfc_minimum(strategy, grid) + extra, len(grid))
-    cfg = SimConfig(
-        polygon=poly, strategy=strategy, k=k, intruder=intruder, seed=seed,
-        max_steps=max_steps,
-    )
+    cfg = SimConfig(strategy=strategy, k=k, intruder=intruder, seed=seed, max_steps=max_steps)
     rows = []
     res = run_trial(cfg, grid, rows)
     ref_rows, ref_result = ref_patrol_trace(cfg, grid)
@@ -540,7 +564,7 @@ def test_patrol_catches_static_intruder_within_one_sweep(comb_grid):
     poly, grid = comb_grid
     for seed in range(30):
         k = 4 + seed % 5
-        cfg = SimConfig(polygon=poly, strategy="sfc", k=k, seed=seed)
+        cfg = SimConfig(strategy="sfc", k=k, seed=seed)
         state = init_trial(cfg, grid)
         bound = max(len(tour) // 2 + 1 for tour in state.tours) - 1
         res = run_trial(cfg, grid)
@@ -548,20 +572,20 @@ def test_patrol_catches_static_intruder_within_one_sweep(comb_grid):
 
 
 def test_rs_two_cell_grid_forces_the_only_other_target():
+    grid = rasterize(corridor(2))
     cfg = SimConfig(
-        polygon=corridor(2),
         strategy="rs",
         k=1,
-        robot_positions=(Cell(0, 0),),
-        intruder_position=Cell(1, 0),
+        robot_cells=(grid.require(Cell(0, 0)),),
+        intruder_cell=grid.require(Cell(1, 0)),
     )
-    res = run_trial(cfg)
+    res = run_trial(cfg, grid)
     assert res.captured and res.steps == 1
 
 
 def test_rs_bumps_every_robot_every_step(comb_grid):
     poly, grid = comb_grid
-    state = init_trial(SimConfig(polygon=poly, strategy="rs", k=3, seed=2), grid)
+    state = init_trial(SimConfig(strategy="rs", k=3, seed=2), grid)
     for _ in range(7):
         if state.captured:
             break
@@ -572,7 +596,7 @@ def test_rs_bumps_every_robot_every_step(comb_grid):
 def test_crs_arrivals_wait_for_the_team(comb_grid):
     poly, grid = comb_grid
     state = init_trial(
-        SimConfig(polygon=poly, strategy="crs", k=3, seed=2, intruder_position=grid.cells[-1]),
+        SimConfig(strategy="crs", k=3, seed=2, intruder_cell=len(grid) - 1),
         grid,
     )
     waited = 0
@@ -594,7 +618,7 @@ def test_crs_arrivals_wait_for_the_team(comb_grid):
 def test_guards_never_move(comb_grid):
     poly, grid = comb_grid
     k = sfc_minimum("sfc_g", grid)
-    cfg = SimConfig(polygon=poly, strategy="sfc_g", k=k + 2, seed=1, intruder="walk")
+    cfg = SimConfig(strategy="sfc_g", k=k + 2, seed=1, intruder="walk")
     guards = slice(1 + cfg.k - len(sfc_layout(grid).guards), None)  # column 0 is the intruder
     rows = []
     run_trial(cfg, grid, rows)
@@ -609,7 +633,7 @@ def test_guards_never_move(comb_grid):
 def test_trace_moves_are_legal(comb_grid):
     poly, grid = comb_grid
     for strategy in ("sfc", "rs", "crs", "baseline"):
-        cfg = SimConfig(polygon=poly, strategy=strategy, k=4, seed=8, intruder="random")
+        cfg = SimConfig(strategy=strategy, k=4, seed=8, intruder="random")
         rows = []
         res = run_trial(cfg, grid, rows)
         assert len(rows) == res.steps + 1
@@ -639,10 +663,7 @@ def test_property_pursuit_trace_is_legal(vertices, poly_seed, strategy, intruder
     """
     poly = inflate_cut(vertices, poly_seed)
     grid = rasterize(poly)
-    cfg = SimConfig(
-        polygon=poly, strategy=strategy, k=k, intruder=intruder, seed=seed,
-        max_steps=max_steps,
-    )
+    cfg = SimConfig(strategy=strategy, k=k, intruder=intruder, seed=seed, max_steps=max_steps)
     rows = []
     res = run_trial(cfg, grid, rows)
     # The capture and swap flags of each row, derived from it and the row before.
@@ -669,14 +690,14 @@ def test_property_pursuit_trace_is_legal(vertices, poly_seed, strategy, intruder
 
 
 def test_step_after_capture_is_a_noop():
+    grid = rasterize(corridor(3))
     cfg = SimConfig(
-        polygon=corridor(3),
         strategy="baseline",
         k=1,
-        robot_positions=(Cell(0, 0),),
-        intruder_position=Cell(1, 0),
+        robot_cells=(grid.require(Cell(0, 0)),),
+        intruder_cell=grid.require(Cell(1, 0)),
     )
-    state = init_trial(cfg)
+    state = init_trial(cfg, grid)
     step(state)
     assert state.captured and state.t == 1
     step(state)
