@@ -127,6 +127,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _load_instance(inst: dict, spec_dir: str) -> InstanceSpec:
     fields = {**inst}  # TypeError unless inst is a JSON object
+    if "file" in fields and "polygon" in fields:
+        raise IoError(f"instance {fields.get('id')!r} gives both \"file\" and \"polygon\"; give one")
     if "file" in fields:
         fields["polygon"] = read_polygon_file(os.path.join(spec_dir, fields.pop("file")))
     else:
@@ -165,6 +167,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_dir = os.path.dirname(args.output) or "."
     if not os.path.isdir(out_dir):
         raise IoError(f"output directory {out_dir} does not exist")
+    if os.path.isdir(args.output):
+        raise IoError(f"output {args.output} is a directory")
 
     def progress(done: int, total: int) -> None:
         print(f"\r{done}/{total} cells", end="", file=sys.stderr, flush=True)

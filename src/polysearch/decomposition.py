@@ -7,6 +7,7 @@ rectangles, kept as a line and a range that the straddling cell pairs
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import compress
@@ -82,32 +83,34 @@ def rectangulate(g: GridGraph, seed: int) -> Rectangulation:
 
 
 def _max_rectangle(g: GridGraph, free: bytearray, i: int) -> Rectangle:
-    # Maximal free row runs through cell i's column, extended upward and
-    # downward from its row until the column is blocked. A row's cells have
-    # consecutive indices, so each run is walked on indices.
+    # Walk up, then down, from cell i's row until its column is blocked,
+    # intersecting the maximal free row runs through the column. A row's
+    # cells have consecutive indices, so each run is walked on indices.
     cols, rows = g.cols, g.rows
     col, row0 = g.cells[i]
-    runs: dict[int, tuple[int, int]] = {}
-    for row, step in ((row0, 1), (row0 - 1, -1)):
+    # reach[side] maps each distinct running intersection to the farthest row
+    # with it: a nearer row with the same one spans fewer rows, so it never
+    # wins, and at most width² pairs of rows are compared.
+    reach: tuple[dict[tuple[int, int], int], ...] = ({}, {})
+    for side, step in zip(reach, (1, -1)):
+        row, left, right = row0, -math.inf, math.inf
         while (lo := g.index.get((col, row))) is not None and free[lo]:
             hi = lo
             while lo and free[lo - 1] and rows[lo - 1] == row and cols[lo - 1] == cols[lo] - 1:
                 lo -= 1
             while hi + 1 < len(free) and free[hi + 1] and rows[hi + 1] == row and cols[hi + 1] == cols[hi] + 1:
                 hi += 1
-            runs[row] = (cols[lo], cols[hi])
+            left, right = max(left, cols[lo]), min(right, cols[hi])
+            side[left, right] = row
             row += step
 
-    # Rows r1..r2 around row0 share the intersection of their runs; the
+    # Rows r1..r2 share the intersection of their two sides' runs; the
     # smallest key is the largest area, then width, then row-major anchor.
     best = None
-    low_left, low_right = runs[row0]
-    for r1 in range(row0, min(runs) - 1, -1):
-        low_left, low_right = max(low_left, runs[r1][0]), min(low_right, runs[r1][1])
-        left, right = low_left, low_right
-        for r2 in range(row0, max(runs) + 1):
-            left, right = max(left, runs[r2][0]), min(right, runs[r2][1])
-            width = right - left + 1
+    for (up_left, up_right), r2 in reach[0].items():
+        for (down_left, down_right), r1 in reach[1].items():
+            left = max(up_left, down_left)
+            width = min(up_right, down_right) - left + 1
             key = (-width * (r2 - r1 + 1), -width, r1, left)
             if best is None or key < best:
                 best = key

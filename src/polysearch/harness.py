@@ -22,21 +22,12 @@ import os
 import statistics
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields
-from numbers import Integral
 from typing import Callable, Sequence, get_type_hints
 
 from .errors import EmptyInput, InvalidConfig, IoError, TooFewRobots, TooManyRobots
 from .geometry import GridGraph, OrthoPolygon, rasterize, write_text
 from .polygen import comb_polygon
-from .sim import (
-    INTRUDER_MODELS,
-    STRATEGIES,
-    SimConfig,
-    TrialResult,
-    check_robots,
-    run_trial,
-    sfc_team,
-)
+from .sim import STRATEGIES, SimConfig, TrialResult, check_config, init_trial, is_int, run_trial
 
 
 @dataclass(frozen=True)
@@ -117,13 +108,12 @@ def trial_seed(base_seed: int, cell_index: int, trial_index: int) -> int:
     return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big")
 
 
-def _is_int(value: object) -> bool:
-    # JSON true and false load as bools, which are Integral too.
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
 def expand_cells(spec: SweepSpec) -> list[SweepCell]:
-    """Canonical cell order: instance, then strategy, intruder, team size."""
+    """Canonical cell order: instance, then strategy, intruder, team size.
+
+    Each cell's trial fields pass `sim.check_config`; the checks here are
+    the sweep's own.
+    """
     for name in ("instances", "strategies", "intruders", "ks"):
         if not isinstance(getattr(spec, name), (tuple, list)):
             raise InvalidConfig(f"{name} must be a list, got {getattr(spec, name)!r}")
@@ -133,24 +123,13 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
         # Before Python 3.13 the CSV writer leaves a lone \r unquoted; a surrogate has no UTF-8 form.
         if not isinstance(inst.id, str) or any(c == "\r" or "\ud800" <= c <= "\udfff" for c in inst.id):
             raise InvalidConfig(f"instance id must be a string without \\r or surrogates, got {inst.id!r}")
-        if not _is_int(inst.rect_seed):
-            raise InvalidConfig(f"rect_seed must be an integer, got {inst.rect_seed!r}")
-    if not _is_int(spec.base_seed):
+    if not is_int(spec.base_seed):
         raise InvalidConfig(f"base_seed must be an integer, got {spec.base_seed!r}")
-    for s in spec.strategies:
-        if s not in STRATEGIES:
-            raise InvalidConfig(f"unknown strategy {s!r}")
-    for m in spec.intruders:
-        if m not in INTRUDER_MODELS:
-            raise InvalidConfig(f"unknown intruder model {m!r}")
-    if not _is_int(spec.trials) or spec.trials < 1:
+    if not is_int(spec.trials) or spec.trials < 1:
         raise InvalidConfig(f"trials must be a positive integer, got {spec.trials!r}")
-    for k in spec.ks:
-        if not _is_int(k):
-            raise InvalidConfig(f"team size must be an integer, got {k!r}")
-        check_robots(k)
-    if spec.max_steps is not None and (not _is_int(spec.max_steps) or spec.max_steps < 0):
-        raise InvalidConfig(f"max_steps must be a nonnegative integer, got {spec.max_steps!r}")
+    combos = list(itertools.product(spec.instances, spec.strategies, spec.intruders, spec.ks))
+    for inst, strategy, intruder, k in combos:  # before the repeat check hashes the values
+        check_config(SimConfig(strategy, k, intruder, spec.max_steps, rect_seed=inst.rect_seed))
     # A repeat would write two CSV rows under one label.
     for name in ("strategies", "intruders", "ks"):
         values = getattr(spec, name)
@@ -161,7 +140,6 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
         if inst.id in seen:
             raise InvalidConfig(f"instance id {inst.id!r} repeats")
         seen.add(inst.id)
-    combos = itertools.product(spec.instances, spec.strategies, spec.intruders, spec.ks)
     return [SweepCell(index, *combo) for index, combo in enumerate(combos)]
 
 
@@ -204,29 +182,20 @@ def _infeasible_row(cell: SweepCell) -> SummaryRow:
 def run_cell(cell: SweepCell, trials: int, base_seed: int, max_steps: int | None) -> SummaryRow:
     """Run one sweep cell inline (shared by serial and worker paths).
 
-    A team too small for the strategy, or a patrol team that `sfc_team`
-    cannot field, gives an infeasible row with no trials.
+    A team that `init_trial` cannot field on the cell's grid gives an
+    infeasible row with no trials.
     """
     grid = _instance_grid(cell.instance.id, cell.instance.polygon)
-    if cell.k < 1:
+
+    def config(trial: int) -> SimConfig:
+        seed = trial_seed(base_seed, cell.index, trial)
+        return SimConfig(cell.strategy, cell.k, cell.intruder, max_steps, seed, cell.instance.rect_seed)
+
+    try:
+        init_trial(config(0), grid)
+    except (TooFewRobots, TooManyRobots):
         return _infeasible_row(cell)
-    if cell.strategy in ("sfc", "sfc_g"):
-        try:
-            sfc_team(grid, cell.strategy, cell.k, cell.instance.rect_seed)
-        except (TooFewRobots, TooManyRobots):
-            return _infeasible_row(cell)
-    results = []
-    for trial in range(trials):
-        cfg = SimConfig(
-            strategy=cell.strategy,
-            k=cell.k,
-            intruder=cell.intruder,
-            max_steps=max_steps,
-            seed=trial_seed(base_seed, cell.index, trial),
-            rect_seed=cell.instance.rect_seed,
-        )
-        results.append(run_trial(cfg, grid))
-    return summarize(cell, results)
+    return summarize(cell, [run_trial(config(trial), grid) for trial in range(trials)])
 
 
 def _cell_worker(args: tuple[SweepCell, int, int, int | None]) -> SummaryRow:

@@ -32,10 +32,11 @@ from scipy.sparse import csgraph, csr_matrix
 from .errors import InvalidConfig, Unreachable
 from .geometry import GridGraph
 
-VISIT_COST = 0.05
-
-#: Cost of entering an unvisited cell in units of VISIT_COST (1 / VISIT_COST).
+#: Cost of entering an unvisited cell in units of VISIT_COST.
 STEP_UNITS = 20
+
+#: Extra cost per earlier visit of a cell; 1 / 20 and 0.05 are the same float64.
+VISIT_COST = 1 / STEP_UNITS
 
 
 def _load_lsa():

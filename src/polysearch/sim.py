@@ -184,6 +184,35 @@ def sfc_team(
     return grid.memo(("sfc_team", strategy, k, rect_seed), build)
 
 
+def is_int(value: object) -> bool:
+    """Whether `value` is an integer; JSON true and false load as bools, which are Integral too."""
+    # An exact int answers before the slower check against the Integral ABC.
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def check_config(cfg: SimConfig) -> None:
+    """Raise InvalidConfig for a malformed field of `cfg`, and TooLarge above MAX_ROBOTS.
+
+    Trials and sweeps share these rules. A team of fewer than one robot
+    passes: a sweep reports it as infeasible, and `init_trial` raises
+    TooFewRobots.
+    """
+    if cfg.strategy not in STRATEGIES:
+        raise InvalidConfig(f"unknown strategy {cfg.strategy!r}")
+    if cfg.intruder not in INTRUDER_MODELS:
+        raise InvalidConfig(f"unknown intruder model {cfg.intruder!r}")
+    if not is_int(cfg.k):
+        raise InvalidConfig(f"team size must be an integer, got {cfg.k!r}")
+    if cfg.k > MAX_ROBOTS:
+        raise TooLarge(f"a team of {cfg.k} robots is too large; at most {MAX_ROBOTS} are supported")
+    if cfg.max_steps is not None and (not is_int(cfg.max_steps) or cfg.max_steps < 0):
+        raise InvalidConfig(f"max_steps must be a nonnegative integer, got {cfg.max_steps!r}")
+    if not is_int(cfg.seed):
+        raise InvalidConfig(f"seed must be an integer, got {cfg.seed!r}")
+    if not is_int(cfg.rect_seed):
+        raise InvalidConfig(f"rect_seed must be an integer, got {cfg.rect_seed!r}")
+
+
 def init_trial(cfg: SimConfig, grid: GridGraph) -> SimState:
     """Place the team and the intruder on `grid`.
 
@@ -191,15 +220,9 @@ def init_trial(cfg: SimConfig, grid: GridGraph) -> SimState:
     the intruder), so a config and its seed pin the whole trial; a placed
     team or intruder draws nothing.
     """
-    if cfg.strategy not in STRATEGIES:
-        raise InvalidConfig(f"unknown strategy {cfg.strategy!r}")
-    if cfg.intruder not in INTRUDER_MODELS:
-        raise InvalidConfig(f"unknown intruder model {cfg.intruder!r}")
+    check_config(cfg)
     if cfg.k < 1:
         raise TooFewRobots("at least one robot is required")
-    check_robots(cfg.k)
-    if cfg.max_steps is not None and cfg.max_steps < 0:
-        raise InvalidConfig("max_steps must be nonnegative")
     n = len(grid.cells)
     rng = random.Random(cfg.seed)
     cost = CostMap(grid) if cfg.strategy in ("rs", "crs") else None
@@ -238,15 +261,9 @@ def init_trial(cfg: SimConfig, grid: GridGraph) -> SimState:
 
 
 def _placed(idx: int, n: int) -> int:
-    if isinstance(idx, bool) or not isinstance(idx, Integral) or not 0 <= idx < n:
+    if not is_int(idx) or not 0 <= idx < n:
         raise InvalidConfig(f"cell index {idx!r} is not an integer in 0..{n - 1}, the grid's cells")
     return int(idx)
-
-
-def check_robots(k: int) -> None:
-    """Raise TooLarge when a team of `k` robots exceeds MAX_ROBOTS."""
-    if k > MAX_ROBOTS:
-        raise TooLarge(f"a team of {k} robots is too large; at most {MAX_ROBOTS} are supported")
 
 
 def positions(state: SimState) -> list[int]:

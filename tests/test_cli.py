@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from polysearch import harness
 from polysearch.cli import main
 from polysearch.geometry import MAX_CELLS, MAX_VERTICES, rasterize, read_polygon_file, write_polygon_file
 from polysearch.harness import CSV_COLUMNS, PRESETS, read_csv
@@ -272,6 +273,8 @@ def _spec(**overrides) -> str:
         pytest.param(["comb", "--depths", "3,x", "-o", "{out}"], id="comb-depth-not-an-integer"),
         pytest.param(["sweep", "--spec", "{negsteps}", "-o", "{out}"], id="spec-max-steps-negative"),
         pytest.param(["sweep", "--spec", "{spec}", "-o", "{nodir}"], id="sweep-output-dir-missing"),
+        pytest.param(["sweep", "--spec", "{spec}", "-o", "{isdir}"], id="sweep-output-is-a-directory"),
+        pytest.param(["sweep", "--spec", "{fileandpoly}", "-o", "{out}"], id="spec-instance-file-and-polygon"),
         pytest.param(["plot", "{missing}", "-o", "{svg}"], id="plot-csv-missing"),
         pytest.param(["plot", "{kabc}", "-o", "{svg}"], id="plot-csv-k-not-an-integer"),
         pytest.param(["plot", "{shortrow}", "-o", "{svg}"], id="plot-csv-short-row"),
@@ -284,8 +287,11 @@ def _spec(**overrides) -> str:
         pytest.param(["plot", "{csv}", "--title", "a\udcff", "-o", "{svg}"], id="plot-title-not-utf8"),
     ],
 )
-def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
     strip = [[0, 0], [4, 0], [4, 1], [0, 1]]
+    ran = []
+    run_cell = harness.run_cell
+    monkeypatch.setattr(harness, "run_cell", lambda *job: ran.append(job) or run_cell(*job))
     header = ",".join(CSV_COLUMNS)
     row = "strip,rs,static,{k},4,4,1.0000,3.0000,1.0000,0.9800,{feasible}"
     paths = {
@@ -351,14 +357,22 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
             name: _write(tmp_path, f"{name}.csv", f"{header}\n{row.format(k=1, feasible='true')}\n".replace("3.0000", mean))
             for name, mean in [("meaninf", "inf"), ("meanhuge", "1e308")]
         },
+        "fileandpoly": _write(
+            tmp_path,
+            "fileandpoly.json",
+            _spec(instances=[{"id": "a", "file": "strip.json", "polygon": [[0, 0], [9, 0], [9, 9], [0, 9]]}]),
+        ),
+        "strip": _write(tmp_path, "strip.json", json.dumps({"vertices": strip})),
         "out": str(tmp_path / "out.csv"),
         "svg": str(tmp_path / "out.svg"),
         "nodir": str(tmp_path / "nodir" / "out"),
+        "isdir": str(tmp_path),
     }
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not pathlib.Path(paths["out"]).exists() and not pathlib.Path(paths["svg"]).exists()
+    assert not ran
 
 
 @pytest.mark.parametrize(

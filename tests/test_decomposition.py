@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -54,6 +55,14 @@ class TestRectangulate:
             check_partition(g, r)
             assert len(r.juncs) == 1
             assert len(r.juncs[0].pairs) == 1
+
+    def test_tall_strip_is_one_rectangle_in_seconds(self):
+        # Comparing every pair of rows would take about a minute here.
+        g = rasterize(P((0, 0), (1, 0), (1, 20_000), (0, 20_000)))
+        t0 = time.perf_counter()
+        r = rectangulate(g, 0)
+        assert time.perf_counter() - t0 < 5.0
+        assert r.rects == (Rectangle(Cell(0, 0), 1, 20_000),)
 
     def test_deterministic_per_seed(self, staircase):
         g = rasterize(staircase)

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from polysearch import geometry, harness, sim
-from polysearch.errors import EmptyInput, InvalidConfig, IoError
+from polysearch.errors import EmptyInput, InvalidConfig, IoError, PolySearchError
 from polysearch.harness import (
     CSV_COLUMNS,
     InstanceSpec,
@@ -46,7 +46,7 @@ from polysearch.harness import (
 )
 from polysearch.plots import HEIGHT, WIDTH, _ticks, bar_chart, line_plot
 from polysearch.polygen import comb_polygon
-from polysearch.sim import INTRUDER_MODELS, STRATEGIES, TrialResult
+from polysearch.sim import INTRUDER_MODELS, MAX_ROBOTS, STRATEGIES, SimConfig, TrialResult
 
 from conftest import P
 
@@ -161,6 +161,39 @@ def test_expand_rejects_a_repeated_instance_id():
     spec = dataclasses.replace(tiny_spec(), instances=(inst, dataclasses.replace(inst, rect_seed=1)))
     with pytest.raises(InvalidConfig, match=f"instance id {inst.id!r} repeats"):
         expand_cells(spec)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("k", 2.5, id="k-float"),
+        pytest.param("k", True, id="k-bool"),
+        pytest.param("k", MAX_ROBOTS + 1, id="k-too-large"),
+        pytest.param("max_steps", 2.5, id="max-steps-float"),
+        pytest.param("max_steps", "5", id="max-steps-string"),
+        pytest.param("max_steps", -1, id="max-steps-negative"),
+        pytest.param("rect_seed", [1], id="rect-seed-list"),
+        pytest.param("strategy", "warp", id="strategy-unknown"),
+        pytest.param("intruder", "ghost", id="intruder-unknown"),
+    ],
+)
+def test_expand_and_init_trial_reject_a_field_alike(field, value):
+    # A sweep cell's trial fields pass the same check as a single trial.
+    inst = tiny_spec().instances[0]
+    cfg = SimConfig(**{"strategy": "sfc", "k": 4, field: value})
+    spec = SweepSpec(
+        (dataclasses.replace(inst, rect_seed=cfg.rect_seed),),
+        (cfg.strategy,),
+        (cfg.k,),
+        (cfg.intruder,),
+        max_steps=cfg.max_steps,
+    )
+    with pytest.raises(PolySearchError) as from_spec:
+        expand_cells(spec)
+    with pytest.raises(PolySearchError) as from_trial:
+        sim.init_trial(cfg, harness.rasterize(inst.polygon))
+    assert type(from_spec.value) is type(from_trial.value)
+    assert str(from_spec.value) == str(from_trial.value)
 
 
 # ---------------------------------------------------------------- sweeps

@@ -110,6 +110,23 @@ def test_old_placement_keywords_fail_at_construction():
         SimConfig(polygon=corridor(4), strategy="rs", k=1)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param({"k": 2.5}, id="k-float"),
+        pytest.param({"k": True}, id="k-bool"),
+        pytest.param({"max_steps": 2.5}, id="max-steps-float"),
+        pytest.param({"max_steps": "5"}, id="max-steps-string"),
+        pytest.param({"seed": [1]}, id="seed-list"),
+        pytest.param({"strategy": "sfc", "rect_seed": [1]}, id="rect-seed-list"),
+    ],
+)
+def test_malformed_field_rejected(bad):
+    # Each would raise TypeError, run as one robot or step past its cap.
+    with pytest.raises(InvalidConfig):
+        init_trial(SimConfig(**{"strategy": "rs", "k": 2, **bad}), rasterize(corridor(4)))
+
+
 def test_colocated_start_is_an_immediate_capture():
     grid = rasterize(corridor(4))
     cfg = SimConfig(
