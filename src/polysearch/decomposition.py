@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import compress
 from typing import Sequence
+
+import numpy as np
 
 from .errors import TooFewRobots
 from .geometry import Cell, GridGraph
@@ -73,7 +74,7 @@ def rectangulate(g: GridGraph, seed: int) -> Rectangulation:
     rng = random.Random(seed)
     free = bytearray(b"\x01") * len(g.cells)  # uncovered flag per cell index
     rects: list[Rectangle] = []
-    while candidates := list(compress(range(len(free)), free)):  # row-major, as g.cells
+    while len(candidates := np.flatnonzero(np.frombuffer(free, np.uint8))):  # row-major, as g.cells
         rect = _max_rectangle(g, free, candidates[rng.randrange(len(candidates))])
         rects.append(rect)
         for row in range(rect.anchor.row, rect.anchor.row + rect.height):

@@ -25,9 +25,9 @@ from dataclasses import dataclass, fields
 from typing import Callable, Sequence, get_type_hints
 
 from .errors import EmptyInput, InvalidConfig, IoError, TooFewRobots, TooManyRobots
-from .geometry import GridGraph, OrthoPolygon, rasterize, write_text
+from .geometry import GridGraph, OrthoPolygon, check_cells, rasterize, write_text
 from .polygen import comb_polygon
-from .sim import STRATEGIES, SimConfig, TrialResult, check_config, init_trial, is_int, run_trial
+from .sim import STRATEGIES, SimConfig, TrialResult, check_config, is_int, run_trial, team
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,7 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
         # Before Python 3.13 the CSV writer leaves a lone \r unquoted; a surrogate has no UTF-8 form.
         if not isinstance(inst.id, str) or any(c == "\r" or "\ud800" <= c <= "\udfff" for c in inst.id):
             raise InvalidConfig(f"instance id must be a string without \\r or surrogates, got {inst.id!r}")
+        check_cells(inst.polygon.area, "polygon")
     if not is_int(spec.base_seed):
         raise InvalidConfig(f"base_seed must be an integer, got {spec.base_seed!r}")
     if not is_int(spec.trials) or spec.trials < 1:
@@ -182,7 +183,7 @@ def _infeasible_row(cell: SweepCell) -> SummaryRow:
 def run_cell(cell: SweepCell, trials: int, base_seed: int, max_steps: int | None) -> SummaryRow:
     """Run one sweep cell inline (shared by serial and worker paths).
 
-    A team that `init_trial` cannot field on the cell's grid gives an
+    A team that `sim.team` cannot field on the cell's grid gives an
     infeasible row with no trials.
     """
     grid = _instance_grid(cell.instance.id, cell.instance.polygon)
@@ -192,7 +193,7 @@ def run_cell(cell: SweepCell, trials: int, base_seed: int, max_steps: int | None
         return SimConfig(cell.strategy, cell.k, cell.intruder, max_steps, seed, cell.instance.rect_seed)
 
     try:
-        init_trial(config(0), grid)
+        team(config(0), grid)
     except (TooFewRobots, TooManyRobots):
         return _infeasible_row(cell)
     return summarize(cell, [run_trial(config(trial), grid) for trial in range(trials)])

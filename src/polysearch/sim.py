@@ -144,46 +144,6 @@ def sfc_layout(grid: GridGraph, rect_seed: int = 0) -> SfcLayout:
     return grid.memo(("sfc_layout", rect_seed), build)
 
 
-def sfc_team(
-    grid: GridGraph, strategy: str, k: int, rect_seed: int = 0
-) -> tuple[tuple[Tour, ...], tuple[tuple[Tour, ...], ...]]:
-    """The k-robot sfc/sfc_g team for `grid`, (tours, through), kept in `grid.memo`.
-
-    Tours are in robot id order. Searchers come first, each with the
-    ping-pong tour ``seg + seg[-2:0:-1]`` (period 2(L - 1)) of its curve
-    segment, which is ``tour[:len(tour) // 2 + 1]``; then, for sfc_g, one
-    guard per junction, whose tour is its doorway cell. ``through[c]``
-    holds the tours that pass through cell c, the only robots that can
-    stand on c. Raises TooFewRobots when the rectangles (and junctions)
-    outnumber k, and TooManyRobots when a curve gets more searchers than
-    cells.
-    """
-
-    def build() -> tuple[tuple[Tour, ...], tuple[tuple[Tour, ...], ...]]:
-        layout = sfc_layout(grid, rect_seed)
-        guards = layout.guards if strategy == "sfc_g" else ()
-        m = len(layout.curves)
-        if k - len(guards) < m:
-            raise TooFewRobots(
-                f"{strategy} needs {m + len(guards)} robots here ({m} rectangles"
-                + (f", {len(guards)} junctions)" if guards else ")")
-                + f", got {k}"
-            )
-        tours = []
-        for curve, count in zip(layout.curves, allocate_robots(layout.rectangulation, k - len(guards))):
-            for start, stop in segment_bounds(len(curve), count):
-                seg = curve[start:stop]
-                tours.append(seg + seg[-2:0:-1])
-        tours.extend((cell,) for cell in guards)
-        through: list[tuple[Tour, ...]] = [()] * len(grid.cells)
-        for tour in tours:
-            for cell in dict.fromkeys(tour[: len(tour) // 2 + 1]):
-                through[cell] += (tour,)
-        return tuple(tours), tuple(through)
-
-    return grid.memo(("sfc_team", strategy, k, rect_seed), build)
-
-
 def is_int(value: object) -> bool:
     """Whether `value` is an integer; JSON true and false load as bools, which are Integral too."""
     # An exact int answers before the slower check against the Integral ABC.
@@ -194,7 +154,7 @@ def check_config(cfg: SimConfig) -> None:
     """Raise InvalidConfig for a malformed field of `cfg`, and TooLarge above MAX_ROBOTS.
 
     Trials and sweeps share these rules. A team of fewer than one robot
-    passes: a sweep reports it as infeasible, and `init_trial` raises
+    passes: a sweep reports it as infeasible, and `team` raises
     TooFewRobots.
     """
     if cfg.strategy not in STRATEGIES:
@@ -213,33 +173,70 @@ def check_config(cfg: SimConfig) -> None:
         raise InvalidConfig(f"rect_seed must be an integer, got {cfg.rect_seed!r}")
 
 
+def team(cfg: SimConfig, grid: GridGraph) -> tuple[tuple[Tour, ...], tuple[tuple[Tour, ...], ...]]:
+    """The team `cfg` fields on `grid`, (tours, through), drawing nothing.
+
+    Raises for a bad config (`check_config`) or no robots. A planning team
+    has no tours, ``((), ())``; the k-robot sfc/sfc_g team is kept in
+    `grid.memo`. Its tours are in robot id order: searchers first, each
+    with the ping-pong tour ``seg + seg[-2:0:-1]`` (period 2(L - 1)) of its
+    curve segment, which is ``tour[:len(tour) // 2 + 1]``; then, for sfc_g,
+    one guard per junction, whose tour is its doorway cell. ``through[c]``
+    holds the tours that pass through cell c, the only robots that can
+    stand on c. Raises TooFewRobots when the rectangles (and junctions)
+    outnumber k, and TooManyRobots when a curve gets more searchers than
+    cells.
+    """
+    check_config(cfg)
+    if cfg.k < 1:
+        raise TooFewRobots("at least one robot is required")
+    if cfg.strategy not in ("sfc", "sfc_g"):
+        return (), ()
+    if cfg.robot_cells is not None:
+        raise InvalidConfig("robot_cells only apply to rs, crs and baseline")
+
+    def build() -> tuple[tuple[Tour, ...], tuple[tuple[Tour, ...], ...]]:
+        layout = sfc_layout(grid, cfg.rect_seed)
+        guards = layout.guards if cfg.strategy == "sfc_g" else ()
+        m = len(layout.curves)
+        if cfg.k - len(guards) < m:
+            raise TooFewRobots(
+                f"{cfg.strategy} needs {m + len(guards)} robots here ({m} rectangles"
+                + (f", {len(guards)} junctions)" if guards else ")")
+                + f", got {cfg.k}"
+            )
+        tours = []
+        for curve, count in zip(layout.curves, allocate_robots(layout.rectangulation, cfg.k - len(guards))):
+            for start, stop in segment_bounds(len(curve), count):
+                seg = curve[start:stop]
+                tours.append(seg + seg[-2:0:-1])
+        tours.extend((cell,) for cell in guards)
+        through: list[tuple[Tour, ...]] = [()] * len(grid.cells)
+        for tour in tours:
+            for cell in dict.fromkeys(tour[: len(tour) // 2 + 1]):
+                through[cell] += (tour,)
+        return tuple(tours), tuple(through)
+
+    return grid.memo(("sfc_team", cfg.strategy, cfg.k, cfg.rect_seed), build)
+
+
 def init_trial(cfg: SimConfig, grid: GridGraph) -> SimState:
-    """Place the team and the intruder on `grid`.
+    """Field the team of `cfg` on `grid` (see `team`) and place it and the intruder.
 
     Random draws happen in a fixed order (robot positions in id order, then
     the intruder), so a config and its seed pin the whole trial; a placed
     team or intruder draws nothing.
     """
-    check_config(cfg)
-    if cfg.k < 1:
-        raise TooFewRobots("at least one robot is required")
+    tours, through = team(cfg, grid)
     n = len(grid.cells)
     rng = random.Random(cfg.seed)
     cost = CostMap(grid) if cfg.strategy in ("rs", "crs") else None
-
-    tours: tuple[Tour, ...] = ()
-    through: tuple[tuple[Tour, ...], ...] = ()
-    pos: list[int] = []
-    if cfg.strategy in ("sfc", "sfc_g"):
-        if cfg.robot_cells is not None:
-            raise InvalidConfig("robot_cells only apply to rs, crs and baseline")
-        tours, through = sfc_team(grid, cfg.strategy, cfg.k, cfg.rect_seed)
-    elif cfg.robot_cells is not None:
+    if cfg.robot_cells is not None:  # a planning team: `team` rejected a placed patrol
         if len(cfg.robot_cells) != cfg.k:
             raise InvalidConfig(f"{cfg.k} robots but {len(cfg.robot_cells)} cells")
         pos = [_placed(idx, n) for idx in cfg.robot_cells]
     else:
-        pos = [rng.randrange(n) for _ in range(cfg.k)]
+        pos = [] if tours else [rng.randrange(n) for _ in range(cfg.k)]
 
     intruder = rng.randrange(n) if cfg.intruder_cell is None else _placed(cfg.intruder_cell, n)
 

@@ -275,6 +275,7 @@ def _spec(**overrides) -> str:
         pytest.param(["sweep", "--spec", "{spec}", "-o", "{nodir}"], id="sweep-output-dir-missing"),
         pytest.param(["sweep", "--spec", "{spec}", "-o", "{isdir}"], id="sweep-output-is-a-directory"),
         pytest.param(["sweep", "--spec", "{fileandpoly}", "-o", "{out}"], id="spec-instance-file-and-polygon"),
+        pytest.param(["sweep", "--spec", "{toolarge}", "-o", "{out}"], id="spec-instance-too-large"),
         pytest.param(["plot", "{missing}", "-o", "{svg}"], id="plot-csv-missing"),
         pytest.param(["plot", "{kabc}", "-o", "{svg}"], id="plot-csv-k-not-an-integer"),
         pytest.param(["plot", "{shortrow}", "-o", "{svg}"], id="plot-csv-short-row"),
@@ -361,6 +362,17 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, ar
             tmp_path,
             "fileandpoly.json",
             _spec(instances=[{"id": "a", "file": "strip.json", "polygon": [[0, 0], [9, 0], [9, 9], [0, 9]]}]),
+        ),
+        # The strip's cells would run before the square's rasterize raised.
+        "toolarge": _write(
+            tmp_path,
+            "toolarge.json",
+            _spec(
+                instances=[
+                    {"id": "strip", "polygon": strip},
+                    {"id": "big", "polygon": [[0, 0], [400, 0], [400, 400], [0, 400]]},
+                ]
+            ),
         ),
         "strip": _write(tmp_path, "strip.json", json.dumps({"vertices": strip})),
         "out": str(tmp_path / "out.csv"),

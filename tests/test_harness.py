@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from polysearch import geometry, harness, sim
-from polysearch.errors import EmptyInput, InvalidConfig, IoError, PolySearchError
+from polysearch.errors import EmptyInput, InvalidConfig, IoError, PolySearchError, TooFewRobots
 from polysearch.harness import (
     CSV_COLUMNS,
     InstanceSpec,
@@ -239,6 +239,29 @@ def test_too_large_patrol_team_is_infeasible():
         ("ell", "sfc", 10),
         ("ell", "rs", 0),
     ]
+
+
+def test_rs_cell_builds_one_cost_map_per_trial(monkeypatch):
+    # Asking whether a cell's team can be fielded builds no trial of its own.
+    built = []
+    cost_map = sim.CostMap
+    monkeypatch.setattr(sim, "CostMap", lambda grid: built.append(grid) or cost_map(grid))
+    row = harness.run_cell(_cell(), 3, 0, None)
+    assert row.feasible and row.trials == 3
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("strategy", ["rs", "crs", "baseline"])
+def test_planning_team_has_no_tours(strategy):
+    grid = harness.rasterize(_cell().instance.polygon)
+    assert sim.team(SimConfig(strategy, 2), grid) == ((), ())
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_team_of_no_robots_is_too_few(strategy):
+    grid = harness.rasterize(_cell().instance.polygon)
+    with pytest.raises(TooFewRobots, match="at least one robot is required"):
+        sim.team(SimConfig(strategy, 0), grid)
 
 
 def test_worker_counts_agree_byte_for_byte():
