@@ -40,7 +40,7 @@ from .sim import SimConfig, run_trial
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     poly = inflate_cut(args.vertices, seed=args.seed)
-    write_polygon_file(args.output, poly, cell_size_m=args.cell_size)
+    write_polygon_file(args.output, poly)
     print(f"wrote {args.output}: {poly.n_vertices} vertices, {poly.area} cells")
     return 0
 
@@ -56,7 +56,7 @@ def _cmd_comb(args: argparse.Namespace) -> int:
         base_height=args.base_height,
         spike_gap=args.gap,
     )
-    write_polygon_file(args.output, poly, cell_size_m=args.cell_size)
+    write_polygon_file(args.output, poly)
     print(f"wrote {args.output}: {len(depths)} teeth, {poly.area} cells")
     return 0
 
@@ -153,8 +153,6 @@ def _load_spec(path: str) -> SweepSpec:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise InvalidConfig(f"worker count must be at least 1, got {args.workers}")
     if args.preset:
         spec = PRESETS[args.preset]()
     else:
@@ -211,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="grow a random orthogonal polygon")
     p.add_argument("--vertices", type=int, required=True, help="target vertex count (even)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cell-size", type=float, default=5.0, help="meters per cell edge")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -220,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spike-width", type=int, default=1)
     p.add_argument("--base-height", type=int, default=1)
     p.add_argument("--gap", type=int, default=1)
-    p.add_argument("--cell-size", type=float, default=5.0)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_comb)
 

@@ -158,12 +158,13 @@ class GridGraph:
 
     Cells are sorted row-major (row, then col) unless given so; `adjacency[i]`
     lists neighbor indices in N, E, S, W order, absent directions skipped.
-    Treated as immutable; `memo` keeps what is derived from it in `cache`.
+    `bounds` is (width, height) of the box from (0, 0) that holds every
+    cell. Treated as immutable; `memo` keeps what is derived from it in `cache`.
     """
 
     __slots__ = ("cells", "index", "adjacency", "cols", "rows", "bounds", "cache")
 
-    def __init__(self, cells: Iterable[Cell], bounds: tuple[int, int]):
+    def __init__(self, cells: Iterable[Cell]):
         cells = tuple(cells)
         keys = [(r, c) for c, r in cells]
         # Cells that are strictly row-major already, as rasterize gives them, are kept.
@@ -173,7 +174,7 @@ class GridGraph:
         self.index: dict[Cell, int] = dict(zip(cells, range(len(cells))))
         self.cols: tuple[int, ...] = tuple(c for c, _ in cells)
         self.rows: tuple[int, ...] = tuple(r for _, r in cells)
-        self.bounds = bounds
+        self.bounds = (max(self.cols, default=-1) + 1, max(self.rows, default=-1) + 1)
         get = self.index.get  # probed N, E, S, W with plain (col, row) pairs
         adj = []
         for c, r in cells:
@@ -221,17 +222,16 @@ def rasterize(poly: OrthoPolygon) -> GridGraph:
     is built.
     """
     check_cells(poly.area, "polygon")
-    w, h = poly.bounds
     vert = [(x0, min(y0, y1), max(y0, y1)) for (x0, y0), (x1, y1) in poly.edges() if x0 == x1]
     cells: list[Cell] = []  # row-major: rows upward, each row's runs left to right
-    for row in range(h):
+    for row in range(poly.bounds[1]):
         xs = sorted(x for x, ylo, yhi in vert if ylo <= row < yhi)
         for lo, hi in zip(xs[::2], xs[1::2]):
             cells.extend(Cell(col, row) for col in range(lo, hi))
 
     if not cells:
         raise InvalidPolygon("polygon encloses no unit cells")
-    g = GridGraph(cells, (w, h))
+    g = GridGraph(cells)
     seen, stack = bytearray(len(cells)), [0]  # flood over adjacency indices
     while stack:
         i = stack.pop()
@@ -302,20 +302,12 @@ def read_json(path: str):
         raise IoError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _check_cell_size(value: object, path: str) -> None:
-    """Raise InvalidPolygon unless a cell edge length in meters is finite and positive."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
-        raise InvalidPolygon(f"{path}: cell size {value!r} is not a finite positive number")
-
-
 def read_polygon_file(path: str) -> OrthoPolygon:
-    """Load {"vertices": [[x, y], ...], "cell_size_m": s} from JSON; the size is checked only."""
+    """Load {"vertices": [[x, y], ...]} from JSON; other keys are ignored."""
     data = read_json(path)
     if not isinstance(data, dict) or "vertices" not in data:
         raise InvalidPolygon(f"{path} has no \"vertices\" list")
-    poly = validate_polygon(data["vertices"])
-    _check_cell_size(data.get("cell_size_m", 5.0), path)
-    return poly
+    return validate_polygon(data["vertices"])
 
 
 def write_text(path: str, text: str) -> None:
@@ -328,7 +320,5 @@ def write_text(path: str, text: str) -> None:
         raise IoError(str(exc)) from exc
 
 
-def write_polygon_file(path: str, poly: OrthoPolygon, cell_size_m: float = 5.0) -> None:
-    _check_cell_size(cell_size_m, path)
-    payload = {"vertices": [list(v) for v in poly.vertices], "cell_size_m": cell_size_m}
-    write_text(path, json.dumps(payload) + "\n")
+def write_polygon_file(path: str, poly: OrthoPolygon) -> None:
+    write_text(path, json.dumps({"vertices": [list(v) for v in poly.vertices]}) + "\n")

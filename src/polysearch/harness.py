@@ -236,6 +236,8 @@ def run_sweep(
     Pool workers, no more than cells or CPUs, claim cells one at a time.
     The cells run on a frozen heap (`gc.freeze`), unless the caller froze it.
     """
+    if not (is_int(workers) and workers >= 1):
+        raise InvalidConfig(f"worker count must be at least 1, got {workers!r}")
     cells = expand_cells(spec)
     jobs = [(c, spec.trials, spec.base_seed, spec.max_steps) for c in cells]
     workers = min(workers, len(cells), os.cpu_count() or 1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import InvalidConfig, TooManyRobots
+from .errors import InvalidConfig, TooFewRobots, TooManyRobots
 from .geometry import Cell, check_cells
 
 
@@ -105,7 +105,7 @@ def segment_bounds(n: int, count: int) -> list[tuple[int, int]]:
     most one and every cell lands in exactly one segment.
     """
     if count < 1:
-        raise TooManyRobots("at least one robot per curve")
+        raise TooFewRobots("at least one robot per curve")
     if count > n:
         raise TooManyRobots(f"{count} robots on a {n}-cell curve")
     starts = [i * n // count for i in range(count)]

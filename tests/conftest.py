@@ -7,6 +7,7 @@ from polysearch.decomposition import rectangulate
 from polysearch.errors import InvalidPolygon
 from polysearch.geometry import Cell, GridGraph, OrthoPolygon, validate_polygon
 from polysearch.sfc import gilbert_curve
+from polysearch.sim import DEFAULT_STEP_FACTOR, team
 
 # Neighbor probing order of the reference oracles: N, E, S, W (row grows northward).
 CARDINAL_STEPS = ((0, 1), (1, 0), (0, -1), (-1, 0))
@@ -99,7 +100,7 @@ TWO_PART_CELLS = (Cell(0, 0), Cell(1, 0), Cell(0, 1), Cell(3, 0), Cell(3, 1), Ce
 
 
 def two_part_grid() -> GridGraph:
-    return GridGraph(TWO_PART_CELLS, (5, 2))
+    return GridGraph(TWO_PART_CELLS)
 
 
 def grid_fields(g: GridGraph) -> tuple:
@@ -200,3 +201,51 @@ def ref_sfc_curves(grid: GridGraph, rect_seed: int) -> tuple[tuple[int, ...], ..
             routed.append(nxt)
         curves.append(tuple(grid.index[c] for c in routed))
     return tuple(curves)
+
+
+def check_trace(rows, result, grid, cfg) -> None:
+    """Fail, naming the first bad row, unless `rows` is a legal trace of `cfg`
+    on `grid` that ends in `result`.
+
+    `rows` are the index rows ``[intruder, *robots]`` that `run_trial` records,
+    one for each t in 0..steps. Each entry is a cell of the grid and each move
+    a stay or a 4-adjacent step. sfc/sfc_g robot i stands on
+    ``tours[i][t % len]`` of `sim.team`, so guards, whose tours are one cell,
+    never move. A static intruder never moves, and a walking one always does
+    unless it is boxed in. Capture, a co-location or a swap of cells derived
+    from consecutive rows, happens at the last row only; an uncaptured trial
+    ends at the step cap, and `via_swap` is the last step's swap without a
+    co-location.
+    """
+    assert len(rows) == result.steps + 1, f"{len(rows)} rows for {result.steps} steps"
+    tours = team(cfg, grid)[0]
+    captured = swapped = False
+    for t, row in enumerate(rows):
+        assert len(row) == cfg.k + 1, f"row {t}: {len(row)} entries for {cfg.k} robots"
+        assert all(0 <= i < len(grid) for i in row), f"row {t}: {row} leaves the grid"
+        if tours:
+            want = [tour[t % len(tour)] for tour in tours]
+            assert row[1:] == want, f"row {t}: robots on {row[1:]}, their tours give {want}"
+        if t:
+            prev = rows[t - 1]
+            for a, b in zip(prev, row):
+                assert b == a or b in grid.adjacency[a], f"row {t}: {a} -> {b} is no stay or 4-adjacent step"
+            was, now = prev[0], row[0]
+            if cfg.intruder == "static":
+                assert now == was, f"row {t}: the static intruder moved"
+            elif cfg.intruder == "walk":
+                assert now != was or not grid.adjacency[was], f"row {t}: the walking intruder stayed"
+            co_located = now in row[1:]
+            swapped = not co_located and now != was and any(
+                p == now and r == was for p, r in zip(prev[1:], row[1:])
+            )
+            captured = co_located or swapped
+        else:
+            captured = row[0] in row[1:]
+        assert not captured or t == result.steps, f"row {t}: a capture before the last row"
+    last = f"row {result.steps}"
+    assert captured == result.captured, f"{last}: captured is {result.captured}, the trace gives {captured}"
+    cap = DEFAULT_STEP_FACTOR * len(grid) if cfg.max_steps is None else cfg.max_steps
+    ended = result.steps == cap or captured and result.steps < cap
+    assert ended, f"{last}: {result.steps} steps, captured {captured}, against a step cap of {cap}"
+    assert result.via_swap == swapped, f"{last}: via_swap is {result.via_swap}, the trace gives {swapped}"

@@ -26,7 +26,7 @@ def test_generate_decompose_simulate_pipeline(tmp_path, capsys):
     assert main(["generate", "--vertices", "12", "--seed", "3", "-o", poly_path]) == 0
     poly = read_polygon_file(poly_path)
     assert poly.n_vertices == 12
-    assert json.loads((tmp_path / "poly.json").read_text())["cell_size_m"] == 5.0
+    assert list(json.loads((tmp_path / "poly.json").read_text())) == ["vertices"]
     capsys.readouterr()
 
     assert main(["decompose", poly_path, "--json"]) == 0
@@ -57,6 +57,18 @@ def test_comb_curve_and_presets(tmp_path, capsys):
     out = capsys.readouterr().out
     for name in ("spikes4", "shapes", "areas", "beta"):
         assert name in out
+
+
+@pytest.mark.parametrize("size", ["5m", -5, 0, True, float("nan"), 5.0])
+def test_polygon_file_cell_size_is_ignored(tmp_path, capsys, size):
+    # Files written before the key went held "cell_size_m"; any value loads.
+    strip = [[0, 0], [4, 0], [4, 1], [0, 1]]
+    old = _write(tmp_path, "old.json", json.dumps({"vertices": strip, "cell_size_m": size}))
+    new = _write(tmp_path, "new.json", json.dumps({"vertices": strip}))
+    assert main(["decompose", old]) == 0
+    out = capsys.readouterr().out
+    assert main(["decompose", new]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_sweep_and_plot_roundtrip(tmp_path, capsys):
@@ -245,14 +257,6 @@ def _spec(**overrides) -> str:
         pytest.param(["decompose", "{vbool}"], id="polygon-vertex-bool"),
         pytest.param(["sweep", "--spec", "{polybool}", "-o", "{out}"], id="spec-polygon-vertex-bool"),
         pytest.param(["sweep", "--spec", "{nointruders}", "-o", "{out}"], id="spec-intruders-empty"),
-        pytest.param(["decompose", "{cellsize}"], id="polygon-cell-size-not-a-number"),
-        pytest.param(["decompose", "{sizeneg}"], id="polygon-cell-size-negative"),
-        pytest.param(["decompose", "{sizezero}"], id="polygon-cell-size-zero"),
-        pytest.param(["decompose", "{sizetrue}"], id="polygon-cell-size-bool"),
-        pytest.param(["decompose", "{sizenan}"], id="polygon-cell-size-nan"),
-        pytest.param(["generate", "--vertices", "8", "--cell-size", "nan", "-o", "{out}"], id="generate-cell-size-nan"),
-        pytest.param(["generate", "--vertices", "8", "--cell-size", "-1", "-o", "{out}"], id="generate-cell-size-negative"),
-        pytest.param(["comb", "--depths", "3", "--cell-size", "0", "-o", "{out}"], id="comb-cell-size-zero"),
         pytest.param(["sweep", "--spec", "{polyobj}", "-o", "{out}"], id="spec-polygon-is-an-object"),
         pytest.param(["sweep", "--spec", "{trials}", "-o", "{out}"], id="spec-trials-string"),
         pytest.param(["sweep", "--spec", "{ks}", "-o", "{out}"], id="spec-ks-float"),
@@ -309,13 +313,6 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, ar
             tmp_path, "polybool.json", _spec(instances=[{"id": "s", "polygon": [[True, 0], [2, 0], [2, 2], [1, 2]]}])
         ),
         "nointruders": _write(tmp_path, "nointruders.json", _spec(intruders=[])),
-        "cellsize": _write(
-            tmp_path, "cellsize.json", json.dumps({"vertices": strip, "cell_size_m": "5m"})
-        ),
-        **{
-            name: _write(tmp_path, f"{name}.json", json.dumps({"vertices": strip, "cell_size_m": size}))
-            for name, size in [("sizeneg", -5), ("sizezero", 0), ("sizetrue", True), ("sizenan", float("nan"))]
-        },
         "polyobj": _write(
             tmp_path, "polyobj.json", _spec(instances=[{"id": "s", "polygon": {"vertices": strip}}])
         ),

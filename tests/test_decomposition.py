@@ -283,7 +283,7 @@ class TestSetBasedOracle:
     def test_runs_that_touch_only_at_corners(self):
         # Each row's last cell is followed, in index order, by the next row's
         # first cell one column on: a row-run walk must stop at the row's end.
-        g = GridGraph([Cell(0, 0), Cell(1, 0), Cell(2, 1), Cell(3, 1), Cell(4, 2), Cell(5, 2)], (6, 3))
+        g = GridGraph([Cell(0, 0), Cell(1, 0), Cell(2, 1), Cell(3, 1), Cell(4, 2), Cell(5, 2)])
         for rect_seed in range(8):
             r = rectangulate(g, rect_seed)
             assert oracle_form(r) == ref_rectangulate(g, rect_seed)

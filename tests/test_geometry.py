@@ -268,14 +268,20 @@ class TestGridGraph:
             for inst in make().instances:
                 g = rasterize(inst.polygon)
                 assert grid_fields(g) == ref_grid_fields(ref_raster_cells(inst.polygon)), inst.id
+                assert g.bounds == inst.polygon.bounds, inst.id
                 # any order, repeats and plain pairs give the same grid
                 shuffled = [tuple(c) for c in reversed(g.cells)] + [g.cells[0]]
-                assert grid_fields(GridGraph(shuffled, g.bounds)) == grid_fields(g)
-                assert grid_fields(GridGraph([tuple(c) for c in g.cells], g.bounds)) == grid_fields(g)
+                assert grid_fields(GridGraph(shuffled)) == grid_fields(g)
+                assert grid_fields(GridGraph([tuple(c) for c in g.cells])) == grid_fields(g)
 
     def test_build_equals_set_based_oracle_out_of_order(self):
         assert grid_fields(two_part_grid()) == ref_grid_fields(TWO_PART_CELLS)
         assert two_part_grid().cells != TWO_PART_CELLS
+
+    def test_bounds_come_from_the_cells(self):
+        assert two_part_grid().bounds == (5, 2)
+        assert GridGraph([Cell(2, 3)]).bounds == (3, 4)
+        assert GridGraph([]).bounds == (0, 0)
 
 
 class TestTrace:
@@ -360,7 +366,7 @@ def test_wide_trace_equals_unit_edge_walk():
 class TestPolygonIO:
     def test_round_trip(self, tmp_path, l_shape):
         path = str(tmp_path / "poly.json")
-        write_polygon_file(path, l_shape, cell_size_m=5.0)
+        write_polygon_file(path, l_shape)
         assert read_polygon_file(path) == l_shape
         with open(path, encoding="utf-8") as fh:
-            assert json.load(fh)["cell_size_m"] == 5.0
+            assert json.load(fh) == {"vertices": [list(v) for v in l_shape.vertices]}

@@ -425,14 +425,25 @@ def test_workers_fork_from_a_frozen_heap(monkeypatch, tmp_path):
     assert all(int(pid) != os.getpid() and int(count) > 0 for pid, count in reports)
 
 
-#: Runs a tiny sweep serially and with two spawned workers; prints whether the CSVs agree.
+@pytest.mark.parametrize("workers", [0, -1, True, 2.5, "2", None])
+def test_run_sweep_rejects_a_bad_worker_count(monkeypatch, workers):
+    ran = []
+    monkeypatch.setattr(harness, "run_cell", lambda *job: ran.append(job))
+    with pytest.raises(InvalidConfig, match="worker count must be at least 1"):
+        run_sweep(tiny_spec(trials=1), workers=workers)
+    assert ran == []
+
+
+#: Runs a tiny sweep serially and with two workers started by the method named
+#: in argv[1]; prints whether the CSVs agree.
 SPAWN_SCRIPT = """
 import multiprocessing
+import sys
 from polysearch import harness
 from polysearch.polygen import comb_polygon
 
 if __name__ == "__main__":
-    multiprocessing.set_start_method("spawn")
+    multiprocessing.set_start_method(sys.argv[1])
     harness.os.cpu_count = lambda: 2
     poly = comb_polygon((2, 3), spike_width=1, base_height=2, spike_gap=1)
     spec = harness.SweepSpec(
@@ -443,17 +454,26 @@ if __name__ == "__main__":
 """
 
 
-def test_spawned_workers_match_serial_csv(tmp_path):
-    """Spawned workers get the jobs and counters through the pool's initializer."""
+def _workers_match_serial_csv(tmp_path, method: str) -> None:
     script = tmp_path / "spawn_sweep.py"
     script.write_text(SPAWN_SCRIPT, encoding="utf-8")
     src = str(Path(harness.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120,
+        [sys.executable, str(script), method], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "True"
+
+
+def test_spawned_workers_match_serial_csv(tmp_path):
+    """Spawned workers get the jobs and counters through the pool's initializer."""
+    _workers_match_serial_csv(tmp_path, "spawn")
+
+
+def test_forkserver_workers_match_serial_csv(tmp_path):
+    """forkserver, the default start method on Linux from Python 3.14, starts workers the same way."""
+    _workers_match_serial_csv(tmp_path, "forkserver")
 
 
 def test_presets_expand():

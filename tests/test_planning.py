@@ -303,7 +303,7 @@ class TestAstar:
         assert p1 == p2
 
     def test_unreachable(self):
-        g = GridGraph([Cell(0, 0), Cell(2, 0)], (3, 1))
+        g = GridGraph([Cell(0, 0), Cell(2, 0)])
         with pytest.raises(Unreachable):
             plan_indices(g, CostMap(g), g.require(Cell(0, 0)), g.require(Cell(2, 0)))
 
@@ -381,7 +381,7 @@ class TestDijkstra:
                 assert planning._next_hops(g, t).tolist() == want
 
     def test_unreachable(self):
-        g = GridGraph([Cell(0, 0), Cell(2, 0)], (3, 1))
+        g = GridGraph([Cell(0, 0), Cell(2, 0)])
         with pytest.raises(Unreachable):
             shortest_indices(g, g.require(Cell(0, 0)), g.require(Cell(2, 0)))
         with pytest.raises(Unreachable):

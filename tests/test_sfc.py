@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from polysearch.errors import InvalidConfig, TooManyRobots
+from polysearch.errors import InvalidConfig, TooFewRobots, TooManyRobots
 from polysearch.geometry import Cell, rasterize
 from polysearch.sfc import gilbert_curve, repair_curve, segment_bounds
 
@@ -111,6 +111,11 @@ class TestSegments:
     def test_too_many(self):
         with pytest.raises(TooManyRobots):
             segment_bounds(len(gilbert_curve(2, 2)), 5)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_too_few(self, count):
+        with pytest.raises(TooFewRobots, match="at least one robot per curve"):
+            segment_bounds(4, count)
 
     def test_segments_partition_curve(self):
         c = gilbert_curve(5, 4)

@@ -8,6 +8,7 @@ crs redeployment barrier, swap captures) are checked white-box.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -25,15 +26,17 @@ from polysearch.sfc import gilbert_curve, segment_bounds
 from polysearch.sim import (
     DEFAULT_STEP_FACTOR,
     SimConfig,
+    TrialResult,
     init_trial,
     intruder_move,
     positions,
     run_trial,
     sfc_layout,
     step,
+    team,
 )
 
-from conftest import P, rect_cells, ref_sfc_curves
+from conftest import P, check_trace, rect_cells, ref_sfc_curves
 
 
 def sfc_minimum(strategy: str, grid) -> int:
@@ -570,6 +573,7 @@ def test_property_patrol_trace_equals_reference(
     cfg = SimConfig(strategy=strategy, k=k, intruder=intruder, seed=seed, max_steps=max_steps)
     rows = []
     res = run_trial(cfg, grid, rows)
+    check_trace(rows, res, grid, cfg)
     ref_rows, ref_result = ref_patrol_trace(cfg, grid)
     assert rows == ref_rows
     assert (res.captured, res.steps, res.via_swap) == ref_result
@@ -636,12 +640,13 @@ def test_guards_never_move(comb_grid):
     poly, grid = comb_grid
     k = sfc_minimum("sfc_g", grid)
     cfg = SimConfig(strategy="sfc_g", k=k + 2, seed=1, intruder="walk")
-    guards = slice(1 + cfg.k - len(sfc_layout(grid).guards), None)  # column 0 is the intruder
+    guards = sfc_layout(grid).guards
+    # check_trace holds each robot to its tour; a guard's tour is its doorway cell.
+    assert guards and team(cfg, grid)[0][-len(guards):] == tuple((cell,) for cell in guards)
     rows = []
-    run_trial(cfg, grid, rows)
-    assert rows[0][guards]
-    for row in rows:
-        assert row[guards] == rows[0][guards]
+    res = run_trial(cfg, grid, rows)
+    assert res.steps > 0
+    check_trace(rows, res, grid, cfg)
 
 
 # ---------------------------------------------------------------- trace invariants
@@ -653,11 +658,7 @@ def test_trace_moves_are_legal(comb_grid):
         cfg = SimConfig(strategy=strategy, k=4, seed=8, intruder="random")
         rows = []
         res = run_trial(cfg, grid, rows)
-        assert len(rows) == res.steps + 1
-        for prev_row, row in zip(rows, rows[1:]):
-            assert len(row) == cfg.k + 1
-            for a, b in zip(prev_row, row):
-                assert b == a or b in grid.adjacency[a]
+        check_trace(rows, res, grid, cfg)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -671,39 +672,66 @@ def test_trace_moves_are_legal(comb_grid):
     max_steps=st.one_of(st.none(), st.integers(0, 400)),
 )
 def test_property_pursuit_trace_is_legal(vertices, poly_seed, strategy, intruder, k, seed, max_steps):
-    """Index rows of an rs, crs or baseline trial on an inflate_cut grid.
-
-    Every robot and intruder move is a stay or a 4-adjacent step inside the
-    grid; the trial ends exactly at the first co-location or swap, or at the
-    step cap; `via_swap` is the last step's swap. A static intruder never
-    moves and a walking one always does; rs robots never idle.
+    """Index rows of an rs, crs or baseline trial on an inflate_cut grid pass
+    `check_trace`, and an untraced run ends the same way; rs robots never idle.
     """
     poly = inflate_cut(vertices, poly_seed)
     grid = rasterize(poly)
     cfg = SimConfig(strategy=strategy, k=k, intruder=intruder, seed=seed, max_steps=max_steps)
     rows = []
     res = run_trial(cfg, grid, rows)
-    # The capture and swap flags of each row, derived from it and the row before.
-    captured, swaps = [rows[0][0] in rows[0][1:]], [False]
-    for prev_row, row in zip(rows, rows[1:]):
-        for a, b in zip(prev_row, row):
-            assert b == a or b in grid.adjacency[a]
-        was, now = prev_row[0], row[0]
-        if cfg.intruder != "random":
-            assert (now == was) == (cfg.intruder == "static")
-        co_located = now in row[1:]
-        swapped = now != was and any(p == now and r == was for p, r in zip(prev_row[1:], row[1:]))
-        captured.append(co_located or swapped)
-        swaps.append(swapped and not co_located)
-    assert not any(captured[:-1])
-    cap = DEFAULT_STEP_FACTOR * len(grid) if cfg.max_steps is None else cfg.max_steps
-    assert captured[-1] or len(rows) - 1 == cap
-    assert (res.captured, res.steps, res.via_swap) == (captured[-1], len(rows) - 1, swaps[-1])
+    check_trace(rows, res, grid, cfg)
     assert run_trial(cfg, grid) == res
     if cfg.strategy == "rs":
         # A robot that arrives replans at once, toward a cell other than its own.
         for prev_row, row in zip(rows, rows[1:]):
             assert all(a != b for a, b in zip(prev_row[1:], row[1:]))
+
+
+def _traced(cfg: SimConfig, grid) -> tuple[list[list[int]], TrialResult]:
+    rows = []
+    res = run_trial(cfg, grid, rows)
+    check_trace(rows, res, grid, cfg)
+    return rows, res
+
+
+def test_check_trace_rejects_a_diagonal_move():
+    grid = rasterize(P((0, 0), (4, 0), (4, 4), (0, 4)))
+    cfg = SimConfig(strategy="rs", k=1, robot_cells=(grid.require(Cell(1, 1)),), intruder_cell=len(grid) - 1, seed=3)
+    rows, res = _traced(cfg, grid)
+    assert res.steps > 1
+    rows[1][1] = grid.require(Cell(2, 2))
+    with pytest.raises(AssertionError, match=r"row 1: 5 -> 10 is no stay or 4-adjacent step"):
+        check_trace(rows, res, grid, cfg)
+
+
+def test_check_trace_rejects_a_moved_guard(comb_grid):
+    poly, grid = comb_grid
+    cfg = SimConfig(strategy="sfc_g", k=sfc_minimum("sfc_g", grid) + 2, seed=1, intruder="walk")
+    rows, res = _traced(cfg, grid)
+    assert res.steps > 1
+    rows[1][-1] = grid.adjacency[rows[1][-1]][0]
+    with pytest.raises(AssertionError, match="row 1: robots on"):
+        check_trace(rows, res, grid, cfg)
+
+
+def test_check_trace_rejects_a_late_capture(comb_grid):
+    poly, grid = comb_grid
+    cfg = SimConfig(strategy="baseline", k=2, seed=4)
+    rows, res = _traced(cfg, grid)
+    assert res.captured and res.steps > 0
+    late = dataclasses.replace(res, steps=res.steps + 1)
+    with pytest.raises(AssertionError, match=f"row {res.steps}: a capture before the last row"):
+        check_trace(rows + [rows[-1]], late, grid, cfg)
+
+
+def test_check_trace_rejects_a_flipped_via_swap(comb_grid):
+    poly, grid = comb_grid
+    cfg = SimConfig(strategy="baseline", k=2, seed=4)
+    rows, res = _traced(cfg, grid)
+    flipped = dataclasses.replace(res, via_swap=not res.via_swap)
+    with pytest.raises(AssertionError, match=f"row {res.steps}: via_swap is {flipped.via_swap}"):
+        check_trace(rows, flipped, grid, cfg)
 
 
 def test_step_after_capture_is_a_noop():
