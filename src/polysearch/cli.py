@@ -199,8 +199,15 @@ def _cmd_presets(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line raises InvalidConfig, so it ends as one line."""
+
+    def error(self, message: str):
+        raise InvalidConfig(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polysearch",
         description="Multi-robot intruder search on orthogonal polygon grids.",
     )
@@ -267,9 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except PolySearchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -197,7 +197,7 @@ class GridGraph:
         except KeyError:
             pass
         value = self.cache[key] = build()
-        if len(self.cache) > max(2, MAX_MEMO_CELLS // len(self.cells)):
+        if len(self.cache) > max(2, MAX_MEMO_CELLS // max(1, len(self.cells))):
             del self.cache[next(iter(self.cache))]
         return value
 

@@ -14,8 +14,8 @@ differs, the public `from scipy.optimize import` is the fallback.
 `shortest_indices` walks a per-goal next-hop table that one unweighted
 csgraph search fills. What they derive from the grid alone goes into its
 bounded `memo`: A*'s |dcol| and |drow| lists, one per goal column and
-row; the reversed CSR structure; the unit-weight graph with an (n, 4)
-neighbor table; one next-hop row per goal.
+row; the reversed CSR structure; the unit-weight graph; one next-hop row
+per goal.
 """
 from __future__ import annotations
 
@@ -159,29 +159,20 @@ def _next_hops(g: GridGraph, goal: int) -> np.ndarray:
 
     One int32 row, -1 where `goal` is unreachable, filled by one unweighted
     csgraph search; `shortest_indices` keeps one per goal in `g.memo`.
+    `_reverse_csr` lists each cell's edges together, in N, E, S, W order.
     """
-    graph, nbrs = g.memo("unit_graph", lambda: _unit_graph(g))
-    far = csgraph.dijkstra(graph, indices=goal, unweighted=True)
-    # Layer -1 marks unreachable cells; none borders the goal, the only
-    # cell whose layer - 1 is -1. The padding index n gets -3, which no
-    # layer - 1 equals.
-    layer = np.append(np.where(np.isfinite(far), far, -1), -3)
-    closer = layer[nbrs] == (layer[:-1] - 1)[:, None]
-    first = nbrs[np.arange(len(nbrs)), closer.argmax(axis=1)]
-    row = np.where(closer.any(axis=1), first, -1).astype(np.int32)
-    row[goal] = goal
-    return row
-
-
-def _unit_graph(g: GridGraph) -> tuple[csr_matrix, np.ndarray]:
-    """Unit-weight csr_matrix of the grid and its (n, 4) neighbor table: each
-    row lists a cell's adjacency in N, E, S, W order, padded with n."""
     indptr, indices, owner = _reverse_csr(g)
     n = len(g.cells)
-    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-    nbrs = np.full((n, 4), n, dtype=np.int32)
-    nbrs[owner, np.arange(len(indices)) - indptr[owner]] = indices
-    return graph, nbrs
+    graph = g.memo("unit_graph", lambda: csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n)))
+    far = csgraph.dijkstra(graph, indices=goal, unweighted=True)
+    layer = np.where(np.isfinite(far), far, -2)  # no cell's layer - 1 is -2
+    closer = np.flatnonzero(layer[indices] == layer[owner] - 1)
+    at = owner[closer]
+    first = closer[at != np.concatenate(([-1], at[:-1]))]  # each owner's first closer edge
+    row = np.full(n, -1, dtype=np.int32)
+    row[owner[first]] = indices[first]
+    row[goal] = goal
+    return row
 
 
 def _reverse_csr(g: GridGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
 import pathlib
 import tempfile
 import time
@@ -290,6 +291,11 @@ def _spec(**overrides) -> str:
         pytest.param(["plot", "{csv}", "-o", "{nodir}"], id="plot-output-dir-missing"),
         # argv decodes a byte that is not UTF-8 (here 0xff) to a lone surrogate.
         pytest.param(["plot", "{csv}", "--title", "a\udcff", "-o", "{svg}"], id="plot-title-not-utf8"),
+        # Malformed command lines: argparse reports them through InvalidConfig.
+        pytest.param(["sweep", "--preset", "spikes4", "--workers", "x", "-o", "{out}"], id="workers-flag-not-an-integer"),
+        pytest.param(["sweep", "--preset", "spikes4"], id="sweep-output-flag-missing"),
+        pytest.param(["zzz"], id="unknown-subcommand"),
+        pytest.param([], id="empty-command-line"),
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
@@ -382,6 +388,13 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, ar
     assert len(err) == 1 and err[0].startswith("error:")
     assert not pathlib.Path(paths["out"]).exists() and not pathlib.Path(paths["svg"]).exists()
     assert not ran
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: polysearch sweep")
 
 
 @pytest.mark.parametrize(
@@ -478,6 +491,18 @@ FUZZ_SPEC = {
     "max_steps": 30,
 }
 FUZZ_POLYGON = {"vertices": STRIP, "cell_size_m": 5.0}
+FUZZ_CSV = f"{','.join(CSV_COLUMNS)}\nstrip,rs,static,1,4,4,1.0000,3.0000,1.0000,0.9800,true\n"
+#: Command lines that run cleanly in a folder holding the files above; the
+#: fuzz below may instead replace the value of one flag in one of them.
+FUZZ_ARGVS = [
+    ["generate", "--vertices", "8", "--seed", "1", "-o", "out.json"],
+    ["comb", "--depths", "2,1", "--spike-width", "1", "--base-height", "1", "--gap", "1", "-o", "out.json"],
+    ["decompose", "poly.json", "--seed", "1"],
+    ["simulate", "poly.json", "--strategy", "rs", "-k", "2", "--intruder", "walk", "--seed", "1",
+     "--rect-seed", "1", "--max-steps", "30"],
+    ["sweep", "--spec", "spec.json", "--trials", "2", "--base-seed", "3", "--workers", "1", "-o", "out.csv"],
+    ["plot", "ok.csv", "--kind", "bar", "--title", "t", "-o", "out.svg"],
+]
 
 
 def _key_paths(doc, prefix=()):
@@ -494,8 +519,10 @@ def _key_paths(doc, prefix=()):
         yield from _key_paths(value, prefix + (key,))
 
 
-#: Keys whose values set how long a run takes; integers there stay small.
+#: Keys and flags whose values set how long a run takes; integers there
+#: stay small. run_sweep caps --workers at the CPU count.
 _CAPPED = ("trials", "ks", "max_steps")
+_CAPPED_FLAGS = ("--trials", "--max-steps", "-k", "--vertices")
 
 # Vertex loops: valid, self-intersecting, just over the vertex bound, far
 # over it, and over the cell bound.
@@ -516,12 +543,36 @@ _values = st.one_of(
     st.sampled_from([[], {}, [[0, 0]], {"vertices": STRIP}]),
     _loops,
 )
+# Command-line arguments are strings and never hold a NUL.
+_flag_values = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1000000", str(2**64), str(-(2**64)), "2.5", "nan", "", " 1", "x", "-", "--", "-o", "1,2"]),
+    st.text(max_size=4).map(lambda text: text.replace("\0", "")),
+)
+
+
+def _int_above(text: str, cap: int) -> bool:
+    try:
+        return int(text) > cap
+    except ValueError:
+        return False
 
 
 @st.composite
 def _mutations(draw):
-    """(kind, document, key path, replacement value), run time capped."""
-    kind = draw(st.sampled_from(["spec", "polygon"]))
+    """(kind, document, key path, replacement value), run time capped.
+
+    A "flag" document is a command line of FUZZ_ARGVS, and its key path
+    is the position of one flag's value.
+    """
+    kind = draw(st.sampled_from(["spec", "polygon", "flag"]))
+    if kind == "flag":
+        argv = draw(st.sampled_from(FUZZ_ARGVS))
+        at = draw(st.sampled_from([i for i in range(1, len(argv)) if argv[i - 1].startswith("-")]))
+        value = draw(_flag_values)
+        if argv[at - 1] in _CAPPED_FLAGS and _int_above(value, 3):
+            value = "3"
+        return kind, argv, (at,), value
     doc = FUZZ_SPEC if kind == "spec" else FUZZ_POLYGON
     paths = list(_key_paths(doc))
     # Vertex lists are few among the key paths; draw them half the time, and
@@ -534,7 +585,7 @@ def _mutations(draw):
     return kind, doc, path, value
 
 
-@settings(derandomize=True, database=None, max_examples=100, deadline=None,
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutation=_mutations())
 def test_property_one_replaced_value_exits_0_or_2_with_one_error_line(capsys, mutation):
@@ -544,20 +595,28 @@ def test_property_one_replaced_value_exits_0_or_2_with_one_error_line(capsys, mu
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
         poly_path = _write(tmp, "poly.json", json.dumps(doc if kind == "polygon" else FUZZ_POLYGON))
+        spec_path = _write(tmp, "spec.json", json.dumps(doc if kind == "spec" else FUZZ_SPEC))
+        _write(tmp, "ok.csv", FUZZ_CSV)
         if kind == "spec":
-            spec_path = _write(tmp, "spec.json", json.dumps(doc))
             argvs = [["sweep", "--spec", spec_path, "-o", str(tmp / "out.csv")]]
-        else:
+        elif kind == "polygon":
             argvs = [["decompose", poly_path],
                      ["simulate", poly_path, "--strategy", "rs", "-k", "2", "--max-steps", "30"]]
-        for argv in argvs:
-            capsys.readouterr()
-            code = main(argv)
-            err = capsys.readouterr().err
-            assert code in (0, 2)
-            if code == 2:
-                lines = err.strip().splitlines()
-                assert len(lines) == 1 and lines[0].startswith("error:"), err
+        else:
+            argvs = [doc]
+        os.chdir(tmp)  # a replaced -o value writes inside tmp
+        try:
+            for argv in argvs:
+                capsys.readouterr()
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (0, 2)
+                if code == 2:
+                    lines = err.strip().splitlines()
+                    assert len(lines) == 1 and lines[0].startswith("error:"), err
+        finally:
+            os.chdir(cwd)

@@ -18,6 +18,7 @@ from polysearch import geometry, planning
 from polysearch.errors import InvalidConfig, Unreachable
 from polysearch.geometry import Cell, GridGraph, rasterize
 from polysearch.harness import preset_areas
+from polysearch.polygen import inflate_cut
 from polysearch.sim import SimConfig, _rs_move, init_trial, run_trial, step
 from polysearch.planning import (
     STEP_UNITS,
@@ -376,6 +377,8 @@ class TestDijkstra:
 
     def test_next_hops_equal_bfs_oracle_for_every_goal(self):
         grids = [rasterize(inst.polygon) for inst in preset_areas().instances] + [two_part_grid()]
+        grids += [rasterize(inflate_cut(v, seed=s)) for v, s in ((8, 1), (20, 4), (40, 2), (70, 5))]
+        grids.append(GridGraph([Cell(0, 0)]))  # one cell, no edges
         for g in grids:
             for t, want in enumerate(ref_next_hop_rows(g)):
                 assert planning._next_hops(g, t).tolist() == want
@@ -540,6 +543,13 @@ class TestMemo:
         for key in "xyz":
             g.memo(key, lambda: key)
         assert list(g.cache) == ["y", "z"]
+
+    def test_an_empty_grid_counts_as_one_cell(self, monkeypatch):
+        monkeypatch.setattr(geometry, "MAX_MEMO_CELLS", 3)
+        g = GridGraph([])
+        for key in "abcad":
+            assert g.memo(key, lambda: key.upper()) == key.upper()
+        assert list(g.cache) == ["b", "c", "d"]
 
     def test_baseline_and_rs_trials_stay_within_the_bound(self, monkeypatch):
         square = P((0, 0), (150, 0), (150, 150), (0, 150))
