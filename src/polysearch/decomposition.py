@@ -149,10 +149,9 @@ def allocate_robots(r: Rectangulation, k_s: int) -> list[int]:
         raise TooFewRobots(f"{k_s} searchers for {m} rectangles")
     areas = [rect.area for rect in r.rects]
     total = sum(areas)
-    quotas = [k_s * a / total for a in areas]
-    counts = [int(q) for q in quotas]
+    counts = [k_s * a // total for a in areas]  # quotas in exact integers: equal remainders tie
     leftover = k_s - sum(counts)
-    order = sorted(range(m), key=lambda i: (-(quotas[i] - counts[i]), -areas[i], i))
+    order = sorted(range(m), key=lambda i: (counts[i] * total - k_s * areas[i], -areas[i], i))
     for i in order[:leftover]:
         counts[i] += 1
     # floor of one robot per rectangle
@@ -160,7 +159,7 @@ def allocate_robots(r: Rectangulation, k_s: int) -> list[int]:
         if counts[i] == 0:
             donor = max(
                 (j for j in range(m) if counts[j] >= 2),
-                key=lambda j: (counts[j] - quotas[j], counts[j], -j),
+                key=lambda j: (counts[j] * total - k_s * areas[j], counts[j], -j),
             )
             counts[donor] -= 1
             counts[i] += 1

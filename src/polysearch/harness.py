@@ -27,7 +27,7 @@ from typing import Callable, Sequence, get_type_hints
 from .errors import EmptyInput, InvalidConfig, IoError, TooFewRobots, TooManyRobots
 from .geometry import GridGraph, OrthoPolygon, check_cells, rasterize, write_text
 from .polygen import comb_polygon
-from .sim import STRATEGIES, SimConfig, TrialResult, check_config, is_int, run_trial, team
+from .sim import STRATEGIES, SimConfig, TrialResult, is_int, run_trial, team
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ def trial_seed(base_seed: int, cell_index: int, trial_index: int) -> int:
 def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     """Canonical cell order: instance, then strategy, intruder, team size.
 
-    Each cell's trial fields pass `sim.check_config`; the checks here are
-    the sweep's own.
+    Each cell's trial fields pass the checks of a `SimConfig` built from
+    them; the checks here are the sweep's own.
     """
     for name in ("instances", "strategies", "intruders", "ks"):
         if not isinstance(getattr(spec, name), (tuple, list)):
@@ -130,7 +130,7 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
         raise InvalidConfig(f"trials must be a positive integer, got {spec.trials!r}")
     combos = list(itertools.product(spec.instances, spec.strategies, spec.intruders, spec.ks))
     for inst, strategy, intruder, k in combos:  # before the repeat check hashes the values
-        check_config(SimConfig(strategy, k, intruder, spec.max_steps, rect_seed=inst.rect_seed))
+        SimConfig(strategy, k, intruder, spec.max_steps, rect_seed=inst.rect_seed)
     # A repeat would write two CSV rows under one label.
     for name in ("strategies", "intruders", "ks"):
         values = getattr(spec, name)

@@ -63,6 +63,12 @@ MAX_ROBOTS = 1_000
 Tour = tuple[int, ...]
 
 
+def is_int(value: object) -> bool:
+    """Whether `value` is an integer; JSON true and false load as bools, which are Integral too."""
+    # An exact int answers before the slower check against the Integral ABC.
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Everything needed to reproduce one trial on a grid; a fixed placement is in cell indices."""
@@ -75,6 +81,34 @@ class SimConfig:
     rect_seed: int = 0
     robot_cells: tuple[int, ...] | None = None
     intruder_cell: int | None = None
+
+    def __post_init__(self) -> None:
+        """Raise InvalidConfig for a malformed field, and TooLarge above MAX_ROBOTS.
+
+        Fewer than one robot passes (a sweep reports it as infeasible, `team`
+        raises TooFewRobots); `init_trial` checks placed cells against its grid.
+        """
+        if self.strategy not in STRATEGIES:
+            raise InvalidConfig(f"unknown strategy {self.strategy!r}")
+        if self.intruder not in INTRUDER_MODELS:
+            raise InvalidConfig(f"unknown intruder model {self.intruder!r}")
+        if not is_int(self.k):
+            raise InvalidConfig(f"team size must be an integer, got {self.k!r}")
+        if self.k > MAX_ROBOTS:
+            raise TooLarge(f"a team of {self.k} robots is too large; at most {MAX_ROBOTS} are supported")
+        if self.max_steps is not None and (not is_int(self.max_steps) or self.max_steps < 0):
+            raise InvalidConfig(f"max_steps must be a nonnegative integer, got {self.max_steps!r}")
+        if not is_int(self.seed):
+            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
+        if not is_int(self.rect_seed):
+            raise InvalidConfig(f"rect_seed must be an integer, got {self.rect_seed!r}")
+        if self.robot_cells is not None:
+            if self.strategy in ("sfc", "sfc_g"):
+                raise InvalidConfig("robot_cells only apply to rs, crs and baseline")
+            if not hasattr(self.robot_cells, "__len__"):
+                raise InvalidConfig(f"robot_cells must be a sequence of cell indices, got {self.robot_cells!r}")
+            if len(self.robot_cells) != self.k:
+                raise InvalidConfig(f"{self.k} robots but {len(self.robot_cells)} cells")
 
 
 @dataclass
@@ -144,56 +178,24 @@ def sfc_layout(grid: GridGraph, rect_seed: int = 0) -> SfcLayout:
     return grid.memo(("sfc_layout", rect_seed), build)
 
 
-def is_int(value: object) -> bool:
-    """Whether `value` is an integer; JSON true and false load as bools, which are Integral too."""
-    # An exact int answers before the slower check against the Integral ABC.
-    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def check_config(cfg: SimConfig) -> None:
-    """Raise InvalidConfig for a malformed field of `cfg`, and TooLarge above MAX_ROBOTS.
-
-    Trials and sweeps share these rules. A team of fewer than one robot
-    passes: a sweep reports it as infeasible, and `team` raises
-    TooFewRobots.
-    """
-    if cfg.strategy not in STRATEGIES:
-        raise InvalidConfig(f"unknown strategy {cfg.strategy!r}")
-    if cfg.intruder not in INTRUDER_MODELS:
-        raise InvalidConfig(f"unknown intruder model {cfg.intruder!r}")
-    if not is_int(cfg.k):
-        raise InvalidConfig(f"team size must be an integer, got {cfg.k!r}")
-    if cfg.k > MAX_ROBOTS:
-        raise TooLarge(f"a team of {cfg.k} robots is too large; at most {MAX_ROBOTS} are supported")
-    if cfg.max_steps is not None and (not is_int(cfg.max_steps) or cfg.max_steps < 0):
-        raise InvalidConfig(f"max_steps must be a nonnegative integer, got {cfg.max_steps!r}")
-    if not is_int(cfg.seed):
-        raise InvalidConfig(f"seed must be an integer, got {cfg.seed!r}")
-    if not is_int(cfg.rect_seed):
-        raise InvalidConfig(f"rect_seed must be an integer, got {cfg.rect_seed!r}")
-
-
 def team(cfg: SimConfig, grid: GridGraph) -> tuple[tuple[Tour, ...], tuple[tuple[Tour, ...], ...]]:
     """The team `cfg` fields on `grid`, (tours, through), drawing nothing.
 
-    Raises for a bad config (`check_config`) or no robots. A planning team
-    has no tours, ``((), ())``; the k-robot sfc/sfc_g team is kept in
-    `grid.memo`. Its tours are in robot id order: searchers first, each
-    with the ping-pong tour ``seg + seg[-2:0:-1]`` (period 2(L - 1)) of its
-    curve segment, which is ``tour[:len(tour) // 2 + 1]``; then, for sfc_g,
-    one guard per junction, whose tour is its doorway cell. ``through[c]``
-    holds the tours that pass through cell c, the only robots that can
-    stand on c. Raises TooFewRobots when the rectangles (and junctions)
-    outnumber k, and TooManyRobots when a curve gets more searchers than
-    cells.
+    Raises TooFewRobots for no robots (`cfg` checked its fields when built).
+    A planning team has no tours, ``((), ())``; the k-robot sfc/sfc_g team
+    is kept in `grid.memo`. Its tours are in robot id order: searchers
+    first, each with the ping-pong tour ``seg + seg[-2:0:-1]`` (period
+    2(L - 1)) of its curve segment, which is ``tour[:len(tour) // 2 + 1]``;
+    then, for sfc_g, one guard per junction, whose tour is its doorway cell.
+    ``through[c]`` holds the tours that pass through cell c, the only robots
+    that can stand on c. Raises TooFewRobots when the rectangles (and
+    junctions) outnumber k, and TooManyRobots when a curve gets more
+    searchers than cells.
     """
-    check_config(cfg)
     if cfg.k < 1:
         raise TooFewRobots("at least one robot is required")
     if cfg.strategy not in ("sfc", "sfc_g"):
         return (), ()
-    if cfg.robot_cells is not None:
-        raise InvalidConfig("robot_cells only apply to rs, crs and baseline")
 
     def build() -> tuple[tuple[Tour, ...], tuple[tuple[Tour, ...], ...]]:
         layout = sfc_layout(grid, cfg.rect_seed)
@@ -225,15 +227,14 @@ def init_trial(cfg: SimConfig, grid: GridGraph) -> SimState:
 
     Random draws happen in a fixed order (robot positions in id order, then
     the intruder), so a config and its seed pin the whole trial; a placed
-    team or intruder draws nothing.
+    team or intruder draws nothing. A placed index outside the grid raises
+    InvalidConfig; `cfg` checked its other fields when it was built.
     """
     tours, through = team(cfg, grid)
     n = len(grid.cells)
     rng = random.Random(cfg.seed)
     cost = CostMap(grid) if cfg.strategy in ("rs", "crs") else None
-    if cfg.robot_cells is not None:  # a planning team: `team` rejected a placed patrol
-        if len(cfg.robot_cells) != cfg.k:
-            raise InvalidConfig(f"{cfg.k} robots but {len(cfg.robot_cells)} cells")
+    if cfg.robot_cells is not None:  # k cells of a planning team, as SimConfig checked
         pos = [_placed(idx, n) for idx in cfg.robot_cells]
     else:
         pos = [] if tours else [rng.randrange(n) for _ in range(cfg.k)]

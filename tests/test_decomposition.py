@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -339,14 +341,43 @@ class TestAllocate:
         r = self.two_rects(10, 5, 10, 5)
         assert allocate_robots(r, 2) == [1, 1]
 
-    def test_remainder_goes_to_largest(self):
-        rects = (
-            Rectangle(Cell(0, 0), 5, 1),
-            Rectangle(Cell(0, 1), 3, 1),
-            Rectangle(Cell(0, 2), 2, 1),
-        )
-        r = Rectangulation(rects, ())
-        assert allocate_robots(r, 4) == [2, 1, 1]
+    @staticmethod
+    def strips(areas):
+        return Rectangulation(tuple(Rectangle(Cell(0, i), a, 1) for i, a in enumerate(areas)), ())
+
+    @pytest.mark.parametrize(
+        "areas, k_s, counts",
+        [
+            pytest.param((5, 3, 2), 4, [2, 1, 1], id="5-3-2"),
+            # Rectangles 0 and 2 tie at remainder 33/77; in floats 0 came out lower.
+            pytest.param((43, 12, 22), 33, [19, 5, 9], id="exact-tie"),
+            # The beta4 comb's sfc_layout: three remainders tie at 3/5.
+            pytest.param((28, 28, 30, 10, 18, 30, 16), 32, [6, 6, 6, 2, 3, 6, 3], id="beta4"),
+        ],
+    )
+    def test_remainder_goes_to_largest(self, areas, k_s, counts):
+        assert allocate_robots(self.strips(areas), k_s) == counts
+
+    def test_matches_exact_rule(self):
+        def rule(areas, k_s):  # the docstring's rule in exact rationals
+            quotas = [Fraction(k_s * a, sum(areas)) for a in areas]
+            counts = [math.floor(q) for q in quotas]
+            by_remainder = sorted(range(len(areas)), key=lambda i: (counts[i] - quotas[i], -areas[i], i))
+            for i in by_remainder[: k_s - sum(counts)]:
+                counts[i] += 1
+            for i in sorted(range(len(areas)), key=lambda i: (-areas[i], i)):
+                if counts[i] == 0:
+                    over = [j for j in range(len(areas)) if counts[j] >= 2]
+                    donor = max(over, key=lambda j: (counts[j] - quotas[j], counts[j], -j))
+                    counts[donor] -= 1
+                    counts[i] += 1
+            return counts
+
+        rng = random.Random(7)
+        for _ in range(20_000):
+            areas = [rng.randint(1, 60) for _ in range(rng.randint(1, 8))]
+            k_s = rng.randint(len(areas), 4 * len(areas) + 20)
+            assert allocate_robots(self.strips(areas), k_s) == rule(areas, k_s), (areas, k_s)
 
     def test_floor_of_one(self):
         r = self.two_rects(100, 10, 1, 1)

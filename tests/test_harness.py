@@ -178,20 +178,20 @@ def test_expand_rejects_a_repeated_instance_id():
     ],
 )
 def test_expand_and_init_trial_reject_a_field_alike(field, value):
-    # A sweep cell's trial fields pass the same check as a single trial.
+    # A sweep cell's trial fields pass the same check as a single trial's config.
     inst = tiny_spec().instances[0]
-    cfg = SimConfig(**{"strategy": "sfc", "k": 4, field: value})
+    trial = {"strategy": "sfc", "k": 4, "intruder": "static", "max_steps": None, "rect_seed": 0, field: value}
     spec = SweepSpec(
-        (dataclasses.replace(inst, rect_seed=cfg.rect_seed),),
-        (cfg.strategy,),
-        (cfg.k,),
-        (cfg.intruder,),
-        max_steps=cfg.max_steps,
+        (dataclasses.replace(inst, rect_seed=trial["rect_seed"]),),
+        (trial["strategy"],),
+        (trial["k"],),
+        (trial["intruder"],),
+        max_steps=trial["max_steps"],
     )
     with pytest.raises(PolySearchError) as from_spec:
         expand_cells(spec)
     with pytest.raises(PolySearchError) as from_trial:
-        sim.init_trial(cfg, harness.rasterize(inst.polygon))
+        SimConfig(**trial)
     assert type(from_spec.value) is type(from_trial.value)
     assert str(from_spec.value) == str(from_trial.value)
 

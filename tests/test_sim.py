@@ -75,16 +75,18 @@ def test_zero_robots_rejected():
 
 def test_sfc_rejects_fixed_positions():
     grid = rasterize(corridor(4))
-    cfg = SimConfig(strategy="sfc", k=1, robot_cells=(grid.require(Cell(0, 0)),))
     with pytest.raises(ValueError):
-        init_trial(cfg, grid)
+        SimConfig(strategy="sfc", k=1, robot_cells=(grid.require(Cell(0, 0)),))
 
 
-def test_position_count_must_match_k():
-    grid = rasterize(corridor(4))
-    cfg = SimConfig(strategy="rs", k=2, robot_cells=(grid.require(Cell(0, 0)),))
-    with pytest.raises(ValueError):
-        init_trial(cfg, grid)
+@pytest.mark.parametrize(
+    "k, robot_cells",
+    [pytest.param(2, (0,), id="one-cell-for-two"), pytest.param(1, 5, id="no-length")],
+)
+def test_position_count_must_match_k(k, robot_cells):
+    # A robot_cells without a length is a bad config, not a TypeError.
+    with pytest.raises(InvalidConfig):
+        SimConfig(strategy="rs", k=k, robot_cells=robot_cells)
 
 
 @pytest.mark.parametrize("where", ["robot", "intruder"])
@@ -114,20 +116,25 @@ def test_old_placement_keywords_fail_at_construction():
 
 
 @pytest.mark.parametrize(
-    "bad",
+    "bad, by_replace",
     [
-        pytest.param({"k": 2.5}, id="k-float"),
-        pytest.param({"k": True}, id="k-bool"),
-        pytest.param({"max_steps": 2.5}, id="max-steps-float"),
-        pytest.param({"max_steps": "5"}, id="max-steps-string"),
-        pytest.param({"seed": [1]}, id="seed-list"),
-        pytest.param({"strategy": "sfc", "rect_seed": [1]}, id="rect-seed-list"),
+        pytest.param({"k": 2.5}, False, id="k-float"),
+        pytest.param({"k": True}, False, id="k-bool"),
+        pytest.param({"max_steps": 2.5}, False, id="max-steps-float"),
+        pytest.param({"max_steps": "5"}, False, id="max-steps-string"),
+        pytest.param({"seed": [1]}, False, id="seed-list"),
+        pytest.param({"strategy": "sfc", "rect_seed": [1]}, False, id="rect-seed-list"),
+        pytest.param({"max_steps": -1}, True, id="max-steps-negative-by-replace"),
     ],
 )
-def test_malformed_field_rejected(bad):
-    # Each would raise TypeError, run as one robot or step past its cap.
+def test_malformed_field_rejected(bad, by_replace):
+    # Each would raise TypeError, run as one robot or step past its cap. A
+    # config checks its fields when built, by its constructor or by replace.
     with pytest.raises(InvalidConfig):
-        init_trial(SimConfig(**{"strategy": "rs", "k": 2, **bad}), rasterize(corridor(4)))
+        if by_replace:
+            dataclasses.replace(SimConfig(strategy="rs", k=2), **bad)
+        else:
+            SimConfig(**{"strategy": "rs", "k": 2, **bad})
 
 
 def test_colocated_start_is_an_immediate_capture():
