@@ -162,6 +162,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.base_seed is not None:
         spec = dataclasses.replace(spec, base_seed=args.base_seed)
     # Fail before the sweep, not after it, when the CSV has nowhere to go.
+    if not args.output:
+        raise IoError("output path is empty")
     out_dir = os.path.dirname(args.output) or "."
     if not os.path.isdir(out_dir):
         raise IoError(f"output directory {out_dir} does not exist")

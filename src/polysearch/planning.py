@@ -222,7 +222,10 @@ def hungarian(cost_matrix: Sequence[Sequence[float]]) -> tuple[int, ...]:
     recovered duals), so the lexicographic pass moves along alternating
     cycles of tight edges and never solves again.
     """
-    m = np.asarray(cost_matrix, dtype=float)
+    try:
+        m = np.asarray(cost_matrix, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"cost matrix is not a numeric table: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise InvalidConfig(f"cost matrix shape {m.shape} is not square")
     if not np.all(np.isfinite(m)):

@@ -2,11 +2,11 @@
 
 Robots and one intruder occupy unit cells of a rasterized polygon. A trial
 is plain index lists: the robots' cell indices in robot id order and the
-intruder's index. Each step a planning team (rs, crs, baseline) moves (one
-cell at most per robot) into a new position list, then the intruder moves;
-a patrol team's cells follow from the step count alone. Capture happens
-when a robot ends the step on the intruder's cell, or when a robot and the
-intruder exchange cells within the step.
+intruder's index. Each step a planning team (rs, crs, baseline) refills
+the plans that need it, every robot pops its plan's next cell or stays
+put, then the intruder moves; a patrol team's cells follow from the step
+count alone. Capture happens when a robot ends the step on the intruder's
+cell, or when a robot and the intruder exchange cells within the step.
 
 Strategies:
 
@@ -25,7 +25,8 @@ Strategies:
 * ``crs``       targets are drawn jointly once the whole team has arrived
                 and matched to robots by an optimal assignment.
 * ``baseline``  every robot always knows the intruder's cell and chases it
-                along a shortest path (an omniscient lower-bound pursuer).
+                along a shortest path, replanned once the intruder leaves
+                the path's end (an omniscient lower-bound pursuer).
 """
 
 from __future__ import annotations
@@ -116,11 +117,11 @@ class SimState:
     """One trial in index space; robot lists are in robot id order.
 
     ``intruder`` holds the intruder's cell. A planning team keeps its cells
-    in ``pos``; an rs/crs robot walks ``plans[i]``, the cells still ahead
-    with the next one last, and has arrived when that list is empty. An
-    sfc/sfc_g team keeps no ``pos``: it carries its ping-pong ``tours`` and
-    ``through``, the tours through each cell, and `positions` derives its
-    cells from ``tours`` and ``t``.
+    in ``pos``, and robot i walks ``plans[i]``, the cells still ahead with
+    the next one last; it has arrived, and stays put, when that list is
+    empty. An sfc/sfc_g team keeps no ``pos``: it carries its ping-pong
+    ``tours`` and ``through``, the tours through each cell, and `positions`
+    derives its cells from ``tours`` and ``t``.
     """
 
     cfg: SimConfig
@@ -252,7 +253,7 @@ def init_trial(cfg: SimConfig, grid: GridGraph) -> SimState:
         max_steps=max_steps,
         tours=tours,
         through=through,
-        plans=[[] for _ in pos] if cost is not None else [],
+        plans=[[] for _ in pos],
     )
     state.captured = _patrol_on(through, intruder, 0) if tours else intruder in pos
     return state
@@ -279,49 +280,48 @@ def _patrol_on(through: tuple[tuple[Tour, ...], ...], cell: int, t: int, last: i
     return False
 
 
-def _rs_move(state: SimState) -> list[int]:
-    """rs: walk toward a private random target; pick a fresh one on arrival.
+def _rs_plan(state: SimState) -> None:
+    """rs: a robot that has arrived gets a path to a fresh private random target.
 
     Targets are resampled until they differ from the current cell (bounded
     attempts), and paths are cheapest under the shared visit-count map, so
     crowded cells get avoided on the next replan.
     """
     g, cm = state.grid, state.cost
-    pos = []
     for plan, here in zip(state.plans, state.pos):
         if not plan:
             plan += plan_indices(g, cm, here, _draw_target(state, here))[:0:-1]
-        pos.append(plan.pop() if plan else here)
-    return pos
 
 
-def _crs_move(state: SimState) -> list[int]:
+def _crs_plan(state: SimState) -> None:
     """crs: like rs, but arrivals wait until the whole team can redeploy.
 
     Once every robot has walked its plan, new targets are drawn jointly and
     matched to robots by assignment cost. Waiting robots still stand on
     their cells and keep inflating the visit counts there.
     """
-    if not any(state.plans):
-        _crs_assign(state)
-    return [plan.pop() if plan else here for plan, here in zip(state.plans, state.pos)]
+    if any(state.plans):
+        return
+    g, cm, pos = state.grid, state.cost, state.pos
+    targets = [_draw_target(state, here) for here in pos]
+    remaining = costs_to_target(g, cm, targets)
+    for plan, here, j in zip(state.plans, pos, hungarian(remaining[:, pos].T)):
+        plan += plan_indices(g, cm, here, targets[j])[:0:-1]
 
 
-def _baseline_move(state: SimState) -> list[int]:
-    """baseline: every robot chases the intruder's cell along a shortest path."""
+def _baseline_plan(state: SimState) -> None:
+    """baseline: a plan that no longer ends on the intruder's cell becomes a shortest path there.
+
+    A kept plan is the rest of a walk along the goal's next-hop row, so it
+    is the tail of the path a fresh request would return.
+    """
     g, goal = state.grid, state.intruder
-    pos = []
-    for here in state.pos:
-        path = shortest_indices(g, here, goal)
-        pos.append(path[1] if len(path) > 1 else here)
-    return pos
+    for plan, here in zip(state.plans, state.pos):
+        if not plan or plan[0] != goal:
+            plan[:] = shortest_indices(g, here, goal)[:0:-1]
 
 
-_MOVES = {
-    "rs": _rs_move,
-    "crs": _crs_move,
-    "baseline": _baseline_move,
-}
+_PLANS = {"rs": _rs_plan, "crs": _crs_plan, "baseline": _baseline_plan}
 
 
 def intruder_move(state: SimState) -> int:
@@ -343,11 +343,13 @@ def intruder_move(state: SimState) -> int:
 def step(state: SimState) -> None:
     """One synchronous step: searchers, cost bumps, intruder, capture test.
 
-    Guards never move. Capture is co-location after the intruder's move, or
-    a robot/intruder cell exchange within the step. Stepping a finished
-    trial is a no-op. A patrol team is not moved: at step t its robots
-    stand on their tours' entries t, so only the tours through the
-    intruder's new cell (co-location) and old cell (swap) are tested.
+    A planning team's strategy refills its plans, then each robot pops its
+    plan's next cell or stays put. Capture is co-location after the
+    intruder's move, or a robot/intruder cell exchange within the step.
+    Stepping a finished trial is a no-op. A patrol team is not moved (its
+    guards never move): at step t its robots stand on their tours' entries
+    t, so only the tours through the intruder's new cell (co-location) and
+    old cell (swap) are tested.
     """
     if state.captured or state.t >= state.max_steps:
         return
@@ -363,7 +365,8 @@ def step(state: SimState) -> None:
         )
     else:
         prev = state.pos
-        pos = state.pos = _MOVES[state.cfg.strategy](state)
+        _PLANS[state.cfg.strategy](state)
+        pos = state.pos = [plan.pop() if plan else here for plan, here in zip(state.plans, prev)]
         if state.cost is not None:
             bump = state.cost.bump_index
             for idx in pos:
@@ -407,11 +410,3 @@ def _draw_target(state: SimState, current: int) -> int:
         if cand != current:
             return cand
     return current
-
-
-def _crs_assign(state: SimState) -> None:
-    g, cm, pos = state.grid, state.cost, state.pos
-    targets = [_draw_target(state, here) for here in pos]
-    remaining = costs_to_target(g, cm, targets)
-    for plan, here, j in zip(state.plans, pos, hungarian(remaining[:, pos].T)):
-        plan += plan_indices(g, cm, here, targets[j])[:0:-1]

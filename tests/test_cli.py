@@ -279,6 +279,7 @@ def _spec(**overrides) -> str:
         pytest.param(["sweep", "--spec", "{negsteps}", "-o", "{out}"], id="spec-max-steps-negative"),
         pytest.param(["sweep", "--spec", "{spec}", "-o", "{nodir}"], id="sweep-output-dir-missing"),
         pytest.param(["sweep", "--spec", "{spec}", "-o", "{isdir}"], id="sweep-output-is-a-directory"),
+        pytest.param(["sweep", "--spec", "{spec}", "-o", ""], id="sweep-output-empty"),
         pytest.param(["sweep", "--spec", "{fileandpoly}", "-o", "{out}"], id="spec-instance-file-and-polygon"),
         pytest.param(["sweep", "--spec", "{toolarge}", "-o", "{out}"], id="spec-instance-too-large"),
         pytest.param(["plot", "{missing}", "-o", "{svg}"], id="plot-csv-missing"),

@@ -19,7 +19,7 @@ from polysearch.errors import InvalidConfig, Unreachable
 from polysearch.geometry import Cell, GridGraph, rasterize
 from polysearch.harness import preset_areas
 from polysearch.polygen import inflate_cut
-from polysearch.sim import SimConfig, _rs_move, init_trial, run_trial, step
+from polysearch.sim import SimConfig, _rs_plan, init_trial, run_trial, step
 from polysearch.planning import (
     STEP_UNITS,
     VISIT_COST,
@@ -343,7 +343,8 @@ class TestAstar:
         assert len(g) == 704
         state = init_trial(SimConfig(strategy="rs", k=25, seed=31), g)
         for _ in range(400):
-            state.pos = _rs_move(state)
+            _rs_plan(state)
+            state.pos = [plan.pop() if plan else here for plan, here in zip(state.plans, state.pos)]
             for i in state.pos:
                 state.cost.bump_index(i)
         rng = random.Random(31)
@@ -437,6 +438,11 @@ class TestHungarian:
     def test_negative_entry(self):
         with pytest.raises(InvalidConfig, match="must be non-negative"):
             hungarian([[1.0, -0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [["a"]], [[1j]]])
+    def test_malformed_matrix(self, matrix):
+        with pytest.raises(InvalidConfig, match="is not a numeric table"):
+            hungarian(matrix)
 
     def test_matches_brute_force(self):
         rng = random.Random(42)

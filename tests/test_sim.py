@@ -17,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from polysearch import sim
 from polysearch.decomposition import allocate_robots
 from polysearch.errors import InvalidConfig, TooFewRobots
 from polysearch.geometry import Cell, rasterize
 from polysearch.harness import preset_areas, preset_spikes4
+from polysearch.planning import shortest_indices
 from polysearch.polygen import comb_polygon, inflate_cut
 from polysearch.sfc import gilbert_curve, segment_bounds
 from polysearch.sim import (
@@ -389,6 +391,37 @@ def test_property_baseline_steps_one_layer_closer(vertices, poly_seed, k, intrud
             else:
                 assert b in grid.adjacency[a]
                 assert dist[b] == dist[a] - 1
+
+
+@pytest.mark.parametrize("k", [1, 4, 10])
+@pytest.mark.parametrize("intruder", ["static", "random", "walk"])
+def test_baseline_plan_is_the_tail_of_a_fresh_path(monkeypatch, intruder, k):
+    # A kept plan must be what asking again would give, so that baseline
+    # moves are those of a fresh shortest path every step.
+    refill = sim._PLANS["baseline"]
+    refills = []
+
+    def refill_and_check(state):
+        refill(state)
+        refills.append(state.t)
+        for plan, here in zip(state.plans, state.pos):
+            assert plan[::-1] == list(shortest_indices(state.grid, here, state.intruder)[1:])
+
+    monkeypatch.setitem(sim._PLANS, "baseline", refill_and_check)
+    for inst in preset_areas().instances:
+        grid = rasterize(inst.polygon)
+        for seed in range(3):
+            run_trial(SimConfig(strategy="baseline", k=k, intruder=intruder, seed=seed), grid)
+    assert len(refills) > 3 * len(preset_areas().instances)
+
+
+def test_static_baseline_asks_once_per_robot(monkeypatch):
+    calls = []
+    monkeypatch.setattr(sim, "shortest_indices", lambda *args: calls.append(args) or shortest_indices(*args))
+    grid = rasterize(preset_areas().instances[-1].polygon)
+    res = run_trial(SimConfig(strategy="baseline", k=4, seed=5), grid)
+    assert res.captured and res.steps > 1
+    assert 0 < len(calls) <= 4
 
 
 def test_static_corridor_capture_time_is_initial_distance():
