@@ -14,14 +14,15 @@ differs, the public `from scipy.optimize import` is the fallback.
 `shortest_indices` walks a per-goal next-hop table that one unweighted
 csgraph search fills. What they derive from the grid alone goes into its
 bounded `memo`: A*'s |dcol| and |drow| lists, one per goal column and
-row; the reversed CSR structure; the unit-weight graph; one next-hop row
-per goal.
+row; one csgraph matrix, whose weights `costs_to_target` rewrites; one
+next-hop row per goal.
 """
 from __future__ import annotations
 
 from heapq import heappop, heappush, heappushpop
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import module_from_spec, spec_from_file_location
+from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
@@ -60,6 +61,12 @@ def _load_lsa():
 
 #: Looked up at call time, so tests and tracers may patch it.
 linear_sum_assignment = _load_lsa()
+
+
+def is_int(value: object) -> bool:
+    """Whether `value` is an integer; JSON true and false load as bools, which are Integral too."""
+    # An exact int answers before the slower check against the Integral ABC.
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
 
 
 class CostMap:
@@ -159,40 +166,38 @@ def _next_hops(g: GridGraph, goal: int) -> np.ndarray:
 
     One int32 row, -1 where `goal` is unreachable, filled by one unweighted
     csgraph search; `shortest_indices` keeps one per goal in `g.memo`.
-    `_reverse_csr` lists each cell's edges together, in N, E, S, W order.
     """
-    indptr, indices, owner = _reverse_csr(g)
-    n = len(g.cells)
-    graph = g.memo("unit_graph", lambda: csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n)))
+    graph, owner = _graph(g)
     far = csgraph.dijkstra(graph, indices=goal, unweighted=True)
     layer = np.where(np.isfinite(far), far, -2)  # no cell's layer - 1 is -2
-    closer = np.flatnonzero(layer[indices] == layer[owner] - 1)
+    closer = np.flatnonzero(layer[graph.indices] == layer[owner] - 1)
     at = owner[closer]
     first = closer[at != np.concatenate(([-1], at[:-1]))]  # each owner's first closer edge
-    row = np.full(n, -1, dtype=np.int32)
-    row[owner[first]] = indices[first]
+    row = np.full(len(g.cells), -1, dtype=np.int32)
+    row[owner[first]] = graph.indices[first]
     row[goal] = goal
     return row
 
 
-def _reverse_csr(g: GridGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """CSR structure of the grid with each edge owned by the cell it leaves.
+def _graph(g: GridGraph) -> tuple[csr_matrix, np.ndarray]:
+    """The grid as one csgraph matrix, and `owner`, the cell each edge leaves.
 
-    Adjacency is symmetric, so the reversed graph has the same structure;
-    only the weights move: edge v -> u of the reversed graph costs the
-    entry of v. A cell's edges keep the N, E, S, W order of its
-    adjacency. Built once per grid and kept in `g.memo`.
+    A cell's edges sit together in N, E, S, W order; adjacency is symmetric,
+    so this is also the reversed graph. The weights are scratch, written in
+    full by `costs_to_target` before each weighted search and never read by
+    an unweighted one, so two threads must not weigh one grid at once.
+    Built once per grid and kept in `g.memo`.
     """
 
-    def build() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def build() -> tuple[csr_matrix, np.ndarray]:
         degrees = [len(nbrs) for nbrs in g.adjacency]
         indptr = np.zeros(len(degrees) + 1, dtype=np.int32)
         np.cumsum(degrees, out=indptr[1:])
         indices = np.array([u for nbrs in g.adjacency for u in nbrs], dtype=np.int32)
-        owner = np.repeat(np.arange(len(degrees)), degrees)
-        return indptr, indices, owner
+        graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(degrees),) * 2)
+        return graph, np.repeat(np.arange(len(degrees)), degrees)
 
-    return g.memo("reverse_csr", build)
+    return g.memo("graph", build)
 
 
 def costs_to_target(g: GridGraph, cm: CostMap, targets: Sequence[int]) -> np.ndarray:
@@ -202,12 +207,15 @@ def costs_to_target(g: GridGraph, cm: CostMap, targets: Sequence[int]) -> np.nda
     `targets[r]`, in integer units of VISIT_COST: entering a cell costs
     STEP_UNITS + its visit count. The values are exact in float64, so
     ties between them are exact. One Dijkstra call over the reversed
-    graph serves every target at once.
+    graph, edge v -> u weighing the entry of v, serves every target. A
+    target that is not an integer in 0..len(g) - 1 raises InvalidConfig.
     """
-    indptr, indices, owner = _reverse_csr(g)
     n = len(g.cells)
-    data = (STEP_UNITS + np.asarray(cm.counts, dtype=np.float64))[owner]
-    graph = csr_matrix((data, indices, indptr), shape=(n, n))
+    for t in targets:
+        if not is_int(t) or not 0 <= t < n:
+            raise InvalidConfig(f"target {t!r} is not an integer in 0..{n - 1}, the grid's cells")
+    graph, owner = _graph(g)
+    np.take(STEP_UNITS + np.asarray(cm.counts, dtype=np.float64), owner, out=graph.data)
     return csgraph.dijkstra(graph, directed=True, indices=targets)
 
 

@@ -33,15 +33,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from numbers import Integral
 
 from .decomposition import Rectangulation, allocate_robots, rectangulate
-from .errors import InvalidConfig, TooFewRobots, TooLarge
+from .errors import InvalidConfig, TooFewRobots, TooLarge, Unreachable
 from .geometry import GridGraph
 from .planning import (
     CostMap,
     costs_to_target,
     hungarian,
+    is_int,
     plan_indices,
     shortest_indices,
 )
@@ -62,12 +62,6 @@ MAX_ROBOTS = 1_000
 
 #: A patrol robot's cell indices over one period, starting at step 0.
 Tour = tuple[int, ...]
-
-
-def is_int(value: object) -> bool:
-    """Whether `value` is an integer; JSON true and false load as bools, which are Integral too."""
-    # An exact int answers before the slower check against the Integral ABC.
-    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -304,8 +298,11 @@ def _crs_plan(state: SimState) -> None:
         return
     g, cm, pos = state.grid, state.cost, state.pos
     targets = [_draw_target(state, here) for here in pos]
-    remaining = costs_to_target(g, cm, targets)
-    for plan, here, j in zip(state.plans, pos, hungarian(remaining[:, pos].T)):
+    cost = costs_to_target(g, cm, targets)[:, pos].T  # robot by target
+    i, j = divmod(int(cost.argmax()), len(targets))  # the first largest cost, robots in id order
+    if cost[i, j] == float("inf"):
+        raise Unreachable(f"no path from {tuple(g.cells[pos[i]])} to {tuple(g.cells[targets[j]])}")
+    for plan, here, j in zip(state.plans, pos, hungarian(cost)):
         plan += plan_indices(g, cm, here, targets[j])[:0:-1]
 
 

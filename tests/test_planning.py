@@ -4,6 +4,7 @@ import heapq
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -384,6 +385,21 @@ class TestDijkstra:
             for t, want in enumerate(ref_next_hop_rows(g)):
                 assert planning._next_hops(g, t).tolist() == want
 
+    def test_next_hops_equal_bfs_oracle_after_weighted_searches(self):
+        # costs_to_target writes its weights into the one graph that the
+        # unweighted next-hop search also reads; that search ignores them.
+        grids = [rasterize(preset_areas().instances[-1].polygon), two_part_grid(), rasterize(inflate_cut(40, seed=2))]
+        rng = random.Random(11)
+        for g in grids:
+            cm = CostMap(g)
+            for _ in range(3 * len(g)):
+                cm.bump_index(rng.randrange(len(g)))
+            costs_to_target(g, cm, [rng.randrange(len(g)) for _ in range(5)])
+            graph, _ = planning._graph(g)
+            assert len(set(graph.data.tolist())) > 1
+            for t, want in enumerate(ref_next_hop_rows(g)):
+                assert planning._next_hops(g, t).tolist() == want
+
     def test_unreachable(self):
         g = GridGraph([Cell(0, 0), Cell(2, 0)])
         with pytest.raises(Unreachable):
@@ -416,6 +432,24 @@ class TestCostsToTarget:
         assert costs_to_target(g, cm, [t])[0].tolist() == [60, 40, 20, 0]
         cm.bump_index(g.require(Cell(1, 0)))
         assert costs_to_target(g, cm, [t])[0].tolist() == [61, 40, 20, 0]
+        # Two maps take turns on one grid; each call rewrites every weight.
+        other = CostMap(g)
+        for cell in (Cell(2, 0), Cell(2, 0), Cell(2, 0), Cell(3, 0)):
+            other.bump_index(g.require(cell))
+        for _ in range(2):
+            assert costs_to_target(g, other, [t])[0].tolist() == [64, 44, 21, 0]
+            assert costs_to_target(g, cm, [t])[0].tolist() == [61, 40, 20, 0]
+
+    def test_accepts_numpy_integer_targets(self):
+        g = rasterize(P((0, 0), (4, 0), (4, 1), (0, 1)))
+        cm = CostMap(g)
+        assert costs_to_target(g, cm, np.array([3, 0])).tolist() == costs_to_target(g, cm, [3, 0]).tolist()
+
+    @pytest.mark.parametrize("target", [4, -1, 1.5, True], ids=["len", "negative", "float", "bool"])
+    def test_rejects_a_target_that_is_not_a_cell_index(self, target):
+        g = rasterize(P((0, 0), (4, 0), (4, 1), (0, 1)))
+        with pytest.raises(InvalidConfig, match=re.escape(f"target {target!r} is not an integer in 0..3")):
+            costs_to_target(g, CostMap(g), [0, target])
 
 
 class TestHungarian:

@@ -19,7 +19,7 @@ from scipy import stats
 
 from polysearch import sim
 from polysearch.decomposition import allocate_robots
-from polysearch.errors import InvalidConfig, TooFewRobots
+from polysearch.errors import InvalidConfig, TooFewRobots, Unreachable
 from polysearch.geometry import Cell, rasterize
 from polysearch.harness import preset_areas, preset_spikes4
 from polysearch.planning import shortest_indices
@@ -38,7 +38,7 @@ from polysearch.sim import (
     team,
 )
 
-from conftest import P, check_trace, rect_cells, ref_sfc_curves
+from conftest import P, check_trace, rect_cells, ref_sfc_curves, two_part_grid
 
 
 def sfc_minimum(strategy: str, grid) -> int:
@@ -422,6 +422,26 @@ def test_static_baseline_asks_once_per_robot(monkeypatch):
     res = run_trial(SimConfig(strategy="baseline", k=4, seed=5), grid)
     assert res.captured and res.steps > 1
     assert 0 < len(calls) <= 4
+
+
+@pytest.mark.parametrize("strategy", ["rs", "crs", "baseline"])
+def test_a_target_in_another_part_raises_unreachable(strategy):
+    # One robot on (0, 0) and a static intruder on (3, 0), in the grid's other part.
+    grid = two_part_grid()
+    cfg = SimConfig(strategy=strategy, k=1, robot_cells=(0,), intruder_cell=2)
+    with pytest.raises(Unreachable, match=r"^no path from \(0, 0\) to "):
+        run_trial(cfg, grid)
+
+
+def test_crs_names_the_first_robot_and_its_first_target_out_of_reach(monkeypatch):
+    # Robot 0 on (3, 0) reaches target 0 on (3, 1) but not target 1 on (1, 0);
+    # robot 1 on (0, 0) reaches target 1 but not target 0, which comes first.
+    grid = two_part_grid()
+    drawn = iter([grid.require(Cell(3, 1)), grid.require(Cell(1, 0))])
+    monkeypatch.setattr(sim, "_draw_target", lambda state, here: next(drawn))
+    cfg = SimConfig(strategy="crs", k=2, robot_cells=(2, 0), intruder_cell=5)
+    with pytest.raises(Unreachable, match=r"^no path from \(3, 0\) to \(1, 0\)$"):
+        step(init_trial(cfg, grid))
 
 
 def test_static_corridor_capture_time_is_initial_distance():
