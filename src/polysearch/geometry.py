@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Rational, Real
 from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -88,7 +88,8 @@ def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
     (bools, as JSON true and false load, do not count) or not on the integer
     lattice, when the count is odd, and when an edge is zero-length, not
     axis-parallel, collinear with the next or meets another; more than
-    MAX_VERTICES vertices raise TooLarge.
+    MAX_VERTICES vertices, or a width or height above MAX_CELLS, raise
+    TooLarge.
     """
     try:
         coords = [(v, tuple(v)) for v in vertices]
@@ -96,7 +97,10 @@ def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
         raise InvalidPolygon("vertices must be a list of [x, y] pairs") from None
     pts: list[Point] = []
     for v, xy in coords:
-        if len(xy) != 2 or not all(isinstance(c, Real) and type(c) is not bool and math.isfinite(c) for c in xy):
+        # An int is finite however large, but math.isfinite would overflow converting it.
+        if len(xy) != 2 or not all(
+            isinstance(c, Real) and type(c) is not bool and (isinstance(c, Rational) or math.isfinite(c)) for c in xy
+        ):
             raise InvalidPolygon(f"vertex {v!r} is not an [x, y] pair of finite numbers")
         x, y = xy
         if x != int(x) or y != int(y):
@@ -109,6 +113,11 @@ def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
         raise InvalidPolygon("a polygon needs at least 4 vertices")
     if len(pts) > MAX_VERTICES:
         raise TooLarge(f"polygon has {len(pts)} vertices; at most {MAX_VERTICES} are supported")
+    # Every column and row of a polygon holds a cell, so a wider or taller one
+    # has too many cells. The extent may have too many digits for str().
+    xs, ys = zip(*pts)
+    if max(xs) - min(xs) > MAX_CELLS or max(ys) - min(ys) > MAX_CELLS:
+        raise TooLarge(f"polygon is wider or taller than {MAX_CELLS} cells; at most {MAX_CELLS} cells are supported")
 
     n = len(pts)
     dirs: list[Point] = []

@@ -166,9 +166,9 @@ def summarize(cell: SweepCell, results: Sequence[TrialResult]) -> SummaryRow:
 def _instance_grid(inst_id: str, polygon: OrthoPolygon) -> GridGraph:
     """`rasterize(polygon)`, kept for the last (id, polygon) asked for.
 
-    Cells run instance by instance, and a pool worker claims them in index
-    order, so no sweep asks for an earlier instance's grid again: a process
-    holds one grid and its memo.
+    Cells run instance by instance, and every process of a sweep claims them
+    in index order, so no sweep asks for an earlier instance's grid again: a
+    process holds one grid and its memo.
     """
     return rasterize(polygon)
 
@@ -211,9 +211,22 @@ def _pool_init(*shared) -> None:
     _POOL = shared
 
 
-def _drain() -> list[tuple[int, SummaryRow]]:
-    """Run cells claimed one at a time from the shared counter until none is left."""
-    jobs, claimed, finished = _POOL
+def _pool_drain() -> list[tuple[int, SummaryRow]]:
+    """A pool worker's drain, on the state `_pool_init` set; its cells go through `_cell_worker`."""
+    return _drain(*_POOL, _cell_worker)
+
+
+def _drain(
+    jobs: list, claimed, finished, run: Callable, progress: Callable | None = None
+) -> list[tuple[int, SummaryRow]]:
+    """Run cells claimed one at a time from the shared counter until none is left.
+
+    The caller and each pool worker drain the same `(jobs, claimed, finished)`.
+    A cell that raises sets `claimed` past the last cell before the error
+    propagates, so the other processes stop after their current cell.
+    `progress`, if given, sees `(finished, total)` after each of this
+    process's cells.
+    """
     out = []
     while True:
         with claimed.get_lock():
@@ -221,9 +234,15 @@ def _drain() -> list[tuple[int, SummaryRow]]:
             claimed.value += 1
         if index >= len(jobs):
             return out
-        out.append((index, _cell_worker(jobs[index])))
+        try:
+            out.append((index, run(jobs[index])))
+        except BaseException:
+            claimed.value = len(jobs)
+            raise
         with finished.get_lock():
             finished.value += 1
+        if progress is not None:
+            progress(finished.value, len(jobs))
 
 
 def run_sweep(
@@ -233,8 +252,9 @@ def run_sweep(
 ) -> list[SummaryRow]:
     """Run every cell; row order and content do not depend on `workers`.
 
-    Pool workers, no more than cells or CPUs, claim cells one at a time.
-    The cells run on a frozen heap (`gc.freeze`), unless the caller froze it.
+    `workers` processes, no more than cells or CPUs, claim cells one at a
+    time: the caller and a pool of the other `workers - 1`. The cells run
+    on a frozen heap (`gc.freeze`), unless the caller froze it.
     """
     if not (is_int(workers) and workers >= 1):
         raise InvalidConfig(f"worker count must be at least 1, got {workers!r}")
@@ -261,11 +281,15 @@ def _run_jobs(jobs: list, workers: int, progress: Callable[[int, int], None] | N
             if progress is not None:
                 progress(len(rows), len(jobs))
         return rows
+    # The caller is one of the workers, so the pool holds the other workers - 1.
+    # Its cells go through run_cell, not _cell_worker: a tracer swaps that name
+    # for an entry that writes a worker's spans to a file of its own.
     placed: dict[int, SummaryRow] = {}
     claimed, finished = multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
-    with ProcessPoolExecutor(workers, initializer=_pool_init, initargs=(jobs, claimed, finished)) as pool:
-        pending = {pool.submit(_drain) for _ in range(workers)}
+    with ProcessPoolExecutor(workers - 1, initializer=_pool_init, initargs=(jobs, claimed, finished)) as pool:
+        pending = {pool.submit(_pool_drain) for _ in range(workers - 1)}
         try:
+            placed.update(_drain(jobs, claimed, finished, lambda job: run_cell(*job), progress))
             while pending:
                 done, pending = wait(pending, timeout=0.2, return_when=FIRST_EXCEPTION)
                 for future in done:
@@ -273,7 +297,7 @@ def _run_jobs(jobs: list, workers: int, progress: Callable[[int, int], None] | N
                 if progress is not None:
                     progress(finished.value, len(jobs))
         finally:
-            claimed.value = len(jobs)  # after an error, workers stop after their current cell
+            claimed.value = len(jobs)  # after an error or interrupt, workers stop after their current cell
     return [placed[i] for i in range(len(jobs))]
 
 

@@ -29,6 +29,8 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 180, 44, 52
 X_LABEL, Y_LABEL = "team size", "mean steps to capture"
 #: Largest axis value a chart shows; adding a tick step still moves a float this large.
 MAX_AXIS = 1e12
+#: Smallest positive axis span a chart shows; _ticks rounds ticks to 10 decimals.
+MIN_SPAN = 1e-9
 #: Characters XML 1.0 forbids, mapped to U+FFFD; surrogates stay, since write_text refuses them.
 _NOT_XML = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
 
@@ -82,6 +84,8 @@ class _Frame:
     def __init__(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
         if not all(abs(v) <= MAX_AXIS for v in (x_lo, x_hi, y_lo, y_hi)):
             raise PolySearchError(f"team sizes or mean steps pass {MAX_AXIS:g}, too large to chart")
+        if 0 < x_hi - x_lo < MIN_SPAN or 0 < y_hi - y_lo < MIN_SPAN:
+            raise PolySearchError(f"team sizes or mean steps span less than {MIN_SPAN:g}, too small to chart")
         self.x_lo, self.x_hi = x_lo, x_hi if x_hi > x_lo else x_lo + 1.0  # one value spans a unit, as in _ticks
         self.y_lo, self.y_hi = y_lo, y_hi if y_hi > y_lo else y_lo + 1.0
         self.left, self.right = MARGIN_L, WIDTH - MARGIN_R

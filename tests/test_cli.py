@@ -289,6 +289,12 @@ def _spec(**overrides) -> str:
         pytest.param(["plot", "{meaninf}", "-o", "{svg}"], id="plot-csv-mean-inf"),
         pytest.param(["plot", "{meanhuge}", "-o", "{svg}"], id="plot-csv-mean-huge"),
         pytest.param(["plot", "{meanhuge}", "--kind", "bar", "-o", "{svg}"], id="plot-csv-mean-huge-bar"),
+        pytest.param(["plot", "{meantiny}", "-o", "{svg}"], id="plot-csv-mean-subnormal"),
+        pytest.param(["plot", "{meantiny}", "--kind", "bar", "-o", "{svg}"], id="plot-csv-mean-subnormal-bar"),
+        pytest.param(["plot", "{meantiny2}", "-o", "{svg}"], id="plot-csv-mean-subnormal-2"),
+        pytest.param(["plot", "{meantiny2}", "--kind", "bar", "-o", "{svg}"], id="plot-csv-mean-subnormal-2-bar"),
+        pytest.param(["decompose", "{hugeint}"], id="polygon-vertex-huge-int"),
+        pytest.param(["sweep", "--spec", "{polyhugeint}", "-o", "{out}"], id="spec-polygon-vertex-huge-int"),
         pytest.param(["plot", "{csv}", "-o", "{nodir}"], id="plot-output-dir-missing"),
         # argv decodes a byte that is not UTF-8 (here 0xff) to a lone surrogate.
         pytest.param(["plot", "{csv}", "--title", "a\udcff", "-o", "{svg}"], id="plot-title-not-utf8"),
@@ -301,6 +307,7 @@ def _spec(**overrides) -> str:
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
     strip = [[0, 0], [4, 0], [4, 1], [0, 1]]
+    wide = [[0, 0], [10**400, 0], [10**400, 1], [0, 1]]
     ran = []
     run_cell = harness.run_cell
     monkeypatch.setattr(harness, "run_cell", lambda *job: ran.append(job) or run_cell(*job))
@@ -362,6 +369,18 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, ar
             name: _write(tmp_path, f"{name}.csv", f"{header}\n{row.format(k=1, feasible='true')}\n".replace("3.0000", mean))
             for name, mean in [("meaninf", "inf"), ("meanhuge", "1e308")]
         },
+        # A subnormal mean with no spread: the tick step would underflow to 0.
+        **{
+            name: _write(
+                tmp_path,
+                f"{name}.csv",
+                f"{header}\n{row.format(k=1, feasible='true')}\n".replace("3.0000,1.0000,0.9800", f"{mean},0,0"),
+            )
+            for name, mean in [("meantiny", "2.5e-323"), ("meantiny2", "5e-323")]
+        },
+        # 10**400 overflows a float, so math.isfinite cannot take it.
+        "hugeint": _write(tmp_path, "hugeint.json", json.dumps({"vertices": wide})),
+        "polyhugeint": _write(tmp_path, "polyhugeint.json", _spec(instances=[{"id": "s", "polygon": wide}])),
         "fileandpoly": _write(
             tmp_path,
             "fileandpoly.json",

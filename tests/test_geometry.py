@@ -113,6 +113,15 @@ class TestValidate:
         with pytest.raises(TooLarge, match="8 vertices; at most 6"):
             validate_polygon(u_shape.vertices)
 
+    @pytest.mark.parametrize("far", [10**5 + 1, 10**400, 10**8000], ids=["just-over", "float-overflow", "str-limit"])
+    def test_extent_bound_takes_huge_integers(self, far):
+        # 10**400 overflows a float; str() of 10**8000 has too many digits.
+        for loop in ([(0, 0), (far, 0), (far, 1), (0, 1)], [(0, -far), (1, -far), (1, 0), (0, 0)]):
+            with pytest.raises(TooLarge, match=f"wider or taller than {geometry.MAX_CELLS} cells"):
+                validate_polygon(loop)
+        edge = geometry.MAX_CELLS
+        assert validate_polygon([(0, 0), (edge, 0), (edge, 1), (0, 1)]).bounds == (edge, 1)
+
     def test_min_edge_and_bounds(self, l_shape):
         assert l_shape.bounds == (2, 2)
 

@@ -17,6 +17,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from concurrent.futures import Future
 from pathlib import Path
@@ -300,13 +301,13 @@ def test_pool_is_capped_at_cell_count(monkeypatch, pools):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
     spec = tiny_spec(trials=1)
     pooled = run_sweep(spec, workers=64)
-    assert pools == [12]
+    assert pools == [11]  # 12 processes: the caller and 11 pool workers
     assert rows_to_csv(pooled) == rows_to_csv(run_sweep(spec))
     run_sweep(SweepSpec(spec.instances, ("rs",), (1,), trials=1), workers=4)
-    assert pools == [12]  # one cell runs inline, no pool
+    assert pools == [11]  # one cell runs inline, no pool
 
 
-@pytest.mark.parametrize("cpus, expect", [(3, [3]), (1, []), (None, [])])
+@pytest.mark.parametrize("cpus, expect", [(3, [2]), (1, []), (None, [])])
 def test_pool_is_capped_at_cpu_count(monkeypatch, pools, cpus, expect):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
     spec = tiny_spec(trials=1)
@@ -344,29 +345,67 @@ def test_oversubscribed_pool_runs_every_cell_once(monkeypatch):
         assert seen[-1] == 400
 
 
+def _await_worker_report(path: Path) -> None:
+    """Block, up to 30 s, until a process other than this one has written a line to `path`."""
+    deadline = time.monotonic() + 30
+    while not (path.exists() and any(int(line.split()[0]) != os.getpid() for line in path.read_text().splitlines())):
+        assert time.monotonic() < deadline, "no pool worker reported within 30 s"
+        time.sleep(0.01)
+
+
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="the patched run_cell reaches workers by fork"
 )
-def test_worker_error_stops_the_pool(monkeypatch, tmp_path):
-    """A cell that raises in a worker stops the sweep with that error."""
+@pytest.mark.parametrize("in_caller", [True, False], ids=["caller", "pool-worker"])
+def test_worker_error_stops_the_pool(monkeypatch, tmp_path, in_caller):
+    """The first cell of the caller, or of the pool worker, raises: the sweep stops with that error.
+
+    Either way the failing process sets the claim counter past the last
+    cell, so the other stops after its current cell and cells stay unrun.
+    """
     runs = tmp_path / "runs"
+    caller = os.getpid()
     real = harness.run_cell
 
     def failing(cell, *args):
         with open(runs, "a", encoding="utf-8") as fh:
-            fh.write(f"{cell.index}\n")
-        if cell.index == 1:
-            raise InvalidConfig("cell 1 fails")
+            fh.write(f"{os.getpid()} {cell.index}\n")
+        if (os.getpid() == caller) == in_caller:
+            raise InvalidConfig(f"cell {cell.index} fails")
+        if not in_caller:
+            _await_worker_report(runs)  # the caller's first cell waits for the worker's
         return real(cell, *args)
 
     monkeypatch.setattr(harness, "run_cell", failing)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
     spec = SweepSpec(tiny_spec().instances, ("rs", "baseline"), tuple(range(1, 41)), ("walk",), trials=20)
-    with pytest.raises(InvalidConfig, match="cell 1 fails"):
+    with pytest.raises(InvalidConfig, match=r"cell \d+ fails"):
         run_sweep(spec, workers=2)
-    ran = runs.read_text().split()
-    assert "1" in ran
+    ran = [line.split() for line in runs.read_text().splitlines()]
+    assert any((int(pid) == caller) == in_caller for pid, _ in ran)
     assert len(ran) < len(expand_cells(spec))
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patched _cell_worker reaches workers by fork"
+)
+def test_caller_runs_its_cells_without_the_worker_seam(monkeypatch, tmp_path):
+    """Only pool workers go through `_cell_worker`, the name a tracer swaps for its worker entry."""
+    seen = tmp_path / "seen"
+    real = harness._cell_worker
+
+    def recording(job):
+        with open(seen, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(job)
+
+    monkeypatch.setattr(harness, "_cell_worker", recording)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    spec = tiny_spec(trials=2)
+    serial = rows_to_csv(run_sweep(spec))
+    assert rows_to_csv(run_sweep(spec, workers=2)) == serial
+    pids = seen.read_text().split() if seen.exists() else []
+    assert str(os.getpid()) not in pids
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -376,7 +415,7 @@ def test_sweep_unfreezes_the_heap(monkeypatch, workers):
     assert gc.get_freeze_count() == 0
 
 
-@pytest.mark.parametrize("workers, expect", [(1, []), (2, [2])])
+@pytest.mark.parametrize("workers, expect", [(1, []), (2, [1])])
 def test_sweep_unfreezes_the_heap_after_a_cell_raises(monkeypatch, pools, workers, expect):
     frozen = []
 
@@ -407,13 +446,20 @@ def test_sweep_keeps_a_callers_frozen_heap(monkeypatch, workers):
     multiprocessing.get_start_method() != "fork", reason="the patched run_cell reaches workers by fork"
 )
 def test_workers_fork_from_a_frozen_heap(monkeypatch, tmp_path):
-    """A full collection in a worker then skips the parent's objects, so it copies none of their pages."""
+    """A full collection in a worker then skips the parent's objects, so it copies none of their pages.
+
+    The caller runs cells too, on the same frozen heap; its first cell waits
+    for the pool worker's first report, so both processes run cells.
+    """
     seen = tmp_path / "seen"
+    caller = os.getpid()
     real = harness.run_cell
 
     def reporting(*args):
         with open(seen, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()} {gc.get_freeze_count()}\n")
+        if os.getpid() == caller:
+            _await_worker_report(seen)
         return real(*args)
 
     monkeypatch.setattr(harness, "run_cell", reporting)
@@ -422,7 +468,8 @@ def test_workers_fork_from_a_frozen_heap(monkeypatch, tmp_path):
     run_sweep(spec, workers=2)
     reports = [line.split() for line in seen.read_text().splitlines()]
     assert len(reports) == len(expand_cells(spec))
-    assert all(int(pid) != os.getpid() and int(count) > 0 for pid, count in reports)
+    assert len({pid for pid, _ in reports}) == 2 and str(caller) in {pid for pid, _ in reports}
+    assert all(int(count) > 0 for _, count in reports)
 
 
 @pytest.mark.parametrize("workers", [0, -1, True, 2.5, "2", None])
