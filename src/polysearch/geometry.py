@@ -37,10 +37,19 @@ MAX_VERTICES = 500
 MAX_MEMO_CELLS = 1 << 21
 
 
+def shown(value: object, show: Callable[[object], str] = str) -> str:
+    """`show(value)` for a message, or a stand-in where `value` holds an int with
+    more digits than `str()` takes (4,300 by default)."""
+    try:
+        return show(value)
+    except ValueError:
+        return "<too long to print>"
+
+
 def check_cells(count: int, what: str) -> None:
     """Raise TooLarge when `what` would have more than MAX_CELLS cells."""
     if count > MAX_CELLS:
-        raise TooLarge(f"{what} has {count} cells; at most {MAX_CELLS} are supported")
+        raise TooLarge(f"{what} has {shown(count)} cells; at most {MAX_CELLS} are supported")
 
 
 @dataclass(frozen=True)
@@ -101,10 +110,10 @@ def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
         if len(xy) != 2 or not all(
             isinstance(c, Real) and type(c) is not bool and (isinstance(c, Rational) or math.isfinite(c)) for c in xy
         ):
-            raise InvalidPolygon(f"vertex {v!r} is not an [x, y] pair of finite numbers")
+            raise InvalidPolygon(f"vertex {shown(v, repr)} is not an [x, y] pair of finite numbers")
         x, y = xy
         if x != int(x) or y != int(y):
-            raise InvalidPolygon(f"vertex ({x}, {y}) is not on the integer lattice")
+            raise InvalidPolygon(f"vertex ({shown(x)}, {shown(y)}) is not on the integer lattice")
         pts.append((int(x), int(y)))
 
     if len(pts) % 2 == 1:

@@ -10,6 +10,7 @@ captured trials only, while the capture rate counts everything.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import gc
@@ -27,7 +28,8 @@ from typing import Callable, Sequence, get_type_hints
 from .errors import EmptyInput, InvalidConfig, IoError, TooFewRobots, TooManyRobots
 from .geometry import GridGraph, OrthoPolygon, check_cells, rasterize, write_text
 from .polygen import comb_polygon
-from .sim import STRATEGIES, SimConfig, TrialResult, is_int, run_trial, team
+from .planning import is_int
+from .sim import STRATEGIES, SimConfig, TrialResult, run_trial, team
 
 
 @dataclass(frozen=True)
@@ -173,15 +175,8 @@ def _instance_grid(inst_id: str, polygon: OrthoPolygon) -> GridGraph:
     return rasterize(polygon)
 
 
-def _infeasible_row(cell: SweepCell) -> SummaryRow:
-    nan = math.nan
-    return SummaryRow(
-        cell.instance.id, cell.strategy, cell.intruder, cell.k, 0, 0, 0.0, nan, nan, nan, False
-    )
-
-
 def run_cell(cell: SweepCell, trials: int, base_seed: int, max_steps: int | None) -> SummaryRow:
-    """Run one sweep cell inline (shared by serial and worker paths).
+    """Run one sweep cell in this process, the caller or a pool worker.
 
     A team that `sim.team` cannot field on the cell's grid gives an
     infeasible row with no trials.
@@ -195,7 +190,8 @@ def run_cell(cell: SweepCell, trials: int, base_seed: int, max_steps: int | None
     try:
         team(config(0), grid)
     except (TooFewRobots, TooManyRobots):
-        return _infeasible_row(cell)
+        nan = math.nan
+        return SummaryRow(cell.instance.id, cell.strategy, cell.intruder, cell.k, 0, 0, 0.0, nan, nan, nan, False)
     return summarize(cell, [run_trial(config(trial), grid) for trial in range(trials)])
 
 
@@ -221,7 +217,8 @@ def _drain(
 ) -> list[tuple[int, SummaryRow]]:
     """Run cells claimed one at a time from the shared counter until none is left.
 
-    The caller and each pool worker drain the same `(jobs, claimed, finished)`.
+    The caller and each pool worker drain the same `(jobs, claimed, finished)`;
+    a one-worker sweep starts no pool, and the caller drains them alone.
     A cell that raises sets `claimed` past the last cell before the error
     propagates, so the other processes stop after their current cell.
     `progress`, if given, sees `(finished, total)` after each of this
@@ -253,51 +250,45 @@ def run_sweep(
     """Run every cell; row order and content do not depend on `workers`.
 
     `workers` processes, no more than cells or CPUs, claim cells one at a
-    time: the caller and a pool of the other `workers - 1`. The cells run
-    on a frozen heap (`gc.freeze`), unless the caller froze it.
+    time: the caller and a pool of the other `workers - 1`. With one, the
+    caller drains the cells alone and no pool starts. The cells run on a
+    frozen heap (`gc.freeze`), unless the caller froze it.
     """
     if not (is_int(workers) and workers >= 1):
         raise InvalidConfig(f"worker count must be at least 1, got {workers!r}")
     cells = expand_cells(spec)
     jobs = [(c, spec.trials, spec.base_seed, spec.max_steps) for c in cells]
     workers = min(workers, len(cells), os.cpu_count() or 1)
+    claimed, finished = multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
+    placed: dict[int, SummaryRow] = {}
     # A full collection scans every tracked object and writes its GC header, so
     # over the import heap it costs a serial sweep time, and in a forked worker
     # it copies each page of the parent's heap. Frozen objects are not scanned.
-    if gc.get_freeze_count():
-        return _run_jobs(jobs, workers, progress)
-    gc.freeze()
+    freeze = not gc.get_freeze_count()
+    if freeze:
+        gc.freeze()
     try:
-        return _run_jobs(jobs, workers, progress)
+        # The pool's cells go through _cell_worker, the caller's through run_cell:
+        # a tracer swaps that name for an entry that writes a worker's spans to a
+        # file of its own.
+        pool = contextlib.nullcontext()
+        if workers > 1:
+            pool = ProcessPoolExecutor(workers - 1, initializer=_pool_init, initargs=(jobs, claimed, finished))
+        with pool:
+            pending = {pool.submit(_pool_drain) for _ in range(workers - 1)}
+            try:
+                placed.update(_drain(jobs, claimed, finished, lambda job: run_cell(*job), progress))
+                while pending:
+                    done, pending = wait(pending, timeout=0.2, return_when=FIRST_EXCEPTION)
+                    for future in done:
+                        placed.update(future.result())
+                    if progress is not None:
+                        progress(finished.value, len(jobs))
+            finally:
+                claimed.value = len(jobs)  # after an error or interrupt, workers stop after their current cell
     finally:
-        gc.unfreeze()
-
-
-def _run_jobs(jobs: list, workers: int, progress: Callable[[int, int], None] | None) -> list[SummaryRow]:
-    rows: list[SummaryRow] = []
-    if workers <= 1:
-        for job in jobs:
-            rows.append(run_cell(*job))
-            if progress is not None:
-                progress(len(rows), len(jobs))
-        return rows
-    # The caller is one of the workers, so the pool holds the other workers - 1.
-    # Its cells go through run_cell, not _cell_worker: a tracer swaps that name
-    # for an entry that writes a worker's spans to a file of its own.
-    placed: dict[int, SummaryRow] = {}
-    claimed, finished = multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
-    with ProcessPoolExecutor(workers - 1, initializer=_pool_init, initargs=(jobs, claimed, finished)) as pool:
-        pending = {pool.submit(_pool_drain) for _ in range(workers - 1)}
-        try:
-            placed.update(_drain(jobs, claimed, finished, lambda job: run_cell(*job), progress))
-            while pending:
-                done, pending = wait(pending, timeout=0.2, return_when=FIRST_EXCEPTION)
-                for future in done:
-                    placed.update(future.result())
-                if progress is not None:
-                    progress(finished.value, len(jobs))
-        finally:
-            claimed.value = len(jobs)  # after an error or interrupt, workers stop after their current cell
+        if freeze:
+            gc.unfreeze()
     return [placed[i] for i in range(len(jobs))]
 
 

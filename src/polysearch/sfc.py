@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import InvalidConfig, TooFewRobots, TooManyRobots
-from .geometry import Cell, check_cells
+from .geometry import Cell, check_cells, shown
 
 
 def _sgn(x: int) -> int:
@@ -71,9 +71,10 @@ def gilbert_curve(width: int, height: int) -> tuple[Cell, ...]:
     adjacent, with at most a single diagonal step for odd x odd extents.
     More than MAX_CELLS cells raise TooLarge before any is built.
     """
+    what = f"rectangle {shown(width)}x{shown(height)}"
     if width < 1 or height < 1:
-        raise InvalidConfig(f"rectangle {width}x{height} has no cells")
-    check_cells(width * height, f"rectangle {width}x{height}")
+        raise InvalidConfig(f"{what} has no cells")
+    check_cells(width * height, what)
     if width >= height:
         return tuple(_generate(0, 0, width, 0, 0, height))
     return tuple(_generate(0, 0, 0, height, width, 0))

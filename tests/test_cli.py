@@ -295,6 +295,8 @@ def _spec(**overrides) -> str:
         pytest.param(["plot", "{meantiny2}", "--kind", "bar", "-o", "{svg}"], id="plot-csv-mean-subnormal-2-bar"),
         pytest.param(["decompose", "{hugeint}"], id="polygon-vertex-huge-int"),
         pytest.param(["sweep", "--spec", "{polyhugeint}", "-o", "{out}"], id="spec-polygon-vertex-huge-int"),
+        pytest.param(["curve", "{huge}", "{huge}"], id="curve-huge-int"),
+        pytest.param(["comb", "--depths", "{huge}", "--spike-width", "{huge}", "-o", "{out}"], id="comb-huge-int"),
         pytest.param(["plot", "{csv}", "-o", "{nodir}"], id="plot-output-dir-missing"),
         # argv decodes a byte that is not UTF-8 (here 0xff) to a lone surrogate.
         pytest.param(["plot", "{csv}", "--title", "a\udcff", "-o", "{svg}"], id="plot-title-not-utf8"),
@@ -398,6 +400,8 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, ar
             ),
         ),
         "strip": _write(tmp_path, "strip.json", json.dumps({"vertices": strip})),
+        # Two such sizes multiply to 8,002 digits, more than str() of an int takes.
+        "huge": "9" * 4001,
         "out": str(tmp_path / "out.csv"),
         "svg": str(tmp_path / "out.svg"),
         "nodir": str(tmp_path / "nodir" / "out"),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -121,6 +122,19 @@ class TestValidate:
                 validate_polygon(loop)
         edge = geometry.MAX_CELLS
         assert validate_polygon([(0, 0), (edge, 0), (edge, 1), (0, 1)]).bounds == (edge, 1)
+
+    @pytest.mark.parametrize(
+        "vertex, match",
+        [
+            ([10**5000, "a"], r"vertex <too long to print> is not an \[x, y\] pair"),
+            ([Fraction(10**5000, 3), 0], r"vertex \(<too long to print>, 0\) is not on the integer lattice"),
+        ],
+        ids=["not-a-pair", "off-lattice"],
+    )
+    def test_vertex_messages_take_huge_integers(self, vertex, match):
+        # str() refuses an int of more than 4,300 digits, so the message prints a stand-in.
+        with pytest.raises(InvalidPolygon, match=match):
+            validate_polygon([vertex, [1, 0], [1, 1], [0, 1]])
 
     def test_min_edge_and_bounds(self, l_shape):
         assert l_shape.bounds == (2, 2)

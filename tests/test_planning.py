@@ -202,6 +202,88 @@ def ref_lex_assignment(cost_matrix) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+def ref_unit_costs(g, counts, target: int) -> list[float]:
+    """Cost from every cell to `target` in units of VISIT_COST, entering a cell
+    for STEP_UNITS + its visit count, by a heapq Dijkstra; oracle only."""
+    dist = [float("inf")] * len(g)
+    dist[target] = 0
+    heap = [(0, target)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v in g.adjacency[u]:  # v -> u enters u; adjacency is symmetric
+            if d + STEP_UNITS + counts[u] < dist[v]:
+                dist[v] = d + STEP_UNITS + counts[u]
+                heapq.heappush(heap, (dist[v], v))
+    return dist
+
+
+def ref_planning_trace(cfg: SimConfig, grid) -> tuple[list[list[int]], tuple[bool, int, bool]]:
+    """Index rows ``[intruder, *robots]`` of a rs/crs/baseline trial and its
+    (captured, steps, via_swap), from a reference stepper; oracle only.
+
+    It draws from its own `random.Random(seed)`: each robot's cell in id
+    order, then the intruder's; each step, the targets of the robots that
+    plan, in id order, resampled while they equal the robot's cell (32
+    draws at most); then the intruder's move. Paths come from the oracles
+    above: rs and crs robots walk `ref_astar_path` under visit counts kept
+    here (entry 1.0 + VISIT_COST * count, every robot's cell bumped after
+    each move); a crs team redeploys once all have arrived, matched by
+    `ref_lex_assignment` over `ref_unit_costs`; a baseline robot walks
+    a fresh `ref_fifo_bfs_path` to the intruder's cell every step.
+    """
+    n = len(grid)
+    rng = random.Random(cfg.seed)
+    pos = [rng.randrange(n) for _ in range(cfg.k)]
+    intruder = rng.randrange(n)
+    counts, entry = [0] * n, [1.0] * n
+    plans: list[list[int]] = [[] for _ in pos]
+    t, captured, via_swap = 0, intruder in pos, False
+
+    def target(here: int) -> int:
+        for _ in range(32):
+            cell = rng.randrange(n)
+            if cell != here:
+                return cell
+        return here
+
+    rows = [[intruder, *pos]]
+    while not captured and t < cfg.max_steps:
+        if cfg.strategy == "rs":
+            for i, here in enumerate(pos):
+                if not plans[i]:
+                    plans[i] = ref_astar_path(grid, entry, here, target(here))[1:]
+        elif cfg.strategy == "crs" and not any(plans):
+            goals = [target(here) for here in pos]
+            unit_costs = [ref_unit_costs(grid, counts, goal) for goal in goals]
+            matched = ref_lex_assignment([[costs[here] for costs in unit_costs] for here in pos])
+            plans = [ref_astar_path(grid, entry, here, goals[j])[1:] for here, j in zip(pos, matched)]
+        elif cfg.strategy == "baseline":
+            plans = [ref_fifo_bfs_path(grid, here, intruder)[1:] for here in pos]
+        prev = pos
+        pos = [plan.pop(0) if plan else here for plan, here in zip(plans, prev)]
+        if cfg.strategy != "baseline":
+            for cell in pos:
+                counts[cell] += 1
+                entry[cell] = 1.0 + VISIT_COST * counts[cell]
+        intruder_prev = intruder
+        adj = grid.adjacency[intruder]
+        if cfg.intruder == "random":
+            pick = rng.randrange(len(adj) + 1)
+            if pick > 0:
+                intruder = adj[pick - 1]
+        elif cfg.intruder == "walk" and adj:
+            intruder = adj[rng.randrange(len(adj))]
+        co_located = intruder in pos
+        swapped = any(r == intruder_prev and p == intruder for r, p in zip(pos, prev))
+        t += 1
+        if co_located or swapped:
+            captured, via_swap = True, swapped and not co_located
+        rows.append([intruder, *pos])
+    return rows, (captured, t, via_swap)
+
+
 def tie_heavy_matrix(rng: random.Random, k: int, kind: int) -> list[list[float]]:
     """Small integers, thirds, or sums of 1 + 0.05 c as path costs produce them."""
     if kind == 0:
@@ -601,3 +683,20 @@ class TestMemo:
                 run_trial(cfg, g)
                 assert len(g.cache) <= 8
             assert len(g.cache) == 8 and any(key[0] == kind for key in g.cache)
+
+
+@pytest.mark.parametrize("intruder", ["static", "random", "walk"])
+@pytest.mark.parametrize("strategy", ["rs", "crs", "baseline"])
+def test_planning_trace_equals_reference(strategy, intruder):
+    """Every team size from 1 to 12, twice, each on a fresh inflate_cut polygon and seed."""
+    rng = random.Random(f"{strategy} {intruder}")
+    for k in [*range(1, 13)] * 2:
+        grid = rasterize(inflate_cut(2 * rng.randrange(8, 23), rng.randrange(10**6)))
+        cfg = SimConfig(strategy, k, intruder, max_steps=rng.randrange(20, 301), seed=rng.randrange(10**6))
+        rows = []
+        res = run_trial(cfg, grid, rows)
+        ref_rows, ref_result = ref_planning_trace(cfg, grid)
+        assert rows == ref_rows, cfg
+        assert (res.captured, res.steps, res.via_swap) == ref_result, cfg
+        # The untraced path, which sweeps take, must end the same way.
+        assert run_trial(cfg, grid) == res, cfg

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from polysearch.errors import InvalidConfig, TooFewRobots, TooManyRobots
+from polysearch.errors import InvalidConfig, TooFewRobots, TooLarge, TooManyRobots
 from polysearch.geometry import Cell, rasterize
 from polysearch.sfc import gilbert_curve, repair_curve, segment_bounds
 
@@ -57,6 +57,20 @@ class TestGilbert:
     def test_empty_rectangle_rejected(self):
         with pytest.raises(InvalidConfig, match="has no cells"):
             gilbert_curve(0, 3)
+
+    @pytest.mark.parametrize(
+        "size, error, match",
+        [
+            ((0, 10**5000), InvalidConfig, r"rectangle 0x<too long to print> has no cells"),
+            ((10**5000, 10**5000), TooLarge, r"<too long to print>x<too long to print> has <too long to print> cells"),
+            ((10**4000, 10**4000), TooLarge, f"rectangle {10**4000}x{10**4000} has <too long to print> cells"),
+        ],
+        ids=["empty", "both-sides", "product-only"],
+    )
+    def test_size_messages_take_huge_integers(self, size, error, match):
+        # str() refuses an int of more than 4,300 digits, so the message prints a stand-in.
+        with pytest.raises(error, match=match):
+            gilbert_curve(*size)
 
 
 class TestRepair:
