@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from numbers import Rational, Real
+from numbers import Integral, Rational, Real
 from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -44,6 +44,12 @@ def shown(value: object, show: Callable[[object], str] = str) -> str:
         return show(value)
     except ValueError:
         return "<too long to print>"
+
+
+def is_int(value: object) -> bool:
+    """Whether `value` is an integer; JSON true and false load as bools, which are Integral too."""
+    # An exact int answers before the slower check against the Integral ABC.
+    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def check_cells(count: int, what: str) -> None:
@@ -222,11 +228,21 @@ class GridGraph:
     def __contains__(self, cell: Cell) -> bool:
         return cell in self.index
 
+    def check_index(self, i: object, what: str = "cell index") -> int:
+        """`int(i)` for an integer `i` in 0..len(self) - 1; InvalidConfig naming `what` otherwise."""
+        if is_int(i) and 0 <= i < len(self.cells):
+            return int(i)
+        raise InvalidConfig(f"{what} {shown(i, repr)} is not an integer in 0..{len(self.cells) - 1}, the grid's cells")
+
     def require(self, cell: Cell) -> int:
+        """The index of `cell`, a pair of integers (a Cell, tuple or list); InvalidConfig
+        for anything else and for a cell outside the grid."""
+        if not (isinstance(cell, (tuple, list)) and len(cell) == 2 and all(map(is_int, cell))):
+            raise InvalidConfig(f"cell {shown(cell, repr)} is not a pair of integers")
         try:
             return self.index[Cell(*cell)]
         except KeyError:
-            raise InvalidConfig(f"cell {tuple(cell)} is not in the grid") from None
+            raise InvalidConfig(f"cell {shown(tuple(map(int, cell)))} is not in the grid") from None
 
 
 def rasterize(poly: OrthoPolygon) -> GridGraph:

@@ -26,9 +26,8 @@ from dataclasses import dataclass, fields
 from typing import Callable, Sequence, get_type_hints
 
 from .errors import EmptyInput, InvalidConfig, IoError, TooFewRobots, TooManyRobots
-from .geometry import GridGraph, OrthoPolygon, check_cells, rasterize, write_text
+from .geometry import GridGraph, OrthoPolygon, check_cells, is_int, rasterize, write_text
 from .polygen import comb_polygon
-from .planning import is_int
 from .sim import STRATEGIES, SimConfig, TrialResult, run_trial, team
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from heapq import heappop, heappush, heappushpop
 from importlib.machinery import EXTENSION_SUFFIXES
 from importlib.util import module_from_spec, spec_from_file_location
-from numbers import Integral
 from pathlib import Path
 from typing import Sequence
 
@@ -63,12 +62,6 @@ def _load_lsa():
 linear_sum_assignment = _load_lsa()
 
 
-def is_int(value: object) -> bool:
-    """Whether `value` is an integer; JSON true and false load as bools, which are Integral too."""
-    # An exact int answers before the slower check against the Integral ABC.
-    return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
-
-
 class CostMap:
     """Per-cell visit counters layered over a grid graph.
 
@@ -101,6 +94,7 @@ def plan_indices(g: GridGraph, cm: CostMap, start: int, goal: int) -> list[int]:
     cell's distance becomes -1.0, below any new distance, so it is never
     reopened.
     """
+    start, goal = g.check_index(start, "start"), g.check_index(goal, "goal")
     gc, gr = g.cols[goal], g.rows[goal]
     hx = g.memo(("col", gc), lambda: [abs(c - gc) for c in g.cols])
     hy = g.memo(("row", gr), lambda: [abs(r - gr) for r in g.rows])
@@ -152,6 +146,7 @@ def shortest_indices(g: GridGraph, start: int, goal: int) -> tuple[int, ...]:
     is lexicographically smallest: the path a FIFO breadth-first search
     from `start` with N, E, S, W pushes returns.
     """
+    start, goal = g.check_index(start, "start"), g.check_index(goal, "goal")
     nxt = g.memo(("next_hop", goal), lambda: _next_hops(g, goal))
     if nxt[start] < 0:
         raise Unreachable(f"no path from {tuple(g.cells[start])} to {tuple(g.cells[goal])}")
@@ -210,10 +205,7 @@ def costs_to_target(g: GridGraph, cm: CostMap, targets: Sequence[int]) -> np.nda
     graph, edge v -> u weighing the entry of v, serves every target. A
     target that is not an integer in 0..len(g) - 1 raises InvalidConfig.
     """
-    n = len(g.cells)
-    for t in targets:
-        if not is_int(t) or not 0 <= t < n:
-            raise InvalidConfig(f"target {t!r} is not an integer in 0..{n - 1}, the grid's cells")
+    targets = [g.check_index(t, "target") for t in targets]
     graph, owner = _graph(g)
     np.take(STEP_UNITS + np.asarray(cm.counts, dtype=np.float64), owner, out=graph.data)
     return csgraph.dijkstra(graph, directed=True, indices=targets)

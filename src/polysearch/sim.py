@@ -36,12 +36,11 @@ from dataclasses import dataclass
 
 from .decomposition import Rectangulation, allocate_robots, rectangulate
 from .errors import InvalidConfig, TooFewRobots, TooLarge, Unreachable
-from .geometry import GridGraph
+from .geometry import GridGraph, is_int
 from .planning import (
     CostMap,
     costs_to_target,
     hungarian,
-    is_int,
     plan_indices,
     shortest_indices,
 )
@@ -230,11 +229,11 @@ def init_trial(cfg: SimConfig, grid: GridGraph) -> SimState:
     rng = random.Random(cfg.seed)
     cost = CostMap(grid) if cfg.strategy in ("rs", "crs") else None
     if cfg.robot_cells is not None:  # k cells of a planning team, as SimConfig checked
-        pos = [_placed(idx, n) for idx in cfg.robot_cells]
+        pos = [grid.check_index(idx) for idx in cfg.robot_cells]
     else:
         pos = [] if tours else [rng.randrange(n) for _ in range(cfg.k)]
 
-    intruder = rng.randrange(n) if cfg.intruder_cell is None else _placed(cfg.intruder_cell, n)
+    intruder = rng.randrange(n) if cfg.intruder_cell is None else grid.check_index(cfg.intruder_cell)
 
     max_steps = cfg.max_steps if cfg.max_steps is not None else DEFAULT_STEP_FACTOR * n
     state = SimState(
@@ -251,12 +250,6 @@ def init_trial(cfg: SimConfig, grid: GridGraph) -> SimState:
     )
     state.captured = _patrol_on(through, intruder, 0) if tours else intruder in pos
     return state
-
-
-def _placed(idx: int, n: int) -> int:
-    if not is_int(idx) or not 0 <= idx < n:
-        raise InvalidConfig(f"cell index {idx!r} is not an integer in 0..{n - 1}, the grid's cells")
-    return int(idx)
 
 
 def positions(state: SimState) -> list[int]:

@@ -136,6 +136,11 @@ def test_cli_reports_domain_errors(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_curve_plain_output(capsys):
+    assert main(["curve", "3", "3"]) == 0
+    assert capsys.readouterr().out == "(0,0) (0,1) (0,2) (1,2) (2,2) (2,1) (1,1) (1,0) (2,0)\n"
+
+
 def test_curve_json_output(capsys):
     assert main(["curve", "3", "2", "--json"]) == 0
     assert json.loads(capsys.readouterr().out) == [

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -275,6 +276,16 @@ class TestGridGraph:
         with pytest.raises(InvalidConfig, match="is not in the grid"):
             g.require(Cell(1, 1))
         assert Cell(1, 1) not in g
+        with pytest.raises(InvalidConfig, match="cell <too long to print> is not in the grid"):
+            g.require((10**5000, 0))
+
+    @pytest.mark.parametrize("cell", [5, [1], (0, 0, 0), None, (True, 0), (0.0, 0)], ids=repr)
+    def test_require_takes_a_pair_of_integers(self, l_shape, cell):
+        # Not a TypeError, and a bool is not the integer 1.
+        g = rasterize(l_shape)
+        with pytest.raises(InvalidConfig, match=re.escape(f"cell {cell!r} is not a pair of integers")):
+            g.require(cell)
+        assert g.require([1, 0]) == g.require((1, 0)) == g.require(Cell(1, 0))
 
     def test_neighbor_symmetry(self, staircase):
         g = rasterize(staircase)
@@ -320,9 +331,21 @@ class TestTrace:
         traced = polygon_from_cells([Cell(0, 0)])
         assert traced.vertices == ((0, 0), (1, 0), (1, 1), (0, 1))
 
-    def test_pinched_set_rejected(self):
-        with pytest.raises(InvalidPolygon):
-            polygon_from_cells([Cell(0, 0), Cell(1, 1)])
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            # Two cells corner to corner fail the span test before the pinch test.
+            pytest.param([Cell(0, 0), Cell(1, 1)], "more than one boundary loop", id="diagonal-pair"),
+            pytest.param(
+                [(0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0)],
+                re.escape("cell set pinches at point (1, 1)"),
+                id="ring-of-seven",
+            ),
+        ],
+    )
+    def test_pinched_set_rejected(self, cells, message):
+        with pytest.raises(InvalidPolygon, match=message):
+            polygon_from_cells(cells)
 
     @pytest.mark.parametrize(
         "cells",

@@ -490,6 +490,19 @@ class TestDijkstra:
             shortest_indices(g, g.require(Cell(2, 0)), g.require(Cell(0, 0)))
 
 
+@pytest.mark.parametrize(
+    "plan", [lambda g, s, t: plan_indices(g, CostMap(g), s, t), shortest_indices], ids=["astar", "next_hop"]
+)
+@pytest.mark.parametrize("end", ["start", "goal"])
+@pytest.mark.parametrize("index", [-1, 4, 1.5, True], ids=["negative", "len", "float", "bool"])
+def test_planners_reject_an_end_that_is_not_a_cell_index(plan, end, index):
+    # -1 would otherwise plan from or to the last cell.
+    g = rasterize(P((0, 0), (4, 0), (4, 1), (0, 1)))
+    ends = {"start": 0, "goal": 0, end: index}
+    with pytest.raises(InvalidConfig, match=re.escape(f"{end} {index!r} is not an integer in 0..3, the grid's cells")):
+        plan(g, ends["start"], ends["goal"])
+
+
 class TestCostsToTarget:
     def test_equals_astar_from_every_source(self):
         rng = random.Random(3)
@@ -554,6 +567,11 @@ class TestHungarian:
     def test_negative_entry(self):
         with pytest.raises(InvalidConfig, match="must be non-negative"):
             hungarian([[1.0, -0.5], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("matrix", [[[np.inf]], [[np.nan, 1.0], [1.0, 1.0]]], ids=["inf", "nan"])
+    def test_non_finite_entry(self, matrix):
+        with pytest.raises(InvalidConfig, match="must be finite"):
+            hungarian(matrix)
 
     @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [["a"]], [[1j]]])
     def test_malformed_matrix(self, matrix):

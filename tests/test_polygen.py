@@ -383,6 +383,10 @@ class TestComb:
                 with pytest.raises(TooLarge, match=f"comb has {count} vertices"):
                     comb_cells(*shape)
 
+    def test_more_bottom_teeth_than_slots_rejected(self):
+        with pytest.raises(InvalidConfig, match="3 bottom teeth for 2 slots"):
+            comb_cells((1, 2), down=(1, 2, 3))
+
     def test_negative_depth_rejected(self):
         with pytest.raises(InvalidConfig, match="spike lengths must be nonnegative"):
             comb_cells((2, -1))
