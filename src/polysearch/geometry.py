@@ -58,6 +58,15 @@ def check_cells(count: int, what: str) -> None:
         raise TooLarge(f"{what} has {shown(count)} cells; at most {MAX_CELLS} are supported")
 
 
+def _as_cell(cell: object) -> Cell:
+    """`cell`, a pair of integers (a Cell, tuple or list), as a Cell of plain ints; InvalidConfig otherwise."""
+    if type(cell) is Cell and type(cell.col) is int and type(cell.row) is int:
+        return cell
+    if not (isinstance(cell, (tuple, list)) and len(cell) == 2 and all(map(is_int, cell))):
+        raise InvalidConfig(f"cell {shown(cell, repr)} is not a pair of integers")
+    return Cell(int(cell[0]), int(cell[1]))
+
+
 @dataclass(frozen=True)
 class OrthoPolygon:
     """Validated simple orthogonal polygon, CCW, translated to the first quadrant.
@@ -180,7 +189,8 @@ def _check_self_intersection(pts: list[Point]) -> None:
 class GridGraph:
     """4-connected graph over the unit cells inside a polygon.
 
-    Cells are sorted row-major (row, then col) unless given so; `adjacency[i]`
+    Cells, pairs of integers by `require`'s rule, are sorted row-major (row,
+    then col) unless given so as Cells of plain ints; `adjacency[i]`
     lists neighbor indices in N, E, S, W order, absent directions skipped.
     `bounds` is (width, height) of the box from (0, 0) that holds every
     cell. Treated as immutable; `memo` keeps what is derived from it in `cache`.
@@ -190,10 +200,11 @@ class GridGraph:
 
     def __init__(self, cells: Iterable[Cell]):
         cells = tuple(cells)
-        keys = [(r, c) for c, r in cells]
-        # Cells that are strictly row-major already, as rasterize gives them, are kept.
-        if not (all(a < b for a, b in zip(keys, keys[1:])) and all(type(c) is Cell for c in cells)):
-            cells = tuple(sorted({Cell(*c) for c in cells}, key=lambda c: (c.row, c.col)))
+        # Cells of plain ints that are strictly row-major already, as rasterize gives them, are kept.
+        plain = all(type(c) is Cell and type(c.col) is int and type(c.row) is int for c in cells)
+        keys = [(r, c) for c, r in cells] if plain else []
+        if not (plain and all(a < b for a, b in zip(keys, keys[1:]))):
+            cells = tuple(sorted(set(map(_as_cell, cells)), key=lambda c: (c.row, c.col)))
         self.cells: tuple[Cell, ...] = cells
         self.index: dict[Cell, int] = dict(zip(cells, range(len(cells))))
         self.cols: tuple[int, ...] = tuple(c for c, _ in cells)
@@ -225,9 +236,6 @@ class GridGraph:
             del self.cache[next(iter(self.cache))]
         return value
 
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self.index
-
     def check_index(self, i: object, what: str = "cell index") -> int:
         """`int(i)` for an integer `i` in 0..len(self) - 1; InvalidConfig naming `what` otherwise."""
         if is_int(i) and 0 <= i < len(self.cells):
@@ -237,12 +245,11 @@ class GridGraph:
     def require(self, cell: Cell) -> int:
         """The index of `cell`, a pair of integers (a Cell, tuple or list); InvalidConfig
         for anything else and for a cell outside the grid."""
-        if not (isinstance(cell, (tuple, list)) and len(cell) == 2 and all(map(is_int, cell))):
-            raise InvalidConfig(f"cell {shown(cell, repr)} is not a pair of integers")
+        cell = _as_cell(cell)
         try:
-            return self.index[Cell(*cell)]
+            return self.index[cell]
         except KeyError:
-            raise InvalidConfig(f"cell {shown(tuple(map(int, cell)))} is not in the grid") from None
+            raise InvalidConfig(f"cell {shown(tuple(cell))} is not in the grid") from None
 
 
 def rasterize(poly: OrthoPolygon) -> GridGraph:
@@ -285,22 +292,37 @@ def corner_counts(sw: np.ndarray, se: np.ndarray, nw: np.ndarray, ne: np.ndarray
     return n, (n == 2) & (ne == sw)
 
 
-def polygon_from_cells(cells: Iterable[Cell]) -> OrthoPolygon:
+def polygon_from_cells(cells: Iterable[Cell] | np.ndarray) -> OrthoPolygon:
     """Trace the boundary of a 4-connected, simply connected cell set.
 
-    The corners with one or three cells around them are the vertices; sorted
-    along each lattice line, they pair up into the edges. The walk starts east
-    from the lowest-leftmost vertex. Raises InvalidPolygon on a pinch, or when
-    the walk misses a vertex: a hole or a second piece.
+    `cells` are pairs taken by `GridGraph.require`'s rule, or an integer
+    array of (col, row) rows; anything else raises InvalidConfig. The corners
+    with one or three cells around them are the vertices; sorted along each
+    lattice line, they pair up into the edges. The walk starts east from the
+    lowest-leftmost vertex. Raises InvalidPolygon on a pinch, or when the walk
+    misses a vertex: a hole or a second piece.
     """
-    xy = np.array([*cells], dtype=np.int64)
+    if isinstance(cells, np.ndarray):
+        if cells.ndim != 2 or cells.shape[1] != 2 or cells.dtype.kind not in "iu":
+            raise InvalidConfig(
+                f"a cell array must hold integer (col, row) rows, got {cells.dtype} of shape {cells.shape}"
+            )
+        xy = cells
+    else:
+        try:
+            cells = iter(cells)
+        except TypeError:
+            raise InvalidConfig(f"{shown(cells, repr)} is not a collection of cells") from None
+        xy = np.array([*map(_as_cell, cells)], dtype=object).reshape(-1, 2)  # Python ints, exact past int64
     if not len(xy):
         raise InvalidPolygon("no cells to trace")
     origin = xy.min(axis=0)
-    xy -= origin
-    w, h = (xy.max(axis=0) + 1).tolist()
+    # On exact ints: an int64 difference of far-apart cells would wrap.
+    (x0, y0), (x1, y1) = origin.tolist(), xy.max(axis=0).tolist()
+    w, h = x1 - x0 + 1, y1 - y0 + 1
     if w + h - 1 > len(xy):  # one 4-connected piece of n cells spans w + h <= n + 1
         raise InvalidPolygon("cell set has more than one boundary loop")
+    xy = (xy - origin).astype(np.int64)  # offsets below n now
     stride = h + 1  # lattice point (x, y) is key x * stride + y, so keys sort by x, then y
     key = np.unique(xy[:, 0] * stride + xy[:, 1])
     # Cell (x, y) is the ne, se, nw and sw cell of points (x, y), (x, y + 1),
@@ -310,7 +332,7 @@ def polygon_from_cells(cells: Iterable[Cell]) -> OrthoPolygon:
     n, pinch = corner_counts(mask & 1, mask >> 1 & 1, mask >> 2 & 1, mask >> 3)
     if pinch.any():
         x, y = divmod(int(points[pinch][0]), stride)
-        raise InvalidPolygon(f"cell set pinches at point {(x + int(origin[0]), y + int(origin[1]))}")
+        raise InvalidPolygon(f"cell set pinches at point {(x + x0, y + y0)}")
 
     xs, ys = np.divmod(points[(n == 1) | (n == 3)], stride)  # vertical edges pair 2i, 2i + 1
     by_y = np.lexsort((xs, ys))  # horizontal edges pair its entries 2i, 2i + 1

@@ -329,64 +329,49 @@ def read_csv(path: str) -> list[SummaryRow]:
 # ---------------------------------------------------------------- presets
 
 
+def _paper_sweep(ks: Sequence[int], **instances: OrthoPolygon) -> SweepSpec:
+    """The paper's protocol on these team sizes and instances, keyed by id: every
+    strategy against static and randomly moving intruders, 100 trials a cell."""
+    specs = tuple(InstanceSpec(name, poly) for name, poly in instances.items())
+    return SweepSpec(specs, STRATEGIES, tuple(ks), intruders=("static", "random"), trials=100)
+
+
 def preset_spikes4() -> SweepSpec:
-    """Team-size sweep on one 4-tooth comb, every strategy, two intruders."""
-    poly = comb_polygon((8, 10, 12, 10), spike_width=2, base_height=4, spike_gap=2)
-    return SweepSpec(
-        instances=(InstanceSpec("spikes4", poly),),
-        strategies=STRATEGIES,
-        ks=tuple(range(2, 61, 3)),
-        intruders=("static", "random"),
-        trials=100,
+    """Team-size sweep on one 4-tooth comb."""
+    return _paper_sweep(
+        range(2, 61, 3), spikes4=comb_polygon((8, 10, 12, 10), spike_width=2, base_height=4, spike_gap=2)
     )
 
 
 def preset_shapes() -> SweepSpec:
     """Three equal-area combs (176 cells) with different tooth layouts."""
-    p0 = comb_polygon((8, 10, 8, 10, 8), spike_width=2, base_height=4, spike_gap=2)
-    p1 = comb_polygon((4, 14, 8, 14, 4), spike_width=2, base_height=4, spike_gap=2)
-    p2 = comb_polygon(
-        (10, 0, 10, 0, 10), spike_width=2, base_height=4, spike_gap=2, down=(0, 7, 0, 7, 0)
-    )
-    return SweepSpec(
-        instances=tuple(InstanceSpec(f"shape{i}", p) for i, p in enumerate((p0, p1, p2))),
-        strategies=STRATEGIES,
-        ks=(13,),
-        intruders=("static", "random"),
-        trials=100,
+    return _paper_sweep(
+        (13,),
+        shape0=comb_polygon((8, 10, 8, 10, 8), spike_width=2, base_height=4, spike_gap=2),
+        shape1=comb_polygon((4, 14, 8, 14, 4), spike_width=2, base_height=4, spike_gap=2),
+        shape2=comb_polygon((10, 0, 10, 0, 10), spike_width=2, base_height=4, spike_gap=2, down=(0, 7, 0, 7, 0)),
     )
 
 
 def preset_areas() -> SweepSpec:
     """The same comb at three scales (176, 396 and 704 cells), fixed team."""
-    return SweepSpec(
-        instances=(
-            InstanceSpec("area176", comb_polygon((8, 10, 8, 10, 8), spike_width=2, base_height=4, spike_gap=2)),
-            InstanceSpec("area396", comb_polygon((12, 15, 12, 15, 12), spike_width=3, base_height=6, spike_gap=3)),
-            InstanceSpec("area704", comb_polygon((16, 20, 16, 20, 16), spike_width=4, base_height=8, spike_gap=4)),
-        ),
-        strategies=STRATEGIES,
-        ks=(10,),
-        intruders=("static", "random"),
-        trials=100,
+    return _paper_sweep(
+        (10,),
+        area176=comb_polygon((8, 10, 8, 10, 8), spike_width=2, base_height=4, spike_gap=2),
+        area396=comb_polygon((12, 15, 12, 15, 12), spike_width=3, base_height=6, spike_gap=3),
+        area704=comb_polygon((16, 20, 16, 20, 16), spike_width=4, base_height=8, spike_gap=4),
     )
 
 
 def preset_beta() -> SweepSpec:
     """Equal-area combs (160 cells) with two to six teeth, fixed team."""
-    shapes = {
-        "beta2": comb_polygon((15, 15), spike_width=2, base_height=10, spike_gap=2),
-        "beta3": comb_polygon((12, 13, 13), spike_width=2, base_height=6, spike_gap=2),
-        "beta4": comb_polygon((9, 9, 9, 8), spike_width=2, base_height=5, spike_gap=2),
-        "beta5": comb_polygon((7, 7, 8, 7, 7), spike_width=2, base_height=4, spike_gap=2),
-        "beta6": comb_polygon((5, 5, 4, 4, 5, 5), spike_width=2, base_height=4, spike_gap=2),
-    }
-    return SweepSpec(
-        instances=tuple(InstanceSpec(name, poly) for name, poly in shapes.items()),
-        strategies=STRATEGIES,
-        ks=(25,),
-        intruders=("static", "random"),
-        trials=100,
+    return _paper_sweep(
+        (25,),
+        beta2=comb_polygon((15, 15), spike_width=2, base_height=10, spike_gap=2),
+        beta3=comb_polygon((12, 13, 13), spike_width=2, base_height=6, spike_gap=2),
+        beta4=comb_polygon((9, 9, 9, 8), spike_width=2, base_height=5, spike_gap=2),
+        beta5=comb_polygon((7, 7, 8, 7, 7), spike_width=2, base_height=4, spike_gap=2),
+        beta6=comb_polygon((5, 5, 4, 4, 5, 5), spike_width=2, base_height=4, spike_gap=2),
     )
 
 

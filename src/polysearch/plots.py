@@ -79,15 +79,17 @@ def _fmt_tick(v: float) -> str:
 
 
 class _Frame:
-    """Maps data coordinates onto the plot rectangle."""
+    """Maps data coordinates onto the plot rectangle: x from `x_lo` to `x_hi`, y from
+    0 to 1.05 times the highest mean + ci95 of `rows`, with `y_ticks` along it."""
 
-    def __init__(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
-        if not all(abs(v) <= MAX_AXIS for v in (x_lo, x_hi, y_lo, y_hi)):
+    def __init__(self, rows: Sequence[SummaryRow], x_lo: float, x_hi: float):
+        y_hi = max(r.mean_steps + r.ci95 for r in rows) * 1.05
+        if not all(abs(v) <= MAX_AXIS for v in (x_lo, x_hi, y_hi)):
             raise PolySearchError(f"team sizes or mean steps pass {MAX_AXIS:g}, too large to chart")
-        if 0 < x_hi - x_lo < MIN_SPAN or 0 < y_hi - y_lo < MIN_SPAN:
+        if 0 < x_hi - x_lo < MIN_SPAN or 0 < y_hi < MIN_SPAN:
             raise PolySearchError(f"team sizes or mean steps span less than {MIN_SPAN:g}, too small to chart")
         self.x_lo, self.x_hi = x_lo, x_hi if x_hi > x_lo else x_lo + 1.0  # one value spans a unit, as in _ticks
-        self.y_lo, self.y_hi = y_lo, y_hi if y_hi > y_lo else y_lo + 1.0
+        self.y_hi, self.y_ticks = y_hi if y_hi > 0 else 1.0, _ticks(0.0, y_hi)
         self.left, self.right = MARGIN_L, WIDTH - MARGIN_R
         self.top, self.bottom = MARGIN_T, HEIGHT - MARGIN_B
 
@@ -96,11 +98,15 @@ class _Frame:
         return round(self.left + f * (self.right - self.left), 2)
 
     def y(self, v: float) -> float:
-        f = (v - self.y_lo) / (self.y_hi - self.y_lo)
-        return round(self.bottom - f * (self.bottom - self.top), 2)
+        return round(self.bottom - v / self.y_hi * (self.bottom - self.top), 2)
 
 
-def _header(title: str) -> list[str]:
+def _svg(
+    title: str, frame: _Frame, x_label: str, x_ticks: Sequence[float],
+    body: list[str], keys: Sequence[tuple[str, str]],
+) -> str:
+    """A whole chart: the header and title, the axes, the chart's own `body`,
+    a legend line per (strategy, intruder) in `keys`, and the closing tag."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
@@ -110,12 +116,7 @@ def _header(title: str) -> list[str]:
         parts.append(
             f'<text x="{WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{_text(title)}</text>'
         )
-    return parts
-
-
-def _axes(frame: _Frame, x_label: str, x_ticks: Sequence[float], y_ticks: Sequence[float]) -> list[str]:
-    parts = []
-    for t in y_ticks:
+    for t in frame.y_ticks:
         y = frame.y(t)
         parts.append(
             f'<line x1="{frame.left}" y1="{y}" x2="{frame.right}" y2="{y}" stroke="#ddd"/>'
@@ -144,11 +145,7 @@ def _axes(frame: _Frame, x_label: str, x_ticks: Sequence[float], y_ticks: Sequen
         f'<text x="18" y="{(frame.top + frame.bottom) / 2}" text-anchor="middle" '
         f'transform="rotate(-90 18 {(frame.top + frame.bottom) / 2})">{_text(Y_LABEL)}</text>'
     )
-    return parts
-
-
-def _legend(keys: Sequence[tuple[str, str]]) -> list[str]:
-    parts = []
+    parts += body
     x0 = WIDTH - MARGIN_R + 16
     for i, (strategy, intruder) in enumerate(keys):
         y = MARGIN_T + 10 + 18 * i
@@ -159,7 +156,8 @@ def _legend(keys: Sequence[tuple[str, str]]) -> list[str]:
             f'<line x1="{x0}" y1="{y}" x2="{x0 + 26}" y2="{y}" stroke="{color}" stroke-width="2"{dash_attr}/>'
         )
         parts.append(f'<text x="{x0 + 32}" y="{y + 4}">{_text(f"{strategy} / {intruder}")}</text>')
-    return parts
+    parts.append("</svg>")
+    return "\n".join(parts)
 
 
 def line_plot(rows: Sequence[SummaryRow], title: str = "") -> str:
@@ -176,11 +174,8 @@ def line_plot(rows: Sequence[SummaryRow], title: str = "") -> str:
         pts.sort(key=lambda r: r.k)
 
     xs = [r.k for r in usable]
-    y_hi = max(r.mean_steps + r.ci95 for r in usable)
-    frame = _Frame(min(xs), max(xs), 0.0, y_hi * 1.05)
-    parts = _header(title)
-    parts += _axes(frame, X_LABEL, _ticks(min(xs), max(xs)), _ticks(0.0, y_hi * 1.05))
-
+    frame = _Frame(usable, min(xs), max(xs))
+    parts = []
     for key, pts in series.items():
         color = PALETTE.get(key[0], "#333")
         band = [(frame.x(r.k), frame.y(r.mean_steps + r.ci95)) for r in pts]
@@ -199,9 +194,7 @@ def line_plot(rows: Sequence[SummaryRow], title: str = "") -> str:
             parts.append(
                 f'<circle cx="{frame.x(r.k)}" cy="{frame.y(r.mean_steps)}" r="2.5" fill="{color}"/>'
             )
-    parts += _legend(list(series))
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return _svg(title, frame, X_LABEL, _ticks(min(xs), max(xs)), parts, list(series))
 
 
 def bar_chart(rows: Sequence[SummaryRow], title: str = "") -> str:
@@ -224,11 +217,8 @@ def bar_chart(rows: Sequence[SummaryRow], title: str = "") -> str:
     for row in usable:
         series.setdefault((row.strategy, row.intruder), {})[label(row)] = row
 
-    y_hi = max(r.mean_steps + r.ci95 for r in usable)
-    frame = _Frame(0.0, float(len(cats)), 0.0, y_hi * 1.05)
-    parts = _header(title)
-    parts += _axes(frame, "", [], _ticks(0.0, y_hi * 1.05))
-
+    frame = _Frame(usable, 0.0, float(len(cats)))
+    parts = []
     slot = (frame.right - frame.left) / len(cats)
     bar_w = slot * 0.8 / max(len(series), 1)
     for ci, cat in enumerate(cats):
@@ -255,6 +245,4 @@ def bar_chart(rows: Sequence[SummaryRow], title: str = "") -> str:
                 parts.append(
                     f'<line x1="{wx}" y1="{y0}" x2="{wx}" y2="{y1}" stroke="#222" stroke-width="1"/>'
                 )
-    parts += _legend(list(series))
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return _svg(title, frame, "", [], parts, list(series))

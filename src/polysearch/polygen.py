@@ -93,7 +93,7 @@ def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
             raise IterationBudgetExceeded(
                 f"no acceptable cut in {RETRY_BUDGET} attempts at {vertices} vertices"
             )
-    return polygon_from_cells(np.argwhere(a.T).tolist())
+    return polygon_from_cells(np.argwhere(a.T))
 
 
 def comb_cells(

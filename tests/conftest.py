@@ -194,8 +194,8 @@ def ref_sfc_curves(grid: GridGraph, rect_seed: int) -> tuple[tuple[int, ...], ..
             dx, dy = nxt.col - cur.col, nxt.row - cur.row
             if abs(dx) == abs(dy) == 1:
                 horizontal, vertical = Cell(cur.col + dx, cur.row), Cell(cur.col, cur.row + dy)
-                routed.append(horizontal if horizontal in grid else vertical)
-                assert routed[-1] in grid
+                routed.append(horizontal if horizontal in grid.index else vertical)
+                assert routed[-1] in grid.index
             else:
                 assert abs(dx) + abs(dy) == 1
             routed.append(nxt)

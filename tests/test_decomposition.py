@@ -33,7 +33,7 @@ def check_partition(g, r: Rectangulation):
     for i, rect in enumerate(r.rects):
         assert rect.width >= 1 and rect.height >= 1
         for c in rect_cells(rect):
-            assert c in g, f"rect {i} leaves the grid at {tuple(c)}"
+            assert c in g.index, f"rect {i} leaves the grid at {tuple(c)}"
             assert c not in seen, f"cell {tuple(c)} covered twice"
             seen[c] = i
     assert set(seen) == set(g.cells)
@@ -144,7 +144,7 @@ class TestJunctions:
                     in_junction.add((ca, cb))
             for c in g.cells:
                 for nb in (Cell(c.col + 1, c.row), Cell(c.col, c.row + 1)):
-                    if nb in g and rid[c] != rid[nb]:
+                    if nb in g.index and rid[c] != rid[nb]:
                         lo, hi = (c, nb) if rid[c] < rid[nb] else (nb, c)
                         assert (lo, hi) in in_junction
 

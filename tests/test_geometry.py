@@ -161,7 +161,7 @@ class TestRasterize:
             for col in range(w):
                 for row in range(h):
                     expect = ref_inside(poly.vertices, col + 0.5, row + 0.5)
-                    assert (Cell(col, row) in g) == expect
+                    assert (Cell(col, row) in g.index) == expect
 
     def test_inside_cells_have_closed_corners(self, u_shape, staircase):
         for poly in (u_shape, staircase):
@@ -176,7 +176,7 @@ class TestRasterize:
         # center is outside; the center parity test is the referee.
         g = rasterize(u_shape)
         notch = Cell(1, 1)
-        assert notch not in g
+        assert notch not in g.index
         for dx in (0, 1):
             for dy in (0, 1):
                 assert ref_on_boundary(u_shape.vertices, 1 + dx, 1 + dy)
@@ -217,7 +217,7 @@ def test_property_rasterize_round_trips_inflate_cut(vertices, seed):
     w, h = poly.bounds
     for col in range(w):
         for row in range(h):
-            assert (Cell(col, row) in g) == ref_inside(poly.vertices, col + 0.5, row + 0.5)
+            assert (Cell(col, row) in g.index) == ref_inside(poly.vertices, col + 0.5, row + 0.5)
 
 
 def lattice_walk_revisits(loop) -> bool:
@@ -275,7 +275,7 @@ class TestGridGraph:
         g = rasterize(l_shape)
         with pytest.raises(InvalidConfig, match="is not in the grid"):
             g.require(Cell(1, 1))
-        assert Cell(1, 1) not in g
+        assert Cell(1, 1) not in g.index
         with pytest.raises(InvalidConfig, match="cell <too long to print> is not in the grid"):
             g.require((10**5000, 0))
 
@@ -286,6 +286,22 @@ class TestGridGraph:
         with pytest.raises(InvalidConfig, match=re.escape(f"cell {cell!r} is not a pair of integers")):
             g.require(cell)
         assert g.require([1, 0]) == g.require((1, 0)) == g.require(Cell(1, 0))
+
+    @pytest.mark.parametrize(
+        "cells",
+        [[(1.5, 0)], [(True, 0), (0, 0)], [Cell(0.5, 0)], [(0, 0, 0)], [5]],
+        ids=["float", "bool", "float-Cell", "triple", "int"],
+    )
+    def test_cells_are_taken_by_the_pair_rule(self, cells):
+        # Each was a Cell of a float or a bool, or a ValueError or TypeError.
+        bad = next(c for c in cells if c != (0, 0))
+        with pytest.raises(InvalidConfig, match=re.escape(f"cell {bad!r} is not a pair of integers")):
+            GridGraph(cells)
+
+    def test_cells_become_plain_ints(self):
+        g = GridGraph([(np.int64(1), 0), [0, np.uint8(0)]])
+        assert g.cells == (Cell(0, 0), Cell(1, 0))
+        assert {type(v) for cell in g.cells for v in cell} == {int}
 
     def test_neighbor_symmetry(self, staircase):
         g = rasterize(staircase)
@@ -366,6 +382,51 @@ class TestTrace:
     def test_no_cells_rejected(self):
         with pytest.raises(InvalidPolygon, match="no cells to trace"):
             polygon_from_cells([])
+        with pytest.raises(InvalidPolygon, match="no cells to trace"):
+            polygon_from_cells(np.zeros((0, 2), np.int64))
+
+    @pytest.mark.parametrize(
+        "cells, bad",
+        [
+            ([(0.5, 0), (1, 0)], (0.5, 0)),
+            ([(True, 0), (0, 0)], (True, 0)),
+            ([(0, 0, 0)], (0, 0, 0)),
+            ([5], 5),
+            ([("a", 0)], ("a", 0)),
+        ],
+        ids=["float", "bool", "triple", "int", "str"],
+    )
+    def test_cells_are_taken_by_the_pair_rule(self, cells, bad):
+        # The first two traced as a 2-cell rectangle, the others ended in ValueError or TypeError.
+        with pytest.raises(InvalidConfig, match=re.escape(f"cell {bad!r} is not a pair of integers")):
+            polygon_from_cells(cells)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [np.array([[0, 0], [1, 0]], float), np.array([[0, 0], [1, 0]], bool), np.zeros((2, 3), np.int64), 5],
+        ids=["float-array", "bool-array", "three-columns", "not-iterable"],
+    )
+    def test_what_is_not_a_cell_set_rejected(self, cells):
+        with pytest.raises(InvalidConfig):
+            polygon_from_cells(cells)
+
+    @pytest.mark.parametrize(
+        "cells",
+        [[(0, 0), (2**63 - 1, 0)], [(0, 0), (10**20, 0)], np.array([[-(2**63), 0], [2**63 - 1, 0]])],
+        ids=["int64-max", "past-int64", "int64-extremes"],
+    )
+    def test_far_apart_cells_are_two_pieces(self, cells):
+        # The first traced as a 2-cell rectangle (an int64 difference wrapped), the second overflowed.
+        with pytest.raises(InvalidPolygon, match="more than one boundary loop"):
+            polygon_from_cells(cells)
+
+    def test_far_from_the_origin(self):
+        # Cells past int64 trace from their exact offset; a uint64 array is taken as it is.
+        strip = ((0, 0), (2, 0), (2, 1), (0, 1))
+        assert polygon_from_cells([(10**20, 7), (10**20 + 1, 7)]).vertices == strip
+        assert polygon_from_cells(np.array([[2**64 - 2, 0], [2**64 - 1, 0]], np.uint64)).vertices == strip
+        with pytest.raises(InvalidPolygon, match=re.escape(f"cell set pinches at point {(10**20 + 1, 1)}")):
+            polygon_from_cells([(10**20 + c, r) for c, r in [(0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0)]])
 
     def test_sparse_bounding_box(self):
         # 9,001 cells in a 6,001 x 3,001 box: the trace works on the cells'

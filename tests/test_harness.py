@@ -531,6 +531,21 @@ def test_presets_expand():
         assert all(c.instance.id for c in cells)
 
 
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("spikes4", "69707e42fb3b5f8c11dcc37197cfb9492a11401abec121df8b0cf83482a65c2d"),
+        ("shapes", "6f704f7cab6d3a340a04ea2e429e750920a07e0e769e972e57313b498f60edd0"),
+        ("areas", "4873e015500b331ae533561d2d44c526f987e3b027b6cae7d38599fc60fab02d"),
+        ("beta", "925df98cb66373a5028e6b310bfe47c77e8f6e22c138692a7c7831f9aa5a2cda"),
+    ],
+)
+def test_preset_spec_is_pinned(name, digest):
+    # The whole spec: each instance's id, vertices and rect seed, the strategies,
+    # team sizes, intruder models, trial count, base seed and step cap.
+    assert hashlib.sha256(repr(PRESETS[name]()).encode()).hexdigest() == digest
+
+
 def test_baseline_pursuit_cache_is_bounded():
     area704 = next(i for i in preset_areas().instances if i.id == "area704")
     spec = SweepSpec(

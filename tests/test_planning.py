@@ -48,7 +48,7 @@ def ref_weighted_cost(g, entry, start: Cell, goal: Cell) -> float:
             return d
         for dx, dy in ((0, 1), (1, 0), (0, -1), (-1, 0)):
             nb = Cell(c.col + dx, c.row + dy)
-            if nb in g and nb not in done:
+            if nb in g.index and nb not in done:
                 nd = d + entry[nb]
                 if nd < dist.get(nb, float("inf")):
                     dist[nb] = nd
@@ -67,7 +67,7 @@ def ref_bfs_steps(g, start: Cell, goal: Cell) -> int:
         for c in frontier:
             for dx, dy in ((0, 1), (1, 0), (0, -1), (-1, 0)):
                 nb = Cell(c.col + dx, c.row + dy)
-                if nb in g and nb not in seen:
+                if nb in g.index and nb not in seen:
                     seen.add(nb)
                     nxt.append(nb)
         frontier = nxt
@@ -377,7 +377,7 @@ class TestAstar:
         cells = [g.cells[i] for i in p]
         for a, b in zip(cells, cells[1:]):
             assert abs(a.col - b.col) + abs(a.row - b.row) == 1
-            assert b in g
+            assert b in g.index
 
     def test_deterministic(self):
         g = rasterize(P((0, 0), (5, 0), (5, 5), (0, 5)))

@@ -340,8 +340,8 @@ class TestComb:
         assert len(g) == 7 + 6  # 7 base cells + spike cells
         for col, depth in zip((1, 3, 5), (1, 2, 3)):
             for r in range(1, depth + 1):
-                assert Cell(col, r) in g
-            assert Cell(col, depth + 1) not in g
+                assert Cell(col, r) in g.index
+            assert Cell(col, depth + 1) not in g.index
 
     def test_comb_dimensions(self):
         cells = comb_cells((2, 2), spike_width=2, base_height=3, spike_gap=2)
@@ -401,8 +401,8 @@ class TestComb:
         g = rasterize(poly)
         for i, depth in enumerate(inst.S):
             col = 1 + 2 * i
-            assert Cell(col, 1 + depth) in g
-            assert Cell(col, 2 + depth) not in g
+            assert Cell(col, 1 + depth) in g.index
+            assert Cell(col, 2 + depth) not in g.index
 
     def test_sum_mismatch_rejected(self):
         with pytest.raises(InvalidConfig, match="expected qT"):

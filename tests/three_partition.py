@@ -116,7 +116,7 @@ def simulate_comb_sweep(
         }
 
         pos = Cell(xs[0], 0)
-        assert pos in grid
+        assert pos in grid.index
         steps = 0
         visited = {pos} & assigned
         done_at = None
@@ -124,7 +124,7 @@ def simulate_comb_sweep(
         def move(to: Cell) -> None:
             nonlocal pos, steps, done_at
             assert abs(to.col - pos.col) + abs(to.row - pos.row) == 1
-            assert to in grid, f"sweep leaves the comb at {tuple(to)}"
+            assert to in grid.index, f"sweep leaves the comb at {tuple(to)}"
             pos = to
             steps += 1
             if to in assigned:
