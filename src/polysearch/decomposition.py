@@ -44,12 +44,6 @@ class Junction:
     a_low: bool
 
     @property
-    def door(self) -> tuple[int, int]:
-        """(col, row) of the first doorway's cell in rect a."""
-        at_a = self.line - self.a_low  # the column or row of a's doorway cells
-        return (at_a, self.lo) if self.axis == 0 else (self.lo, at_a)
-
-    @property
     def pairs(self) -> tuple[tuple[Cell, Cell], ...]:
         """(cell in rect a, cell in rect b) per doorway, by increasing row or column."""
         at_a, at_b = (self.line - 1, self.line) if self.a_low else (self.line, self.line - 1)

@@ -189,9 +189,9 @@ def _check_self_intersection(pts: list[Point]) -> None:
 class GridGraph:
     """4-connected graph over the unit cells inside a polygon.
 
-    Cells, pairs of integers by `require`'s rule, are sorted row-major (row,
-    then col) unless given so as Cells of plain ints; `adjacency[i]`
-    lists neighbor indices in N, E, S, W order, absent directions skipped.
+    Cells, pairs of integers by `require`'s rule, are deduplicated and sorted
+    row-major (row, then col); `adjacency[i]` lists neighbor indices in
+    N, E, S, W order, absent directions skipped.
     `bounds` is (width, height) of the box from (0, 0) that holds every
     cell. Treated as immutable; `memo` keeps what is derived from it in `cache`.
     """
@@ -199,12 +199,7 @@ class GridGraph:
     __slots__ = ("cells", "index", "adjacency", "cols", "rows", "bounds", "cache")
 
     def __init__(self, cells: Iterable[Cell]):
-        cells = tuple(cells)
-        # Cells of plain ints that are strictly row-major already, as rasterize gives them, are kept.
-        plain = all(type(c) is Cell and type(c.col) is int and type(c.row) is int for c in cells)
-        keys = [(r, c) for c, r in cells] if plain else []
-        if not (plain and all(a < b for a, b in zip(keys, keys[1:]))):
-            cells = tuple(sorted(set(map(_as_cell, cells)), key=lambda c: (c.row, c.col)))
+        cells = tuple(sorted(dict.fromkeys(map(_as_cell, cells)), key=lambda c: (c.row, c.col)))
         self.cells: tuple[Cell, ...] = cells
         self.index: dict[Cell, int] = dict(zip(cells, range(len(cells))))
         self.cols: tuple[int, ...] = tuple(c for c, _ in cells)

@@ -97,6 +97,8 @@ _FORMAT = {
 def _parse_float(text: str) -> float:
     if text and not math.isfinite(value := float(text)):
         raise ValueError(f"{text!r} is not a finite number")
+    if text and value < 0:  # every float column a sweep writes is a rate, mean or spread, >= 0
+        raise ValueError(f"{text!r} is negative")
     return value if text else math.nan
 
 

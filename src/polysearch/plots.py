@@ -57,9 +57,7 @@ def _nice_step(span: float, bins: int) -> float:
 
 
 def _ticks(lo: float, hi: float, bins: int = 5) -> list[float]:
-    """Nice ticks inside [lo, hi]; when fewer than three land there, the bins double, twice at most."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """Nice ticks inside [lo, hi], hi > lo; when fewer than three land there, the bins double, twice at most."""
     for bins in (bins, 2 * bins, 4 * bins):
         step = _nice_step(hi - lo, bins)
         tol = step * 1e-9  # float slack; a tick outside [lo, hi] would leave the frame
@@ -88,8 +86,9 @@ class _Frame:
             raise PolySearchError(f"team sizes or mean steps pass {MAX_AXIS:g}, too large to chart")
         if 0 < x_hi - x_lo < MIN_SPAN or 0 < y_hi < MIN_SPAN:
             raise PolySearchError(f"team sizes or mean steps span less than {MIN_SPAN:g}, too small to chart")
-        self.x_lo, self.x_hi = x_lo, x_hi if x_hi > x_lo else x_lo + 1.0  # one value spans a unit, as in _ticks
-        self.y_hi, self.y_ticks = y_hi if y_hi > 0 else 1.0, _ticks(0.0, y_hi)
+        self.x_lo, self.x_hi = x_lo, x_hi if x_hi > x_lo else x_lo + 1.0  # one value spans a unit
+        self.y_hi = y_hi if y_hi > 0 else 1.0
+        self.y_ticks = _ticks(0.0, self.y_hi)
         self.left, self.right = MARGIN_L, WIDTH - MARGIN_R
         self.top, self.bottom = MARGIN_T, HEIGHT - MARGIN_B
 
@@ -194,7 +193,7 @@ def line_plot(rows: Sequence[SummaryRow], title: str = "") -> str:
             parts.append(
                 f'<circle cx="{frame.x(r.k)}" cy="{frame.y(r.mean_steps)}" r="2.5" fill="{color}"/>'
             )
-    return _svg(title, frame, X_LABEL, _ticks(min(xs), max(xs)), parts, list(series))
+    return _svg(title, frame, X_LABEL, _ticks(frame.x_lo, frame.x_hi), parts, list(series))
 
 
 def bar_chart(rows: Sequence[SummaryRow], title: str = "") -> str:

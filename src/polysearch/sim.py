@@ -166,7 +166,7 @@ def sfc_layout(grid: GridGraph, rect_seed: int = 0) -> SfcLayout:
             col, row = rect.anchor
             starts = [grid.index[col, row + y] for y in range(rect.height)]  # a row is a run of indices
             curves.append(tuple(starts[y] + x for x, y in local))
-        guards = tuple(grid.index[j.door] for j in r.juncs)
+        guards = tuple(grid.index[j.pairs[0][0]] for j in r.juncs)
         return SfcLayout(rectangulation=r, curves=tuple(curves), guards=guards)
 
     return grid.memo(("sfc_layout", rect_seed), build)

@@ -292,6 +292,7 @@ def _spec(**overrides) -> str:
         pytest.param(["plot", "{shortrow}", "-o", "{svg}"], id="plot-csv-short-row"),
         pytest.param(["plot", "{feasibleyes}", "-o", "{svg}"], id="plot-csv-feasible-not-a-bool"),
         pytest.param(["plot", "{meaninf}", "-o", "{svg}"], id="plot-csv-mean-inf"),
+        pytest.param(["plot", "{meanneg}", "-o", "{svg}"], id="plot-csv-mean-negative"),
         pytest.param(["plot", "{meanhuge}", "-o", "{svg}"], id="plot-csv-mean-huge"),
         pytest.param(["plot", "{meanhuge}", "--kind", "bar", "-o", "{svg}"], id="plot-csv-mean-huge-bar"),
         pytest.param(["plot", "{meantiny}", "-o", "{svg}"], id="plot-csv-mean-subnormal"),
@@ -371,10 +372,10 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, ar
             "feasibleyes.csv",
             f"{header}\n{row.format(k=1, feasible='true')}\n{row.format(k=2, feasible='yes')}\n",
         ),
-        # mean_steps of inf does not load; 1e308 does, but no chart axis reaches it.
+        # mean_steps of inf or -5 does not load; 1e308 does, but no chart axis reaches it.
         **{
             name: _write(tmp_path, f"{name}.csv", f"{header}\n{row.format(k=1, feasible='true')}\n".replace("3.0000", mean))
-            for name, mean in [("meaninf", "inf"), ("meanhuge", "1e308")]
+            for name, mean in [("meaninf", "inf"), ("meanneg", "-5.0000"), ("meanhuge", "1e308")]
         },
         # A subnormal mean with no spread: the tick step would underflow to 0.
         **{

@@ -88,7 +88,6 @@ class TestJunctions:
         assert (j.a, j.b) == (0, 1)
         assert (j.axis, j.line, j.lo, j.hi, j.a_low) == (1, 1, 0, 2, True)
         assert j.pairs == ((Cell(0, 0), Cell(0, 1)), (Cell(1, 0), Cell(1, 1)))
-        assert j.door == (0, 0)
 
     def test_segment_sides(self):
         # b west of a along x = 2, rows 1..2: pairs are (east, west) cells.
@@ -96,7 +95,6 @@ class TestJunctions:
         (j,) = _find_junctions(rects)
         assert (j.axis, j.line, j.lo, j.hi, j.a_low) == (0, 2, 1, 3, False)
         assert j.pairs == ((Cell(2, 1), Cell(1, 1)), (Cell(2, 2), Cell(1, 2)))
-        assert j.door == (2, 1)
 
     def test_u_shape_explicit_three_rects(self, u_shape):
         g = rasterize(u_shape)
@@ -181,7 +179,6 @@ def test_property_junctions_group_all_cross_rect_pairs(vertices, seed, rect_seed
     r = rectangulate(g, rect_seed)
     check_partition(g, r)
     assert junction_tuples(r.juncs) == brute_junctions(r)
-    assert [j.door for j in r.juncs] == [j.pairs[0][0] for j in r.juncs]
 
 
 #: sha256 of every rectangulate(rasterize(inflate_cut(v, s)), r) for

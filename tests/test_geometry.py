@@ -150,6 +150,11 @@ class TestRasterize:
         g = rasterize(l_shape)
         assert set(g.cells) == {Cell(0, 0), Cell(1, 0), Cell(0, 1)}
 
+    def test_no_cells_rejected(self):
+        # A flat polygon passes no validator; built directly, it has no row to scan.
+        with pytest.raises(InvalidPolygon, match="^polygon encloses no unit cells$"):
+            rasterize(OrthoPolygon(((0, 0), (2, 0), (2, 0), (0, 0))))
+
     def test_cell_count_matches_shoelace_area(self, l_shape, u_shape, staircase):
         for poly in (l_shape, u_shape, staircase):
             assert len(rasterize(poly)) == poly.area

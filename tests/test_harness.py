@@ -10,11 +10,13 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import importlib
 import itertools
 import math
 import multiprocessing
 import os
 import re
+import runpy
 import subprocess
 import sys
 import time
@@ -714,6 +716,23 @@ def test_csv_rejects_non_finite_floats(tmp_path, text):
         read_csv(path)
 
 
+@pytest.mark.parametrize("column", ["capture_rate", "mean_steps", "sd_steps", "ci95"])
+def test_csv_rejects_negative_floats(tmp_path, column):
+    # Charts scale from 0 up, so a negative mean or ci95 would land off the canvas.
+    path = str(tmp_path / "sweep.csv")
+    fields = dict(zip(CSV_COLUMNS, "strip,rs,static,1,4,4,1.0000,3.0000,1.0000,0.9800,true".split(",")))
+    ok = ",".join(fields.values())
+    fields[column] = "-5.0000"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n" + ok + "\n" + ",".join(fields.values()) + "\n")
+    with pytest.raises(IoError, match=f"{path}, line 3: '-5.0000' is negative"):
+        read_csv(path)
+    fields[column] = "-0.0000"  # a negative zero is still zero
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n" + ",".join(fields.values()) + "\n")
+    assert getattr(read_csv(path)[0], column) == 0.0
+
+
 # ---------------------------------------------------------------- charts
 
 
@@ -846,3 +865,16 @@ def test_charts_need_plottable_rows():
         line_plot(rows)
     with pytest.raises(EmptyInput):
         bar_chart(rows)
+
+
+# ---------------------------------------------------------------- bench tracer
+
+
+def test_bench_tracer_names_resolve():
+    # bench/spans.py patches package globals by name; a renamed one would fail
+    # only the traced bench runs. run_path writes no bytecode under bench/.
+    targets = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "spans.py"))["TARGETS"]
+    assert targets
+    for module, attr, *_ in targets:
+        assert hasattr(importlib.import_module(f"polysearch.{module}"), attr), (module, attr)
+    assert callable(harness._cell_worker)

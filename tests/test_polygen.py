@@ -91,6 +91,23 @@ class TestInflateCut:
         poly = inflate_cut(20, 7)
         assert validate_polygon(poly.vertices) == poly
 
+    @pytest.mark.parametrize("split", [False, True])
+    def test_fitting_cut_that_splits_is_retried(self, monkeypatch, split):
+        # No fitting cut of the pinned polygons splits the set, so the first
+        # one is reported split here; the round draws again and still fits.
+        scans, scan = [], polygen._corner_scan
+
+        def first_fit_splits(a):
+            corners, count, one_piece = scan(a)
+            scans.append((count, one_piece))
+            return corners, count, one_piece and not (split and len(scans) == 2)
+
+        monkeypatch.setattr(polygen, "_corner_scan", first_fit_splits)
+        poly = inflate_cut(8, 3)
+        assert poly.n_vertices == 8 and validate_polygon(poly.vertices) == poly
+        assert scans[1] == (6, True)  # after the unit square's scan, the first cut fits
+        assert len(scans) == 3 + split
+
     def test_retry_budget_exhausted(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(polygen, "RETRY_BUDGET", 0)
         assert inflate_cut(4, 0).n_vertices == 4  # no round, so no attempt
