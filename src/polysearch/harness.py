@@ -19,9 +19,9 @@ import io
 import itertools
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import statistics
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence, get_type_hints
 
@@ -200,17 +200,38 @@ def _cell_worker(args: tuple[SweepCell, int, int, int | None]) -> SummaryRow:
     return run_cell(*args)
 
 
-_POOL: tuple = ()  # a pool worker's (jobs, claimed, finished), set by _pool_init
+def _pool_drain(jobs: list, claimed, finished, conn) -> None:
+    """A pool worker: drain cells through `_cell_worker`, then send the caller
+    its `(index, row)` pairs, or the exception that stopped the drain."""
+    with conn:
+        try:
+            out = _drain(jobs, claimed, finished, _cell_worker)
+        except Exception as exc:  # the caller raises it again
+            out = exc
+        conn.send(out)
 
 
-def _pool_init(*shared) -> None:
-    global _POOL
-    _POOL = shared
+def _start_pool(size: int, jobs: list, claimed, finished):
+    """Start `size` pool workers; yields each one's read end and process."""
+    for _ in range(size):
+        rows_in, rows_out = multiprocessing.Pipe(duplex=False)
+        worker = multiprocessing.Process(target=_pool_drain, args=(jobs, claimed, finished, rows_out), daemon=True)
+        worker.start()
+        rows_out.close()  # the worker holds the only write end, so its exit reads as end of file
+        yield rows_in, worker
 
 
-def _pool_drain() -> list[tuple[int, SummaryRow]]:
-    """A pool worker's drain, on the state `_pool_init` set; its cells go through `_cell_worker`."""
-    return _drain(*_POOL, _cell_worker)
+def _worker_rows(conn, worker) -> list[tuple[int, SummaryRow]]:
+    """The rows a pool worker sent; raises what it raised, or a `RuntimeError` if it died first."""
+    with conn:
+        try:
+            out = conn.recv()
+        except EOFError:
+            worker.join()
+            raise RuntimeError(f"a sweep worker exited with code {worker.exitcode} before it sent its rows") from None
+    if isinstance(out, Exception):
+        raise out
+    return out
 
 
 def _drain(
@@ -262,6 +283,7 @@ def run_sweep(
     workers = min(workers, len(cells), os.cpu_count() or 1)
     claimed, finished = multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
     placed: dict[int, SummaryRow] = {}
+    pool: dict = {}  # each pool worker's read end, and its process
     # A full collection scans every tracked object and writes its GC header, so
     # over the import heap it costs a serial sweep time, and in a forked worker
     # it copies each page of the parent's heap. Frozen objects are not scanned.
@@ -272,24 +294,24 @@ def run_sweep(
         # The pool's cells go through _cell_worker, the caller's through run_cell:
         # a tracer swaps that name for an entry that writes a worker's spans to a
         # file of its own.
-        pool = contextlib.nullcontext()
-        if workers > 1:
-            pool = ProcessPoolExecutor(workers - 1, initializer=_pool_init, initargs=(jobs, claimed, finished))
-        with pool:
-            pending = {pool.submit(_pool_drain) for _ in range(workers - 1)}
-            try:
-                placed.update(_drain(jobs, claimed, finished, lambda job: run_cell(*job), progress))
-                while pending:
-                    done, pending = wait(pending, timeout=0.2, return_when=FIRST_EXCEPTION)
-                    for future in done:
-                        placed.update(future.result())
-                    if progress is not None:
-                        progress(finished.value, len(jobs))
-            finally:
-                claimed.value = len(jobs)  # after an error or interrupt, workers stop after their current cell
+        pool.update(_start_pool(workers - 1, jobs, claimed, finished))
+        placed.update(_drain(jobs, claimed, finished, lambda job: run_cell(*job), progress))
+        unread = list(pool)
+        while unread:
+            for conn in multiprocessing.connection.wait(unread, timeout=0.2):
+                unread.remove(conn)
+                placed.update(_worker_rows(conn, pool[conn]))
+            if progress is not None:
+                progress(finished.value, len(jobs))
     finally:
+        claimed.value = len(jobs)  # after an error or interrupt, workers stop after their current cell
         if freeze:
             gc.unfreeze()
+        for conn, worker in pool.items():
+            if not conn.closed:  # a worker's send waits until its rows are read
+                with conn, contextlib.suppress(EOFError):
+                    conn.recv_bytes()
+            worker.join()
     return [placed[i] for i in range(len(jobs))]
 
 

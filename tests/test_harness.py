@@ -21,7 +21,6 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -276,26 +275,24 @@ def test_worker_counts_agree_byte_for_byte():
 
 @pytest.fixture
 def pools(monkeypatch) -> list[int]:
-    """Pool sizes run_sweep asks for; the pool runs inline, starting no process."""
+    """Pool sizes run_sweep starts; each worker drains inline, starting no process."""
     sizes: list[int] = []
 
-    class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
+    class Drained:  # a worker that has sent its rows and exited
+        exitcode = 0
 
-        def __enter__(self):
-            return self
+        def join(self):
+            pass
 
-        def __exit__(self, *exc):
-            return False
+    def inline_pool(size, *shared):
+        if size:
+            sizes.append(size)
+        for _ in range(size):
+            rows_in, rows_out = multiprocessing.Pipe(duplex=False)
+            harness._pool_drain(*shared, rows_out)
+            yield rows_in, Drained()
 
-        def submit(self, fn):
-            future = Future()
-            future.set_result(fn())
-            return future
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness, "_start_pool", inline_pool)
     return sizes
 
 
@@ -386,6 +383,34 @@ def test_worker_error_stops_the_pool(monkeypatch, tmp_path, in_caller):
     ran = [line.split() for line in runs.read_text().splitlines()]
     assert any((int(pid) == caller) == in_caller for pid, _ in ran)
     assert len(ran) < len(expand_cells(spec))
+    assert gc.get_freeze_count() == 0 and not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patched _cell_worker reaches workers by fork"
+)
+def test_dead_worker_ends_the_sweep_with_its_exit_code(monkeypatch, tmp_path):
+    """A pool worker that exits before it sends its rows ends the sweep with an error, not a hang."""
+    runs = tmp_path / "runs"
+    real = harness.run_cell
+
+    def dying(job):
+        runs.write_text(f"{os.getpid()}\n")
+        os._exit(3)
+
+    def waiting(*args):  # the caller's first cell waits until the worker has claimed one
+        _await_worker_report(runs)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "_cell_worker", dying)
+    monkeypatch.setattr(harness, "run_cell", waiting)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"exited with code 3 ") as err:
+        run_sweep(tiny_spec(trials=1), workers=2)
+    assert time.monotonic() - start < 10
+    assert not isinstance(err.value, PolySearchError)  # a crash is not bad input
+    assert gc.get_freeze_count() == 0 and not multiprocessing.active_children()
 
 
 @pytest.mark.skipif(
@@ -408,6 +433,35 @@ def test_caller_runs_its_cells_without_the_worker_seam(monkeypatch, tmp_path):
     assert rows_to_csv(run_sweep(spec, workers=2)) == serial
     pids = seen.read_text().split() if seen.exists() else []
     assert str(os.getpid()) not in pids
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="the patched _cell_worker reaches workers by fork"
+)
+def test_failed_sweep_reads_a_workers_rows_before_it_joins(monkeypatch, tmp_path):
+    """1,000 rows overfill the pipe, so the worker's send waits for a read; an unread pipe would hang the join."""
+    runs = tmp_path / "runs"
+    real = harness.run_cell
+
+    def counted(job):
+        with open(runs, "a", encoding="utf-8") as fh:
+            fh.write("1\n")
+        return real(*job)
+
+    def failing(*args):  # the caller's first cell fails once the worker has run 1,000
+        deadline = time.monotonic() + 30
+        while not (runs.exists() and len(runs.read_text().split()) >= 1000):
+            assert time.monotonic() < deadline, "the pool worker ran fewer than 1,000 cells within 30 s"
+            time.sleep(0.01)
+        raise InvalidConfig("caller fails")
+
+    monkeypatch.setattr(harness, "_cell_worker", counted)
+    monkeypatch.setattr(harness, "run_cell", failing)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    spec = SweepSpec(tiny_spec().instances, ("rs", "baseline"), tuple(range(1, 301)), ("static", "walk"), trials=1)
+    with pytest.raises(InvalidConfig, match="caller fails"):
+        run_sweep(spec, workers=2)
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -839,6 +893,8 @@ def test_import_adds_no_xml_or_network_modules():
     added = set(out.stdout.split())
     assert "polysearch.plots" in added
     assert not added & {"xml.sax", "urllib.request", "http.client", "ssl"}
+    # The sweep pool is plain processes and pipes; the executor's module is not needed.
+    assert "concurrent.futures.process" not in added
 
 
 @pytest.mark.parametrize(("k", "mean"), [(5, 5.0), (2**24, 5.0), (5, 0.0), (5, 125.4)])
