@@ -6,16 +6,20 @@ admissible because every entered cell contributes at least 1.
 
 `plan_indices` is A* over that objective. `costs_to_target` gives it to
 many targets in one batched Dijkstra call, in exact integer units of
-VISIT_COST; `hungarian` solves once and breaks ties over the tight edges
-of the recovered duals. Its solver, scipy's `linear_sum_assignment`, is
-loaded from scipy's self-contained `_lsap` extension, so importing this
-module skips the rest of `scipy.optimize`; where scipy's file layout
-differs, the public `from scipy.optimize import` is the fallback.
+VISIT_COST; on a map with no visits yet it reads STEP_UNITS times each
+target's BFS hop row instead. `descend` reads a path off such a row where
+the cheapest one is unique, which is then the path A* returns, and gives
+None where A* must break a tie. `hungarian` solves once and breaks ties
+over the tight edges of the recovered duals. Its solver, scipy's
+`linear_sum_assignment`, is loaded from scipy's self-contained `_lsap`
+extension, so importing this module skips the rest of `scipy.optimize`;
+where scipy's file layout differs, the public `from scipy.optimize import`
+is the fallback.
 `shortest_indices` walks a per-goal next-hop table that one unweighted
 csgraph search fills. What they derive from the grid alone goes into its
 bounded `memo`: A*'s |dcol| and |drow| lists, one per goal column and
 row; one csgraph matrix, whose weights `costs_to_target` rewrites; one
-next-hop row per goal.
+next-hop row per goal; one hop row per target of a fresh map.
 """
 from __future__ import annotations
 
@@ -202,13 +206,65 @@ def costs_to_target(g: GridGraph, cm: CostMap, targets: Sequence[int]) -> np.nda
     `targets[r]`, in integer units of VISIT_COST: entering a cell costs
     STEP_UNITS + its visit count. The values are exact in float64, so
     ties between them are exact. One Dijkstra call over the reversed
-    graph, edge v -> u weighing the entry of v, serves every target. A
-    target that is not an integer in 0..len(g) - 1 raises InvalidConfig.
+    graph, edge v -> u weighing the entry of v, serves every target; where
+    every visit count is 0, every entry is STEP_UNITS, so the rows are
+    `_hop_rows` scaled. A target that is not an integer in 0..len(g) - 1
+    raises InvalidConfig.
     """
     targets = [g.check_index(t, "target") for t in targets]
+    if not any(cm.counts):  # a fresh map: every cost is STEP_UNITS times a hop count
+        hops = _hop_rows(g, targets)
+        rows = np.array([hops[t] for t in targets], dtype=np.float64).reshape(len(targets), len(g))
+        return STEP_UNITS * rows
     graph, owner = _graph(g)
     np.take(STEP_UNITS + np.asarray(cm.counts, dtype=np.float64), owner, out=graph.data)
     return csgraph.dijkstra(graph, directed=True, indices=targets)
+
+
+def _hop_rows(g: GridGraph, targets: Sequence[int]) -> dict[int, np.ndarray]:
+    """Each target's BFS hop count from every cell, inf where it cannot be reached.
+
+    One float32 row per target, exact below 2**24 > MAX_CELLS, kept in
+    `g.memo`; one unweighted csgraph search fills the targets it lacks.
+    """
+    rows = {t: g.cache.get(("hops", t)) for t in targets}
+    missing = [t for t, row in rows.items() if row is None]
+    if missing:
+        far = csgraph.dijkstra(_graph(g)[0], indices=missing, unweighted=True).astype(np.float32)
+        for t, row in zip(missing, far):
+            rows[t] = g.memo(("hops", t), row.copy)
+    return rows
+
+
+def descend(g: GridGraph, cm: CostMap, row: Sequence[float], start: int) -> list[int] | None:
+    """The path from `start` down `row`, or None where the cheapest path is not unique.
+
+    `row` is one row of `costs_to_target` under `cm`, as a list: each step
+    enters the one neighbor u of v with STEP_UNITS + counts[u] + row[u] ==
+    row[v], until the target, where the row reads 0. Every other path
+    costs at least one unit of VISIT_COST more, so a unique optimum is the
+    path `plan_indices` returns. None at the first cell with two such
+    neighbors or none, so also where `start` cannot reach the target or
+    `row` was computed under other counts.
+    """
+    adjacency, counts = g.adjacency, cm.counts
+    path = [start]
+    left = row[start]
+    if left == float("inf"):
+        return None
+    while left:
+        left -= STEP_UNITS
+        nxt = -1
+        for u in adjacency[path[-1]]:
+            if counts[u] + row[u] == left:
+                if nxt >= 0:
+                    return None
+                nxt = u
+        if nxt < 0:
+            return None
+        path.append(nxt)
+        left = row[nxt]
+    return path
 
 
 def hungarian(cost_matrix: Sequence[Sequence[float]]) -> tuple[int, ...]:
@@ -245,7 +301,10 @@ def hungarian(cost_matrix: Sequence[Sequence[float]]) -> tuple[int, ...]:
             break
         pot = relaxed
     tight = move + pot[cols][:, None] - pot[None, :] <= 1e-9
-    adj = [np.flatnonzero(row).tolist() for row in tight]
+    at, to = np.nonzero(tight)  # row-major, so each row's columns ascend
+    ends = np.cumsum(np.bincount(at, minlength=k)).tolist()
+    to = to.tolist()
+    adj = [to[a:b] for a, b in zip([0, *ends], ends)]
 
     col_of = cols.tolist()
     row_of = np.argsort(cols).tolist()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from html import escape
 from typing import Sequence
 
 from .errors import EmptyInput, PolySearchError
@@ -31,12 +30,18 @@ X_LABEL, Y_LABEL = "team size", "mean steps to capture"
 MAX_AXIS = 1e12
 #: Smallest positive axis span a chart shows; _ticks rounds ticks to 10 decimals.
 MIN_SPAN = 1e-9
-#: Characters XML 1.0 forbids, mapped to U+FFFD; surrogates stay, since write_text refuses them.
-_NOT_XML = dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd")
+#: Characters XML 1.0 forbids, mapped to U+FFFD (surrogates stay, since write_text refuses
+#: them), and the three that text must escape; translate replaces each character once.
+_XML_TEXT = {
+    **dict.fromkeys([*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF], "\ufffd"),
+    ord("&"): "&amp;",
+    ord("<"): "&lt;",
+    ord(">"): "&gt;",
+}
 
 
 def _text(s: str) -> str:
-    return escape(s, quote=False).translate(_NOT_XML)
+    return s.translate(_XML_TEXT)
 
 
 def _usable(rows: Sequence[SummaryRow]) -> list[SummaryRow]:

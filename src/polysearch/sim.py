@@ -40,6 +40,7 @@ from .geometry import GridGraph, is_int
 from .planning import (
     CostMap,
     costs_to_target,
+    descend,
     hungarian,
     plan_indices,
     shortest_indices,
@@ -209,8 +210,9 @@ def team(cfg: SimConfig, grid: GridGraph) -> tuple[tuple[Tour, ...], tuple[tuple
         tours.extend((cell,) for cell in guards)
         through: list[tuple[Tour, ...]] = [()] * len(grid.cells)
         for tour in tours:
+            one = (tour,)  # () + one is one itself, so cells on one tour share it
             for cell in dict.fromkeys(tour[: len(tour) // 2 + 1]):
-                through[cell] += (tour,)
+                through[cell] += one
         return tuple(tours), tuple(through)
 
     return grid.memo(("sfc_team", cfg.strategy, cfg.k, cfg.rect_seed), build)
@@ -284,19 +286,23 @@ def _crs_plan(state: SimState) -> None:
     """crs: like rs, but arrivals wait until the whole team can redeploy.
 
     Once every robot has walked its plan, new targets are drawn jointly and
-    matched to robots by assignment cost. Waiting robots still stand on
-    their cells and keep inflating the visit counts there.
+    matched to robots by assignment cost. Each robot descends its target's
+    cost row, or runs A* where the cheapest path ties; both give A*'s path.
+    Waiting robots still stand on their cells and keep inflating the visit
+    counts there.
     """
     if any(state.plans):
         return
     g, cm, pos = state.grid, state.cost, state.pos
     targets = [_draw_target(state, here) for here in pos]
-    cost = costs_to_target(g, cm, targets)[:, pos].T  # robot by target
+    rows = costs_to_target(g, cm, targets)
+    cost = rows[:, pos].T  # robot by target
     i, j = divmod(int(cost.argmax()), len(targets))  # the first largest cost, robots in id order
     if cost[i, j] == float("inf"):
         raise Unreachable(f"no path from {tuple(g.cells[pos[i]])} to {tuple(g.cells[targets[j]])}")
+    # One row becomes a list at a time: the whole table as floats held about 0.3 MB more.
     for plan, here, j in zip(state.plans, pos, hungarian(cost)):
-        plan += plan_indices(g, cm, here, targets[j])[:0:-1]
+        plan += (descend(g, cm, rows[j].tolist(), here) or plan_indices(g, cm, here, targets[j]))[:0:-1]
 
 
 def _baseline_plan(state: SimState) -> None:

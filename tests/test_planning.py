@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from polysearch import geometry, planning
+from polysearch import geometry, planning, sim
 from polysearch.errors import InvalidConfig, Unreachable
 from polysearch.geometry import Cell, GridGraph, rasterize
 from polysearch.harness import preset_areas
@@ -26,6 +26,7 @@ from polysearch.planning import (
     VISIT_COST,
     CostMap,
     costs_to_target,
+    descend,
     hungarian,
     plan_indices,
     shortest_indices,
@@ -547,6 +548,123 @@ class TestCostsToTarget:
             costs_to_target(g, CostMap(g), [0, target])
 
 
+def ref_hops(g, target: int) -> list[float]:
+    """Breadth-first hop count from every cell to `target`, inf where it is out of reach; oracle only."""
+    hops = [float("inf")] * len(g)
+    hops[target] = 0.0
+    queue = [target]
+    for v in queue:
+        for u in g.adjacency[v]:
+            if hops[u] == float("inf"):
+                hops[u] = hops[v] + 1
+                queue.append(u)
+    return hops
+
+
+class TestFreshMapRows:
+    def test_equal_step_units_times_bfs_hops(self):
+        rng = random.Random(5)
+        grids = [random_polygon_grid(rng) for _ in range(8)] + [two_part_grid()]
+        for g in grids:
+            targets = [rng.randrange(len(g)) for _ in range(4)]
+            targets.append(targets[0])  # a repeated target reads its row twice
+            dist = costs_to_target(g, CostMap(g), targets)
+            assert dist.dtype == np.float64 and dist.shape == (len(targets), len(g))
+            assert dist.tolist() == [[STEP_UNITS * h for h in ref_hops(g, t)] for t in targets]
+
+    def test_unreachable_cells_read_inf(self):
+        g = two_part_grid()  # {0, 1, 3} and {2, 4, 5}
+        inf = float("inf")
+        dist = costs_to_target(g, CostMap(g), [0, 5])
+        assert dist.tolist() == [[0, 20, inf, 20, inf, inf], [inf, inf, 40, inf, 20, 0]]
+
+    def test_one_unweighted_search_fills_the_missing_targets(self, monkeypatch):
+        g = rasterize(P((0, 0), (4, 0), (4, 2), (0, 2)))
+        searches = []
+        dijkstra = planning.csgraph.dijkstra
+
+        def counted(graph, **kwargs):
+            searches.append((list(kwargs["indices"]), kwargs.get("unweighted", False)))
+            return dijkstra(graph, **kwargs)
+
+        monkeypatch.setattr(planning.csgraph, "dijkstra", counted)
+        cm = CostMap(g)
+        for targets in ([0, 3, 0], [3, 5], [5, 0, 3]):
+            assert costs_to_target(g, cm, targets).tolist() == [[STEP_UNITS * h for h in ref_hops(g, t)] for t in targets]
+        assert searches == [([0, 3], True), ([5], True)]
+        assert g.cache[("hops", 0)].dtype == np.float32
+
+    def test_a_bumped_map_takes_the_weighted_search(self, monkeypatch):
+        g = rasterize(P((0, 0), (4, 0), (4, 1), (0, 1)))
+        cm = CostMap(g)
+        cm.bump_index(1)
+
+        def fresh_rows(*args):
+            raise AssertionError("fresh rows read on a bumped map")
+
+        monkeypatch.setattr(planning, "_hop_rows", fresh_rows)
+        assert costs_to_target(g, cm, [3])[0].tolist() == [61, 40, 20, 0]
+
+
+class TestDescend:
+    def test_equals_astar_whenever_it_returns_a_path(self):
+        rng = random.Random(11)
+        descended = fell_back = 0
+        for _ in range(30):
+            g = random_polygon_grid(rng)
+            cm = CostMap(g)
+            for _ in range(rng.randrange(0, 40)):
+                cm.bump_index(rng.randrange(len(g)))
+            targets = [rng.randrange(len(g)) for _ in range(3)]
+            for t, row in zip(targets, costs_to_target(g, cm, targets).tolist()):
+                for i in range(len(g)):
+                    path = descend(g, cm, row, i)
+                    if path is None:
+                        fell_back += 1
+                    else:
+                        descended += 1
+                        assert path == plan_indices(g, cm, i, t)
+        assert descended > 0 and fell_back > 0
+
+    def test_a_tie_on_a_square_falls_back(self):
+        g = rasterize(P((0, 0), (2, 0), (2, 2), (0, 2)))  # 0 1 / 2 3, both ways round cost 40
+        cm = CostMap(g)
+        row = costs_to_target(g, cm, [3])[0].tolist()
+        assert descend(g, cm, row, 0) is None
+        assert descend(g, cm, row, 1) == [1, 3] and descend(g, cm, row, 3) == [3]
+        cm.bump_index(2)  # the tie breaks, and the other way round is the one optimum
+        row = costs_to_target(g, cm, [3])[0].tolist()
+        assert descend(g, cm, row, 0) == [0, 1, 3] == plan_indices(g, cm, 0, 3)
+
+    def test_an_unreachable_start_falls_back(self):
+        g = two_part_grid()
+        cm = CostMap(g)
+        assert descend(g, cm, costs_to_target(g, cm, [0])[0].tolist(), 5) is None
+
+    def test_a_row_of_other_counts_falls_back(self):
+        g = rasterize(P((0, 0), (4, 0), (4, 1), (0, 1)))
+        cm = CostMap(g)
+        row = costs_to_target(g, cm, [3])[0].tolist()  # [60, 40, 20, 0]
+        cm.bump_index(1)  # entering cell 1 now costs 21, so no neighbor of cell 0 fits the row
+        assert descend(g, cm, row, 0) is None
+        assert descend(g, cm, costs_to_target(g, cm, [3])[0].tolist(), 0) == [0, 1, 2, 3]
+
+    def test_crs_runs_astar_only_where_a_descent_ties(self, monkeypatch):
+        # On a corridor every cheapest path is unique, so no crs round runs A*.
+        def astar(*args):
+            raise AssertionError("A* run for a unique path")
+
+        monkeypatch.setattr(sim, "plan_indices", astar)
+        corridor = rasterize(P((0, 0), (12, 0), (12, 1), (0, 1)))
+        run_trial(SimConfig("crs", 3, "walk", max_steps=200, seed=1), corridor)
+        # On a square ties are common; the fallback goes through sim's module global.
+        calls = []
+        monkeypatch.setattr(sim, "plan_indices", lambda *args: calls.append(args) or plan_indices(*args))
+        square = rasterize(P((0, 0), (6, 0), (6, 6), (0, 6)))
+        run_trial(SimConfig("crs", 3, "walk", max_steps=200, seed=1), square)
+        assert calls
+
+
 class TestHungarian:
     def test_singleton(self):
         assert hungarian([[0.0]]) == (0,)
@@ -691,11 +809,11 @@ class TestMemo:
             assert g.memo(key, lambda: key.upper()) == key.upper()
         assert list(g.cache) == ["b", "c", "d"]
 
-    def test_baseline_and_rs_trials_stay_within_the_bound(self, monkeypatch):
+    def test_planning_trials_stay_within_the_bound(self, monkeypatch):
         square = P((0, 0), (150, 0), (150, 150), (0, 150))
         g = rasterize(square)
         monkeypatch.setattr(geometry, "MAX_MEMO_CELLS", 8 * len(g))
-        for strategy, kind in (("baseline", "next_hop"), ("rs", "col")):
+        for strategy, kind in (("baseline", "next_hop"), ("rs", "col"), ("crs", "hops")):
             for seed in range(3):
                 cfg = SimConfig(strategy=strategy, k=3, intruder="walk", max_steps=40, seed=seed)
                 run_trial(cfg, g)
