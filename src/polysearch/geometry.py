@@ -349,7 +349,7 @@ def read_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise IoError(str(exc)) from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise IoError(f"{path} is not valid JSON: {exc}") from None
 
 

@@ -9,12 +9,12 @@ many targets in one batched Dijkstra call, in exact integer units of
 VISIT_COST; on a map with no visits yet it reads STEP_UNITS times each
 target's BFS hop row instead. `descend` reads a path off such a row where
 the cheapest one is unique, which is then the path A* returns, and gives
-None where A* must break a tie. `hungarian` solves once and breaks ties
-over the tight edges of the recovered duals. Its solver, scipy's
-`linear_sum_assignment`, is loaded from scipy's self-contained `_lsap`
-extension, so importing this module skips the rest of `scipy.optimize`;
-where scipy's file layout differs, the public `from scipy.optimize import`
-is the fallback.
+None where A* must break a tie. `hungarian` takes integer costs in
+0..2**53 // (k + 1)**2 for k rows, so its float64 sums stay exact, and
+breaks ties over the edges of reduced cost 0 under the recovered duals.
+Its solver, scipy's `linear_sum_assignment`, comes from scipy's
+self-contained `_lsap` extension, so importing this module skips the
+rest of `scipy.optimize`; the public import is the fallback otherwise.
 `shortest_indices` walks a per-goal next-hop table that one unweighted
 csgraph search fills. What they derive from the grid alone goes into its
 bounded `memo`: A*'s |dcol| and |drow| lists, one per goal column and
@@ -270,26 +270,28 @@ def descend(g: GridGraph, cm: CostMap, row: Sequence[float], start: int) -> list
 def hungarian(cost_matrix: Sequence[Sequence[float]]) -> tuple[int, ...]:
     """Minimum-cost perfect assignment; lexicographically smallest on ties.
 
-    Returns the column assigned to each row. Rows are fixed in order; for
-    each row the smallest column index that still completes to an optimal
-    assignment is chosen. One
-    linear_sum_assignment solve gives an optimal matching; every optimal
-    matching uses only tight edges (reduced cost <= 1e-9 under the
-    recovered duals), so the lexicographic pass moves along alternating
-    cycles of tight edges and never solves again.
+    Returns the column of each row: row by row, the smallest column that
+    still completes to an optimal assignment. One linear_sum_assignment
+    solve gives an optimal matching; every optimal matching uses only tight
+    edges (reduced cost 0 under the recovered duals), so the lexicographic
+    pass moves along alternating cycles of tight edges, never solving again.
+
+    Costs are integers in 0..top, top = 2**53 // (k + 1)**2, else
+    InvalidConfig; an integral float counts. Bellman-Ford's moves lie in
+    [-top, top], its potentials in [-k*top, 0]. Each of the solver's k
+    phases moves its duals by at most top, so its sums stay within (k + 2) * top.
     """
     try:
         m = np.asarray(cost_matrix, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"cost matrix is not a numeric table: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise InvalidConfig(f"cost matrix shape {m.shape} is not square")
-    if not np.all(np.isfinite(m)):
-        raise InvalidConfig("cost matrix entries must be finite")
-    if np.any(m < 0):
-        raise InvalidConfig("cost matrix entries must be non-negative")
-
     k = m.shape[0]
+    top = 2**53 // (k + 1) ** 2
+    if not np.all((m >= 0) & (m <= top) & (m == np.trunc(m))):
+        raise InvalidConfig(f"cost matrix entries must be integers in 0..{top}")
+
     _, cols = linear_sum_assignment(m)
     # Column potentials by Bellman-Ford on the residual graph: moving row i
     # from its column to column j costs m[i, j] - m[i, col(i)].
@@ -300,7 +302,7 @@ def hungarian(cost_matrix: Sequence[Sequence[float]]) -> tuple[int, ...]:
         if np.array_equal(relaxed, pot):
             break
         pot = relaxed
-    tight = move + pot[cols][:, None] - pot[None, :] <= 1e-9
+    tight = move + pot[cols][:, None] - pot[None, :] <= 0
     at, to = np.nonzero(tight)  # row-major, so each row's columns ascend
     ends = np.cumsum(np.bincount(at, minlength=k)).tolist()
     to = to.tolist()

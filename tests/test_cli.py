@@ -259,6 +259,8 @@ def _spec(**overrides) -> str:
         pytest.param(["sweep", "--spec", "{nokey}", "-o", "{out}"], id="spec-key-missing"),
         pytest.param(["sweep", "--spec", "{zzz}", "-o", "{out}"], id="spec-unknown-strategy"),
         pytest.param(["sweep", "--spec", "{spec}", "--workers", "0", "-o", "{out}"], id="workers-flag-zero"),
+        pytest.param(["decompose", "{deep}"], id="polygon-nested-too-deep"),
+        pytest.param(["sweep", "--spec", "{deepspec}", "-o", "{out}"], id="spec-nested-too-deep"),
         pytest.param(["decompose", "{short}"], id="polygon-vertex-not-a-pair"),
         pytest.param(["decompose", "{vbool}"], id="polygon-vertex-bool"),
         pytest.param(["sweep", "--spec", "{polybool}", "-o", "{out}"], id="spec-polygon-vertex-bool"),
@@ -316,6 +318,7 @@ def _spec(**overrides) -> str:
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
     strip = [[0, 0], [4, 0], [4, 1], [0, 1]]
     wide = [[0, 0], [10**400, 0], [10**400, 1], [0, 1]]
+    nested = "[" * 200_000 + "]" * 200_000  # far past Python's default recursion limit of 1,000
     ran = []
     run_cell = harness.run_cell
     monkeypatch.setattr(harness, "run_cell", lambda *job: ran.append(job) or run_cell(*job))
@@ -328,6 +331,8 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, ar
         "nokey": _write(tmp_path, "nokey.json", _spec(ks=None)),
         "zzz": _write(tmp_path, "zzz.json", _spec(strategies=["zzz"])),
         "spec": _write(tmp_path, "spec.json", _spec()),
+        "deep": _write(tmp_path, "deep.json", f'{{"vertices": {nested}}}'),
+        "deepspec": _write(tmp_path, "deepspec.json", f'{{"instances": {nested}}}'),
         "short": _write(tmp_path, "short.json", '{"vertices": [[0, 0], [1], [1, 1], [0, 1]]}'),
         # With true read as 1 these would be a valid 1 x 2 rectangle.
         "vbool": _write(tmp_path, "vbool.json", '{"vertices": [[true, 0], [2, 0], [2, 2], [1, 2]]}'),

@@ -168,7 +168,7 @@ def brute_hungarian(m) -> tuple[tuple[int, ...], float]:
     for perm in itertools.permutations(range(k)):
         costs[perm] = sum(m[i][perm[i]] for i in range(k))
     best = min(costs.values())
-    winners = [p for p, c in costs.items() if c <= best + 1e-9]
+    winners = [p for p, c in costs.items() if c == best]
     return min(winners), best
 
 
@@ -176,7 +176,7 @@ def ref_lex_assignment(cost_matrix) -> tuple[int, ...]:
     """Lexicographically smallest optimal assignment by k^2 re-solves; oracle only.
 
     Row by row, takes the smallest free column for which the remaining
-    rows and columns still complete to an optimal total (within 1e-9).
+    rows and columns still complete to the optimal total, compared exactly.
     """
     m = np.asarray(cost_matrix, dtype=float)
     k = m.shape[0]
@@ -195,7 +195,7 @@ def ref_lex_assignment(cost_matrix) -> tuple[int, ...]:
                 rest = float(sub[rr, cc].sum())
             else:
                 rest = 0.0
-            if prefix + m[i, j] + rest <= optimal + 1e-9:
+            if prefix + m[i, j] + rest == optimal:
                 chosen.append(j)
                 prefix += float(m[i, j])
                 available.pop(pos)
@@ -285,14 +285,14 @@ def ref_planning_trace(cfg: SimConfig, grid) -> tuple[list[list[int]], tuple[boo
     return rows, (captured, t, via_swap)
 
 
-def tie_heavy_matrix(rng: random.Random, k: int, kind: int) -> list[list[float]]:
-    """Small integers, thirds, or sums of 1 + 0.05 c as path costs produce them."""
+def tie_heavy_matrix(rng: random.Random, k: int, kind: int) -> list[list[int]]:
+    """Integers below 4 or below 40, or sums of STEP_UNITS + c as `costs_to_target` gives them."""
     if kind == 0:
         return [[rng.randrange(4) for _ in range(k)] for _ in range(k)]
     if kind == 1:
-        return [[rng.randrange(40) / 3 for _ in range(k)] for _ in range(k)]
+        return [[rng.randrange(40) for _ in range(k)] for _ in range(k)]
     return [
-        [sum(1 + 0.05 * rng.randrange(3) for _ in range(rng.randrange(1, 6))) for _ in range(k)]
+        [sum(STEP_UNITS + rng.randrange(3) for _ in range(rng.randrange(1, 6))) for _ in range(k)]
         for _ in range(k)
     ]
 
@@ -683,15 +683,39 @@ class TestHungarian:
             hungarian([[1.0, 2.0]])
 
     def test_negative_entry(self):
-        with pytest.raises(InvalidConfig, match="must be non-negative"):
+        with pytest.raises(InvalidConfig, match="must be integers in 0"):
             hungarian([[1.0, -0.5], [0.0, 1.0]])
 
     @pytest.mark.parametrize("matrix", [[[np.inf]], [[np.nan, 1.0], [1.0, 1.0]]], ids=["inf", "nan"])
     def test_non_finite_entry(self, matrix):
-        with pytest.raises(InvalidConfig, match="must be finite"):
+        with pytest.raises(InvalidConfig, match="must be integers in 0"):
             hungarian(matrix)
 
-    @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [["a"]], [[1j]]])
+    # 2**53 + 1 rounds to 2**53 in float64, where (0, 1) and (1, 0) would tie.
+    @pytest.mark.parametrize(
+        "matrix", [[[1.0, 0.5], [0.0, 1.0]], [[2**53 + 1, 2**53], [0, 0]]], ids=["half", "2**53+1"]
+    )
+    def test_entry_not_an_exact_integer(self, matrix):
+        with pytest.raises(InvalidConfig, match="must be integers in 0"):
+            hungarian(matrix)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_entries_up_to_top(self, k):
+        top = 2**53 // (k + 1) ** 2
+        rng = random.Random(k)
+        for _ in range(40):
+            m = [
+                [top - rng.randrange(3) if rng.randrange(2) else rng.randrange(3) for _ in range(k)]
+                for _ in range(k)
+            ]
+            m[rng.randrange(k)][rng.randrange(k)] = top
+            assert hungarian(m) == brute_hungarian(m)[0], m
+        m[-1][-1] = top + 1
+        with pytest.raises(InvalidConfig, match=rf"must be integers in 0\.\.{top}$"):
+            hungarian(m)
+
+    # 10**400 overflows a float.
+    @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [["a"]], [[1j]], [[10**400]]])
     def test_malformed_matrix(self, matrix):
         with pytest.raises(InvalidConfig, match="is not a numeric table"):
             hungarian(matrix)
@@ -703,11 +727,11 @@ class TestHungarian:
             if trial % 2:
                 m = [[rng.randrange(0, 4) for _ in range(k)] for _ in range(k)]
             else:
-                m = [[rng.uniform(0, 10) for _ in range(k)] for _ in range(k)]
+                m = [[rng.randrange(10**6) for _ in range(k)] for _ in range(k)]
             targets = hungarian(m)
             perm, cost = brute_hungarian(m)
             assert targets == perm
-            assert sum(m[i][targets[i]] for i in range(k)) == pytest.approx(cost)
+            assert sum(m[i][targets[i]] for i in range(k)) == cost
 
     def test_matches_re_solve_oracle_on_ties(self):
         rng = random.Random(2024)
@@ -747,11 +771,12 @@ class TestSolverLoader:
 
     @staticmethod
     def tie_matrices():
+        """Integer tie-heavy matrices, and the same over 3: the solver also takes non-integral floats."""
         rng = random.Random(11)
         for trial in range(90):
-            m = np.array(tie_heavy_matrix(rng, rng.choice((1, 2, 5, 13, 21)), trial % 3))
+            m = np.array(tie_heavy_matrix(rng, rng.choice((1, 2, 5, 13, 21)), trial % 3), dtype=np.int64)
+            yield m / 3
             yield m
-            yield m.astype(np.int64)
 
     def test_import_leaves_scipy_optimize_out(self):
         src = str(Path(planning.__file__).resolve().parents[1])
