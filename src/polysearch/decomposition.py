@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TooFewRobots
-from .geometry import Cell, GridGraph
+from .geometry import Cell, GridGraph, check_int, shown
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def rectangulate(g: GridGraph, seed: int) -> Rectangulation:
     largest all-uncovered rectangle that contains it (ties: larger width,
     then smaller anchor in row-major order). Deterministic per seed.
     """
-    rng = random.Random(seed)
+    rng = random.Random(check_int(seed, "seed"))
     free = bytearray(b"\x01") * len(g.cells)  # uncovered flag per cell index
     rects: list[Rectangle] = []
     while len(candidates := np.flatnonzero(np.frombuffer(free, np.uint8))):  # row-major, as g.cells
@@ -138,9 +138,9 @@ def allocate_robots(r: Rectangulation, k_s: int) -> list[int]:
     rectangle ends up empty its unit is taken from the most over-provisioned
     rectangle. Raises TooFewRobots when k_s < number of rectangles.
     """
-    m = len(r.rects)
+    k_s, m = check_int(k_s, "k_s"), len(r.rects)
     if k_s < m:
-        raise TooFewRobots(f"{k_s} searchers for {m} rectangles")
+        raise TooFewRobots(f"{shown(k_s)} searchers for {m} rectangles")
     areas = [rect.area for rect in r.rects]
     total = sum(areas)
     counts = [k_s * a // total for a in areas]  # quotas in exact integers: equal remainders tie

@@ -52,6 +52,14 @@ def is_int(value: object) -> bool:
     return type(value) is int or isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def check_int(value: object, what: str, low: int | None = None) -> int:
+    """`value` as an int: an integer (not a bool; numpy integers pass) of at least `low`; InvalidConfig otherwise."""
+    if (type(value) is int or is_int(value)) and (low is None or value >= low):
+        return value if type(value) is int else int(value)
+    kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
+    raise InvalidConfig(f"{what} must be {kind}, got {shown(value, repr)}")
+
+
 def check_cells(count: int, what: str) -> None:
     """Raise TooLarge when `what` would have more than MAX_CELLS cells."""
     if count > MAX_CELLS:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Sequence, get_type_hints
 
 from .errors import EmptyInput, InvalidConfig, IoError, TooFewRobots, TooManyRobots
-from .geometry import GridGraph, OrthoPolygon, check_cells, is_int, rasterize, write_text
+from .geometry import GridGraph, OrthoPolygon, check_cells, check_int, rasterize, shown, write_text
 from .polygen import comb_polygon
 from .sim import STRATEGIES, SimConfig, TrialResult, run_trial, team
 
@@ -119,18 +119,22 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     """
     for name in ("instances", "strategies", "intruders", "ks"):
         if not isinstance(getattr(spec, name), (tuple, list)):
-            raise InvalidConfig(f"{name} must be a list, got {getattr(spec, name)!r}")
+            raise InvalidConfig(f"{name} must be a list, got {shown(getattr(spec, name), repr)}")
     if not spec.instances or not spec.strategies or not spec.intruders or not spec.ks:
         raise EmptyInput("sweep needs at least one instance, strategy, intruder model and team size")
     for inst in spec.instances:
         # Before Python 3.13 the CSV writer leaves a lone \r unquoted; a surrogate has no UTF-8 form.
         if not isinstance(inst.id, str) or any(c == "\r" or "\ud800" <= c <= "\udfff" for c in inst.id):
-            raise InvalidConfig(f"instance id must be a string without \\r or surrogates, got {inst.id!r}")
+            raise InvalidConfig(f"instance id must be a string without \\r or surrogates, got {shown(inst.id, repr)}")
+        if not isinstance(inst.polygon, OrthoPolygon):
+            raise InvalidConfig(f"instance {inst.id!r} polygon is a {type(inst.polygon).__name__}, not an OrthoPolygon")
         check_cells(inst.polygon.area, "polygon")
-    if not is_int(spec.base_seed):
-        raise InvalidConfig(f"base_seed must be an integer, got {spec.base_seed!r}")
-    if not is_int(spec.trials) or spec.trials < 1:
-        raise InvalidConfig(f"trials must be a positive integer, got {spec.trials!r}")
+    check_int(spec.base_seed, "base_seed")
+    try:
+        str(spec.base_seed)  # trial_seed hashes it as text
+    except ValueError:
+        raise InvalidConfig("base_seed has more digits than str() prints") from None
+    check_int(spec.trials, "trials", 1)
     combos = list(itertools.product(spec.instances, spec.strategies, spec.intruders, spec.ks))
     for inst, strategy, intruder, k in combos:  # before the repeat check hashes the values
         SimConfig(strategy, k, intruder, spec.max_steps, rect_seed=inst.rect_seed)
@@ -138,7 +142,7 @@ def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     for name in ("strategies", "intruders", "ks"):
         values = getattr(spec, name)
         if len(set(values)) < len(values):
-            raise InvalidConfig(f"{name} repeats a value, got {values!r}")
+            raise InvalidConfig(f"{name} repeats a value, got {shown(values, repr)}")
     seen: set[str] = set()
     for inst in spec.instances:
         if inst.id in seen:
@@ -276,11 +280,9 @@ def run_sweep(
     caller drains the cells alone and no pool starts. The cells run on a
     frozen heap (`gc.freeze`), unless the caller froze it.
     """
-    if not (is_int(workers) and workers >= 1):
-        raise InvalidConfig(f"worker count must be at least 1, got {workers!r}")
     cells = expand_cells(spec)
     jobs = [(c, spec.trials, spec.base_seed, spec.max_steps) for c in cells]
-    workers = min(workers, len(cells), os.cpu_count() or 1)
+    workers = min(check_int(workers, "worker count", 1), len(cells), os.cpu_count() or 1)
     claimed, finished = multiprocessing.Value("q", 0), multiprocessing.Value("q", 0)
     placed: dict[int, SummaryRow] = {}
     pool: dict = {}  # each pool worker's read end, and its process

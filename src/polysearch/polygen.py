@@ -17,7 +17,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidConfig, IterationBudgetExceeded, TooLarge
-from .geometry import MAX_VERTICES, Cell, OrthoPolygon, check_cells, corner_counts, polygon_from_cells
+from .geometry import (
+    MAX_VERTICES,
+    Cell,
+    OrthoPolygon,
+    check_cells,
+    check_int,
+    corner_counts,
+    polygon_from_cells,
+    shown,
+)
 
 RETRY_BUDGET = 10_000
 
@@ -63,12 +72,13 @@ def inflate_cut(target_vertices: int, seed: int) -> OrthoPolygon:
     Deterministic per seed; raises IterationBudgetExceeded after 10^4
     rejected attempts in a round, and TooLarge above MAX_VERTICES.
     """
+    target_vertices, seed = check_int(target_vertices, "target_vertices"), check_int(seed, "seed")
     if target_vertices % 2:
-        raise InvalidConfig(f"{target_vertices} is odd; orthogonal polygons have even vertex counts")
+        raise InvalidConfig(f"{shown(target_vertices)} is odd; orthogonal polygons have even vertex counts")
     if target_vertices < 4:
-        raise InvalidConfig(f"{target_vertices} < 4; no such orthogonal polygon")
+        raise InvalidConfig(f"{shown(target_vertices)} < 4; no such orthogonal polygon")
     if target_vertices > MAX_VERTICES:
-        raise TooLarge(f"{target_vertices} vertices; at most {MAX_VERTICES} are supported")
+        raise TooLarge(f"{shown(target_vertices)} vertices; at most {MAX_VERTICES} are supported")
 
     rng = random.Random(seed)
     a = np.ones((1, 1), dtype=bool)  # a[row, col]: whether cell (col, row) is in
@@ -110,6 +120,11 @@ def comb_cells(
     than MAX_CELLS cells or MAX_VERTICES vertices raise TooLarge before any
     cell is built.
     """
+    spike_lengths = [check_int(depth, "spike length") for depth in spike_lengths]
+    down = [check_int(depth, "spike length") for depth in down]
+    spike_width = check_int(spike_width, "spike_width")
+    base_height = check_int(base_height, "base_height")
+    spike_gap = check_int(spike_gap, "spike_gap")
     n = len(spike_lengths)
     if n < 1 or spike_width < 1 or base_height < 1 or spike_gap < 1:
         raise InvalidConfig("comb dimensions must be positive")

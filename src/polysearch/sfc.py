@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import InvalidConfig, TooFewRobots, TooManyRobots
-from .geometry import Cell, check_cells, shown
+from .geometry import Cell, _as_cell, check_cells, check_int, shown
 
 
 def _sgn(x: int) -> int:
@@ -71,6 +71,7 @@ def gilbert_curve(width: int, height: int) -> tuple[Cell, ...]:
     adjacent, with at most a single diagonal step for odd x odd extents.
     More than MAX_CELLS cells raise TooLarge before any is built.
     """
+    width, height = check_int(width, "width"), check_int(height, "height")
     what = f"rectangle {shown(width)}x{shown(height)}"
     if width < 1 or height < 1:
         raise InvalidConfig(f"{what} has no cells")
@@ -86,15 +87,18 @@ def repair_curve(c: tuple[Cell, ...]) -> tuple[Cell, ...]:
     Both corners of a diagonal step lie in any rectangle that holds its two
     ends, so the detour stays on the rectangle's cells. It revisits one cell:
     the result can be longer than the input but is 4-adjacent throughout.
+    Each cell is a pair of integers, as `GridGraph.require` takes it.
     """
-    out: list[Cell] = [c[0]]
-    for nxt in c[1:]:
+    if not c:
+        raise InvalidConfig("curve has no cells")
+    out: list[Cell] = [_as_cell(c[0])]
+    for nxt in map(_as_cell, c[1:]):
         cur = out[-1]
         dx, dy = nxt.col - cur.col, nxt.row - cur.row
         if abs(dx) == 1 and abs(dy) == 1:
             out.append(Cell(nxt.col, cur.row))
         elif abs(dx) + abs(dy) != 1:
-            raise InvalidConfig(f"curve jumps from {tuple(cur)} to {tuple(nxt)}")
+            raise InvalidConfig(f"curve jumps from {shown(tuple(cur))} to {shown(tuple(nxt))}")
         out.append(nxt)
     return tuple(out)
 
@@ -105,10 +109,11 @@ def segment_bounds(n: int, count: int) -> list[tuple[int, int]]:
     Segment i spans [i*n//count, (i+1)*n//count), so lengths differ by at
     most one and every cell lands in exactly one segment.
     """
+    n, count = check_int(n, "curve length"), check_int(count, "segment count")
     if count < 1:
         raise TooFewRobots("at least one robot per curve")
     if count > n:
-        raise TooManyRobots(f"{count} robots on a {n}-cell curve")
+        raise TooManyRobots(f"{shown(count)} robots on a {shown(n)}-cell curve")
     starts = [i * n // count for i in range(count)]
     stops = starts[1:] + [n]
     return list(zip(starts, stops))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .decomposition import Rectangulation, allocate_robots, rectangulate
 from .errors import InvalidConfig, TooFewRobots, TooLarge, Unreachable
-from .geometry import GridGraph, is_int
+from .geometry import GridGraph, check_int, shown
 from .planning import (
     CostMap,
     costs_to_target,
@@ -84,26 +84,24 @@ class SimConfig:
         raises TooFewRobots); `init_trial` checks placed cells against its grid.
         """
         if self.strategy not in STRATEGIES:
-            raise InvalidConfig(f"unknown strategy {self.strategy!r}")
+            raise InvalidConfig(f"unknown strategy {shown(self.strategy, repr)}")
         if self.intruder not in INTRUDER_MODELS:
-            raise InvalidConfig(f"unknown intruder model {self.intruder!r}")
-        if not is_int(self.k):
-            raise InvalidConfig(f"team size must be an integer, got {self.k!r}")
-        if self.k > MAX_ROBOTS:
-            raise TooLarge(f"a team of {self.k} robots is too large; at most {MAX_ROBOTS} are supported")
-        if self.max_steps is not None and (not is_int(self.max_steps) or self.max_steps < 0):
-            raise InvalidConfig(f"max_steps must be a nonnegative integer, got {self.max_steps!r}")
-        if not is_int(self.seed):
-            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
-        if not is_int(self.rect_seed):
-            raise InvalidConfig(f"rect_seed must be an integer, got {self.rect_seed!r}")
+            raise InvalidConfig(f"unknown intruder model {shown(self.intruder, repr)}")
+        if (k := check_int(self.k, "team size")) > MAX_ROBOTS:
+            raise TooLarge(f"a team of {shown(k, repr)} robots is too large; at most {MAX_ROBOTS} are supported")
+        if self.max_steps is not None:
+            check_int(self.max_steps, "max_steps", 0)
+        check_int(self.seed, "seed")
+        check_int(self.rect_seed, "rect_seed")
         if self.robot_cells is not None:
             if self.strategy in ("sfc", "sfc_g"):
                 raise InvalidConfig("robot_cells only apply to rs, crs and baseline")
             if not hasattr(self.robot_cells, "__len__"):
-                raise InvalidConfig(f"robot_cells must be a sequence of cell indices, got {self.robot_cells!r}")
-            if len(self.robot_cells) != self.k:
-                raise InvalidConfig(f"{self.k} robots but {len(self.robot_cells)} cells")
+                raise InvalidConfig(
+                    f"robot_cells must be a sequence of cell indices, got {shown(self.robot_cells, repr)}"
+                )
+            if len(self.robot_cells) != k:
+                raise InvalidConfig(f"{shown(k, repr)} robots but {len(self.robot_cells)} cells")
 
 
 @dataclass

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polysearch import geometry
-from polysearch.errors import InvalidConfig, InvalidPolygon, TooLarge
+from polysearch.decomposition import allocate_robots, rectangulate
+from polysearch.errors import InvalidConfig, InvalidPolygon, PolySearchError, TooLarge
 from polysearch.geometry import (
     Cell,
     GridGraph,
@@ -23,8 +24,10 @@ from polysearch.geometry import (
     validate_polygon,
     write_polygon_file,
 )
-from polysearch.harness import PRESETS
-from polysearch.polygen import comb_cells, inflate_cut
+from polysearch.harness import PRESETS, InstanceSpec, SweepSpec, expand_cells, run_sweep
+from polysearch.polygen import comb_cells, comb_polygon, inflate_cut
+from polysearch.sfc import gilbert_curve, repair_curve, segment_bounds
+from polysearch.sim import SimConfig
 
 from conftest import (
     TWO_PART_CELLS,
@@ -482,3 +485,100 @@ class TestPolygonIO:
         assert read_polygon_file(path) == l_shape
         with open(path, encoding="utf-8") as fh:
             assert json.load(fh) == {"vertices": [list(v) for v in l_shape.vertices]}
+
+
+class TestCheckInt:
+    def test_numpy_integer_comes_back_as_int(self):
+        value = geometry.check_int(np.int64(3), "count", 1)
+        assert value == 3 and type(value) is int
+
+    @pytest.mark.parametrize(
+        "value, low, message",
+        [
+            (True, None, "flag must be an integer, got True"),
+            (2.0, None, "flag must be an integer, got 2.0"),
+            (-1, 0, "flag must be a nonnegative integer, got -1"),
+            (0, 1, "flag must be a positive integer, got 0"),
+            (-(10**5000), 0, "flag must be a nonnegative integer, got <too long to print>"),
+            (np.int64(-1), 0, f"flag must be a nonnegative integer, got {np.int64(-1)!r}"),
+        ],
+        ids=["bool", "float", "negative", "zero", "huge", "numpy"],
+    )
+    def test_message_names_the_argument_and_the_rule(self, value, low, message):
+        with pytest.raises(InvalidConfig) as info:
+            geometry.check_int(value, "flag", low)
+        assert str(info.value) == message
+
+
+BIG = 10**5000
+#: Not integers, or integers with more digits than str() prints, by test id.
+BAD_INTS = {"float": 1.5, "bool": True, "str": "3", "huge": BIG, "-huge": -BIG}
+_COMB = comb_polygon((2, 3))
+_GRID = rasterize(_COMB)
+#: One 3 x 2 rectangle, so one searcher or more is enough.
+_RECT = rectangulate(rasterize(validate_polygon([(0, 0), (3, 0), (3, 2), (0, 2)])), 0)
+
+
+def _spec(**fields) -> SweepSpec:
+    return SweepSpec(**{"instances": (InstanceSpec("comb", _COMB),), "strategies": ("rs",), "ks": (1,), **fields})
+
+
+#: (entry point and argument, call with the value in that argument, the values
+#: of BAD_INTS that the argument accepts). Huge seeds are seeds; a huge cap,
+#: trial count, worker count or searcher count is in range.
+CALLER_ARGUMENTS = [
+    ("SimConfig.strategy", lambda v: SimConfig(v, 1), ()),
+    ("SimConfig.intruder", lambda v: SimConfig("rs", 1, v), ()),
+    ("SimConfig.k", lambda v: SimConfig("rs", v, robot_cells=(0,)), ()),
+    ("SimConfig.max_steps", lambda v: SimConfig("rs", 1, max_steps=v), (BIG,)),
+    ("SimConfig.seed", lambda v: SimConfig("rs", 1, seed=v), (BIG, -BIG)),
+    ("SimConfig.rect_seed", lambda v: SimConfig("rs", 1, rect_seed=v), (BIG, -BIG)),
+    ("SimConfig.robot_cells", lambda v: SimConfig("rs", 2, robot_cells=v), ()),
+    ("expand_cells.instances", lambda v: expand_cells(_spec(instances=v)), ()),
+    ("expand_cells.ks", lambda v: expand_cells(_spec(ks=v)), ()),
+    ("expand_cells.ks_repeated", lambda v: expand_cells(_spec(ks=(v, v))), ()),
+    ("expand_cells.instance_id", lambda v: expand_cells(_spec(instances=(InstanceSpec(v, _COMB),))), ("3",)),
+    ("expand_cells.polygon", lambda v: expand_cells(_spec(instances=(InstanceSpec("comb", v),))), ()),
+    ("expand_cells.base_seed", lambda v: expand_cells(_spec(base_seed=v)), ()),
+    ("expand_cells.trials", lambda v: expand_cells(_spec(trials=v)), (BIG,)),
+    ("run_sweep.workers", lambda v: run_sweep(_spec(trials=1), workers=v), (BIG,)),
+    ("gilbert_curve.width", lambda v: gilbert_curve(v, 2), ()),
+    ("gilbert_curve.height", lambda v: gilbert_curve(2, v), ()),
+    ("segment_bounds.n", lambda v: segment_bounds(v, 1), (BIG,)),
+    ("segment_bounds.count", lambda v: segment_bounds(5, v), ()),
+    ("comb_polygon.depth", lambda v: comb_polygon((v,)), ()),
+    ("comb_polygon.down", lambda v: comb_polygon((1,), down=(v,)), ()),
+    ("comb_polygon.spike_width", lambda v: comb_polygon((1,), spike_width=v), ()),
+    ("comb_polygon.base_height", lambda v: comb_polygon((1,), base_height=v), ()),
+    ("comb_polygon.spike_gap", lambda v: comb_polygon((1,), spike_gap=v), ()),
+    ("inflate_cut.target_vertices", lambda v: inflate_cut(v, 0), ()),
+    ("inflate_cut.seed", lambda v: inflate_cut(6, v), (BIG, -BIG)),
+    ("rectangulate.seed", lambda v: rectangulate(_GRID, v), (BIG, -BIG)),
+    ("allocate_robots.k_s", lambda v: allocate_robots(_RECT, v), (BIG,)),
+    ("repair_curve.cell", lambda v: repair_curve(((0, 0), (v, 0))), ()),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value, accepted",
+    [
+        pytest.param(call, value, value in accepted, id=f"{name}-{label}")
+        for name, call, accepted in CALLER_ARGUMENTS
+        for label, value in BAD_INTS.items()
+    ],
+)
+def test_bad_arguments_end_in_one_error_line(call, value, accepted):
+    """Integers follow check_int's rule, a value out of a function's range gets
+    its own error, and every message prints the caller's value through shown."""
+    if accepted:
+        call(value)
+        return
+    with pytest.raises(PolySearchError) as info:
+        call(value)
+    assert "\\n" not in str(info.value)
+
+
+def test_repair_curve_takes_cells_by_the_pair_rule():
+    with pytest.raises(InvalidConfig, match="curve has no cells"):
+        repair_curve(())
+    assert repair_curve(((0, 0), (1, 1))) == (Cell(0, 0), Cell(1, 0), Cell(1, 1))

@@ -532,7 +532,7 @@ def test_workers_fork_from_a_frozen_heap(monkeypatch, tmp_path):
 def test_run_sweep_rejects_a_bad_worker_count(monkeypatch, workers):
     ran = []
     monkeypatch.setattr(harness, "run_cell", lambda *job: ran.append(job))
-    with pytest.raises(InvalidConfig, match="worker count must be at least 1"):
+    with pytest.raises(InvalidConfig, match="worker count must be a positive integer"):
         run_sweep(tiny_spec(trials=1), workers=workers)
     assert ran == []
 
