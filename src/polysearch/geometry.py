@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from numbers import Integral, Rational, Real
-from typing import Any, Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +59,13 @@ def check_int(value: object, what: str, low: int | None = None) -> int:
         return value if type(value) is int else int(value)
     kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
     raise InvalidConfig(f"{what} must be {kind}, got {shown(value, repr)}")
+
+
+def check_each(values: object, what: str, rule: Callable[[Any], Any]) -> tuple:
+    """`rule` of each of `values`, as a tuple, for any iterable but a str, bytes or mapping; InvalidConfig otherwise."""
+    if isinstance(values, (str, bytes, Mapping)) or not isinstance(values, Iterable):
+        raise InvalidConfig(f"{shown(values, repr)} is not a collection of {what}")
+    return tuple(map(rule, values))
 
 
 def check_cells(count: int, what: str) -> None:
@@ -116,12 +124,12 @@ def _shoelace(vertices: Sequence[Point]) -> int:
 def validate_polygon(vertices: Sequence[Sequence[float]]) -> OrthoPolygon:
     """Check a vertex loop and normalize it (CCW, min corner at origin).
 
-    Raises InvalidPolygon when a vertex is not a pair of finite numbers
-    (bools, as JSON true and false load, do not count) or not on the integer
-    lattice, when the count is odd, and when an edge is zero-length, not
-    axis-parallel, collinear with the next or meets another; more than
-    MAX_VERTICES vertices, or a width or height above MAX_CELLS, raise
-    TooLarge.
+    Raises InvalidPolygon when a vertex is not a pair of finite numbers (bools,
+    as JSON true and false load, do not count) or not on the integer lattice,
+    when the count is odd, and when an edge is zero-length, not axis-parallel,
+    collinear with the next or meets another; more than MAX_VERTICES vertices,
+    or a width or height above MAX_CELLS, raise TooLarge. Vertices that are not
+    a list are InvalidPolygon too, not check_each's InvalidConfig: a bad polygon.
     """
     try:
         coords = [(v, tuple(v)) for v in vertices]
@@ -207,7 +215,7 @@ class GridGraph:
     __slots__ = ("cells", "index", "adjacency", "cols", "rows", "bounds", "cache")
 
     def __init__(self, cells: Iterable[Cell]):
-        cells = tuple(sorted(dict.fromkeys(map(_as_cell, cells)), key=lambda c: (c.row, c.col)))
+        cells = tuple(sorted(dict.fromkeys(check_each(cells, "cells", _as_cell)), key=lambda c: (c.row, c.col)))
         self.cells: tuple[Cell, ...] = cells
         self.index: dict[Cell, int] = dict(zip(cells, range(len(cells))))
         self.cols: tuple[int, ...] = tuple(c for c, _ in cells)
@@ -305,18 +313,12 @@ def polygon_from_cells(cells: Iterable[Cell] | np.ndarray) -> OrthoPolygon:
     lowest-leftmost vertex. Raises InvalidPolygon on a pinch, or when the walk
     misses a vertex: a hole or a second piece.
     """
-    if isinstance(cells, np.ndarray):
-        if cells.ndim != 2 or cells.shape[1] != 2 or cells.dtype.kind not in "iu":
-            raise InvalidConfig(
-                f"a cell array must hold integer (col, row) rows, got {cells.dtype} of shape {cells.shape}"
-            )
+    if not isinstance(cells, np.ndarray):
+        xy = np.array(check_each(cells, "cells", _as_cell), dtype=object)  # (n, 2) Python ints, exact past int64
+    elif cells.ndim == 2 and cells.shape[1] == 2 and cells.dtype.kind in "iu":
         xy = cells
     else:
-        try:
-            cells = iter(cells)
-        except TypeError:
-            raise InvalidConfig(f"{shown(cells, repr)} is not a collection of cells") from None
-        xy = np.array([*map(_as_cell, cells)], dtype=object).reshape(-1, 2)  # Python ints, exact past int64
+        raise InvalidConfig(f"a cell array must hold integer (col, row) rows, got {cells.dtype} of shape {cells.shape}")
     if not len(xy):
         raise InvalidPolygon("no cells to trace")
     origin = xy.min(axis=0)

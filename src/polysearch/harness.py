@@ -114,8 +114,8 @@ def trial_seed(base_seed: int, cell_index: int, trial_index: int) -> int:
 def expand_cells(spec: SweepSpec) -> list[SweepCell]:
     """Canonical cell order: instance, then strategy, intruder, team size.
 
-    Each cell's trial fields pass the checks of a `SimConfig` built from
-    them; the checks here are the sweep's own.
+    Each cell's trial fields pass a `SimConfig`'s checks, the rest the sweep's
+    own. Its axes are lists or tuples, not any collection: their order is the CSV's row order.
     """
     for name in ("instances", "strategies", "intruders", "ks"):
         if not isinstance(getattr(spec, name), (tuple, list)):

@@ -34,7 +34,7 @@ import scipy
 from scipy.sparse import csgraph, csr_matrix
 
 from .errors import InvalidConfig, Unreachable
-from .geometry import GridGraph
+from .geometry import GridGraph, check_each
 
 #: Cost of entering an unvisited cell in units of VISIT_COST.
 STEP_UNITS = 20
@@ -208,10 +208,10 @@ def costs_to_target(g: GridGraph, cm: CostMap, targets: Sequence[int]) -> np.nda
     ties between them are exact. One Dijkstra call over the reversed
     graph, edge v -> u weighing the entry of v, serves every target; where
     every visit count is 0, every entry is STEP_UNITS, so the rows are
-    `_hop_rows` scaled. A target that is not an integer in 0..len(g) - 1
-    raises InvalidConfig.
+    `_hop_rows` scaled. `targets` that are not a collection, or a target
+    that is not an integer in 0..len(g) - 1, raise InvalidConfig.
     """
-    targets = [g.check_index(t, "target") for t in targets]
+    targets = check_each(targets, "targets", lambda t: g.check_index(t, "target"))
     if not any(cm.counts):  # a fresh map: every cost is STEP_UNITS times a hop count
         hops = _hop_rows(g, targets)
         rows = np.array([hops[t] for t in targets], dtype=np.float64).reshape(len(targets), len(g))

@@ -22,6 +22,7 @@ from .geometry import (
     Cell,
     OrthoPolygon,
     check_cells,
+    check_each,
     check_int,
     corner_counts,
     polygon_from_cells,
@@ -120,8 +121,8 @@ def comb_cells(
     than MAX_CELLS cells or MAX_VERTICES vertices raise TooLarge before any
     cell is built.
     """
-    spike_lengths = [check_int(depth, "spike length") for depth in spike_lengths]
-    down = [check_int(depth, "spike length") for depth in down]
+    spike_lengths = check_each(spike_lengths, "spike lengths", lambda depth: check_int(depth, "spike length"))
+    down = check_each(down, "spike lengths", lambda depth: check_int(depth, "spike length"))
     spike_width = check_int(spike_width, "spike_width")
     base_height = check_int(base_height, "base_height")
     spike_gap = check_int(spike_gap, "spike_gap")

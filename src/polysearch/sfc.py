@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import InvalidConfig, TooFewRobots, TooManyRobots
-from .geometry import Cell, _as_cell, check_cells, check_int, shown
+from .geometry import Cell, _as_cell, check_cells, check_each, check_int, shown
 
 
 def _sgn(x: int) -> int:
@@ -89,11 +89,10 @@ def repair_curve(c: tuple[Cell, ...]) -> tuple[Cell, ...]:
     the result can be longer than the input but is 4-adjacent throughout.
     Each cell is a pair of integers, as `GridGraph.require` takes it.
     """
-    if not c:
+    if not (c := check_each(c, "cells", _as_cell)):
         raise InvalidConfig("curve has no cells")
-    out: list[Cell] = [_as_cell(c[0])]
-    for nxt in map(_as_cell, c[1:]):
-        cur = out[-1]
+    out: list[Cell] = [c[0]]
+    for cur, nxt in zip(c, c[1:]):  # cur is out[-1]: a detour ends on nxt
         dx, dy = nxt.col - cur.col, nxt.row - cur.row
         if abs(dx) == 1 and abs(dy) == 1:
             out.append(Cell(nxt.col, cur.row))

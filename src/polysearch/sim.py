@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .decomposition import Rectangulation, allocate_robots, rectangulate
 from .errors import InvalidConfig, TooFewRobots, TooLarge, Unreachable
-from .geometry import GridGraph, check_int, shown
+from .geometry import GridGraph, check_each, check_int, shown
 from .planning import (
     CostMap,
     costs_to_target,
@@ -87,19 +87,17 @@ class SimConfig:
             raise InvalidConfig(f"unknown strategy {shown(self.strategy, repr)}")
         if self.intruder not in INTRUDER_MODELS:
             raise InvalidConfig(f"unknown intruder model {shown(self.intruder, repr)}")
-        if (k := check_int(self.k, "team size")) > MAX_ROBOTS:
+        object.__setattr__(self, "k", k := check_int(self.k, "team size"))
+        if k > MAX_ROBOTS:
             raise TooLarge(f"a team of {shown(k, repr)} robots is too large; at most {MAX_ROBOTS} are supported")
         if self.max_steps is not None:
-            check_int(self.max_steps, "max_steps", 0)
-        check_int(self.seed, "seed")
-        check_int(self.rect_seed, "rect_seed")
+            object.__setattr__(self, "max_steps", check_int(self.max_steps, "max_steps", 0))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed"))
+        object.__setattr__(self, "rect_seed", check_int(self.rect_seed, "rect_seed"))
         if self.robot_cells is not None:
             if self.strategy in ("sfc", "sfc_g"):
                 raise InvalidConfig("robot_cells only apply to rs, crs and baseline")
-            if not hasattr(self.robot_cells, "__len__"):
-                raise InvalidConfig(
-                    f"robot_cells must be a sequence of cell indices, got {shown(self.robot_cells, repr)}"
-                )
+            object.__setattr__(self, "robot_cells", check_each(self.robot_cells, "cell indices", lambda i: i))
             if len(self.robot_cells) != k:
                 raise InvalidConfig(f"{shown(k, repr)} robots but {len(self.robot_cells)} cells")
 

@@ -25,6 +25,7 @@ from polysearch.geometry import (
     write_polygon_file,
 )
 from polysearch.harness import PRESETS, InstanceSpec, SweepSpec, expand_cells, run_sweep
+from polysearch.planning import CostMap, costs_to_target
 from polysearch.polygen import comb_cells, comb_polygon, inflate_cut
 from polysearch.sfc import gilbert_curve, repair_curve, segment_bounds
 from polysearch.sim import SimConfig
@@ -576,6 +577,59 @@ def test_bad_arguments_end_in_one_error_line(call, value, accepted):
     with pytest.raises(PolySearchError) as info:
         call(value)
     assert "\\n" not in str(info.value)
+
+
+#: Values that are not collections, by test id: a string or a mapping is not
+#: taken as a collection of its characters or keys.
+BAD_COLLECTIONS = {"int": 5, "str": "ab", "mapping": {0: 1}, "None": None}
+
+#: (entry point and argument, call with the value in that argument, the values
+#: of BAD_COLLECTIONS that the argument accepts). None leaves robot_cells unset.
+COLLECTION_ARGUMENTS = [
+    ("GridGraph.cells", GridGraph, ()),
+    ("polygon_from_cells.cells", polygon_from_cells, ()),
+    ("repair_curve.c", repair_curve, ()),
+    ("comb_polygon.spike_lengths", comb_polygon, ()),
+    ("comb_polygon.down", lambda v: comb_polygon((1,), down=v), ()),
+    ("costs_to_target.targets", lambda v: costs_to_target(_GRID, CostMap(_GRID), v), ()),
+    ("SimConfig.robot_cells", lambda v: SimConfig("rs", 2, robot_cells=v), (None,)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value, accepted",
+    [
+        pytest.param(call, value, value in accepted, id=f"{name}-{label}")
+        for name, call, accepted in COLLECTION_ARGUMENTS
+        for label, value in BAD_COLLECTIONS.items()
+    ],
+)
+def test_non_collections_end_in_one_error_line(call, value, accepted):
+    """Every argument that takes a collection follows check_each's rule."""
+    if accepted:
+        call(value)
+        return
+    with pytest.raises(PolySearchError, match="is not a collection of") as info:
+        call(value)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("make", [np.array, iter], ids=["numpy", "generator"])
+def test_integer_collections_may_be_numpy_arrays_or_generators(make):
+    fresh = CostMap(_GRID)
+    assert comb_polygon(make([2, 3])) == _COMB
+    assert comb_polygon((1, 1), down=make([2])) == comb_polygon((1, 1), down=(2,))
+    assert np.array_equal(costs_to_target(_GRID, fresh, make([0, 3])), costs_to_target(_GRID, fresh, (0, 3)))
+    assert SimConfig("rs", 2, robot_cells=make([0, 3])) == SimConfig("rs", 2, robot_cells=(0, 3))
+
+
+def test_cell_collections_may_be_generators():
+    # A cell is a pair (a Cell, tuple or list), so a 2-D array is not a
+    # collection of cells; polygon_from_cells takes one as an integer array.
+    cells = _GRID.cells
+    assert GridGraph(c for c in cells).cells == cells
+    assert polygon_from_cells(c for c in cells) == _COMB
+    assert repair_curve(c for c in ((0, 0), (1, 1))) == (Cell(0, 0), Cell(1, 0), Cell(1, 1))
 
 
 def test_repair_curve_takes_cells_by_the_pair_rule():

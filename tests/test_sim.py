@@ -102,6 +102,14 @@ def test_placed_index_must_be_in_the_grid(where, idx):
         init_trial(SimConfig(strategy="baseline", k=1, **placed), grid)
 
 
+def test_numpy_seed_runs_the_trial_of_its_int():
+    # random.Random takes no numpy integer; the config keeps check_int's plain ints.
+    grid = rasterize(corridor(6))
+    cfg = SimConfig(strategy="rs", k=np.int64(2), seed=np.int64(3), rect_seed=np.int64(1), max_steps=np.int64(50))
+    assert (type(cfg.k), type(cfg.seed), type(cfg.rect_seed), type(cfg.max_steps)) == (int, int, int, int)
+    assert run_trial(cfg, grid) == run_trial(SimConfig(strategy="rs", k=2, seed=3, rect_seed=1, max_steps=50), grid)
+
+
 def test_placed_index_may_be_a_numpy_integer():
     # A trace row read back through numpy holds numpy integers.
     grid = rasterize(corridor(4))
