@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import EmptyInput, PolySearchError
-from .harness import SummaryRow
+
+if TYPE_CHECKING:  # rows are read by attribute only; harness would load the planners and scipy
+    from .harness import SummaryRow
 
 PALETTE = {
     "sfc": "#1f77b4",

@@ -576,7 +576,7 @@ def test_bad_arguments_end_in_one_error_line(call, value, accepted):
         return
     with pytest.raises(PolySearchError) as info:
         call(value)
-    assert "\\n" not in str(info.value)
+    assert "\n" not in str(info.value)
 
 
 #: Values that are not collections, by test id: a string or a mapping is not

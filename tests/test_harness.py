@@ -12,6 +12,7 @@ import gc
 import hashlib
 import importlib
 import itertools
+import json
 import math
 import multiprocessing
 import os
@@ -896,6 +897,83 @@ def test_import_adds_no_xml_or_network_modules():
     assert not added & {"xml.sax", "urllib.request", "http.client", "ssl", "html"}
     # The sweep pool is plain processes and pipes; the executor's module is not needed.
     assert "concurrent.futures.process" not in added
+
+
+def _fresh_stdout(script: str, *args: str) -> str:
+    """What `script` prints in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+ADDED_SCRIPT = """
+import sys
+before = set(sys.modules)
+exec(sys.argv[1])
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+@pytest.mark.parametrize(
+    ("statement", "unloaded"),
+    [
+        ("import polysearch", {"numpy", "scipy"}),
+        (
+            "from polysearch import comb_polygon, inflate_cut, rasterize, rectangulate,"
+            " gilbert_curve, repair_curve, line_plot, bar_chart",
+            {"scipy"},
+        ),
+    ],
+)
+def test_import_loads_only_the_names_read(statement, unloaded):
+    # Polygons, decompositions, curves and charts never plan, so they leave scipy out.
+    added = _fresh_stdout(ADDED_SCRIPT, statement).split()
+    assert not {name.split(".")[0] for name in added} & unloaded
+
+
+#: The public names at the package's top level, under the module that defines each.
+PUBLIC = {
+    "decomposition": "Junction Rectangle Rectangulation allocate_robots rectangulate",
+    "errors": "PolySearchError",
+    "geometry": "Cell GridGraph OrthoPolygon polygon_from_cells rasterize read_polygon_file"
+    " validate_polygon write_polygon_file",
+    "harness": "PRESETS InstanceSpec SummaryRow SweepSpec read_csv run_sweep summarize write_csv",
+    "planning": "CostMap costs_to_target hungarian",
+    "plots": "bar_chart line_plot",
+    "polygen": "comb_polygon inflate_cut",
+    "sfc": "gilbert_curve repair_curve",
+    "sim": "INTRUDER_MODELS STRATEGIES SimConfig TrialResult init_trial run_trial step",
+}
+
+NAMESPACE_SCRIPT = """
+import json, sys
+import polysearch
+table = json.loads(sys.argv[1])
+listed = dir(polysearch)
+modules = [m for m in table if getattr(polysearch, m) is sys.modules["polysearch." + m]]
+same = [n for m, names in table.items() for n in names.split()
+        if getattr(polysearch, n) is getattr(sys.modules["polysearch." + m], n)]
+try:
+    polysearch.no_such_name
+    missing = False
+except AttributeError:
+    missing = True
+print(json.dumps({"all": polysearch.__all__, "dir": listed, "modules": modules, "same": same, "missing": missing}))
+"""
+
+
+def test_public_names_resolve_to_their_modules():
+    out = json.loads(_fresh_stdout(NAMESPACE_SCRIPT, json.dumps(PUBLIC)))
+    names = " ".join(PUBLIC.values()).split()
+    assert len(names) == 38 and sorted(out["all"]) == sorted(names)
+    assert out["same"] == names
+    assert out["modules"] == list(PUBLIC)
+    assert {"__all__", "__version__", *names, *PUBLIC} <= set(out["dir"])
+    assert out["missing"]
 
 
 @pytest.mark.parametrize(("k", "mean"), [(5, 5.0), (2**24, 5.0), (5, 0.0), (5, 125.4)])
